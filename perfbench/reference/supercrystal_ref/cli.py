@@ -1,0 +1,702 @@
+"""Batch entry points: graph export, verification suites, component census.
+
+Three subcommands share the flags ``--m --n --cap --lambda --format
+--out``.  ``graph`` enumerates one of the four crystals up to a degree
+cap and writes it as JSON or DOT with deterministic ordering, ``verify``
+runs named invariant suites and exits nonzero on any failure, and
+``components`` wraps the component census report.  All output is byte
+deterministic for a fixed invocation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+from dataclasses import dataclass
+from itertools import product
+from pathlib import Path
+
+from .combicrystal import (
+    ZERO,
+    HWElt,
+    KacElt,
+    LusztigMinus,
+    LusztigPlus,
+    OddSet,
+    cartan,
+    epsilon_star,
+    kac_op,
+    lam_minus,
+    lam_plus,
+    oddset_eps,
+    oddset_op,
+    oddset_phi,
+    plus_roots,
+)
+from .combicrystal import to_json as combi_json
+from .limitcrystal import (
+    ENUMERATION_LIMIT,
+    BInfElt,
+    XElt,
+    binf_eps,
+    binf_op,
+    binf_phi,
+    components,
+    enumerate_binf,
+    enumerate_x,
+    is_dominant,
+    kac_elements,
+    kappa,
+    kappa_inv,
+    oddset_degree,
+    theta,
+    x_op,
+)
+from .qboson import C_sk, E_t, act_eprime, boson_crystal_check, congruence_grid
+from .qfield import QRat, akito_sum, min_degree, q_binom
+from .superpbw import (
+    PBWVector,
+    RootData,
+    Weight,
+    crystal_e,
+    crystal_f,
+    f_divided,
+    normal_form,
+    sigma_0n,
+)
+from .superpbw import from_json as pbw_from_json
+from .superpbw import to_json as pbw_to_json
+
+GRAPH_TARGETS = ("binf", "kac", "xlambda", "oddset")
+VERIFY_SUITES = ("qfield", "pbw", "crystal-axioms", "kappa", "components", "boson", "examples")
+DEFAULT_COMPONENTS_CAP = 3
+
+# fixed palette for edge colors by acting index; the odd index stands out
+EDGE_COLORS = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02")
+ODD_COLOR = "#e41a1c"
+
+_QP = QRat.q_power
+
+# rank (3,4) element used by the examples suite
+_EX_S = OddSet.of(3, 4, [(3, 5), (3, 7), (2, 4), (2, 5), (2, 6), (1, 6)])
+_EX_PLUS = LusztigPlus.of(3, {(2, 3): 2, (1, 3): 1, (1, 2): 2})
+_EX_MINUS = LusztigMinus.of(
+    3, 4, {(4, 5): 2, (4, 6): 1, (4, 7): 1, (5, 6): 1, (5, 7): 2, (6, 7): 1}
+)
+_EX_LAM = Weight((6, 4, 1, 3, 2, 0, -4))
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Parsed invocation: ranks, cap, optional weight, command extras."""
+
+    m: int
+    n: int
+    cap: int | None
+    lam: Weight | None
+    target: str | None
+    suite: str | None
+    fmt: str
+    out: str | None
+
+
+def _parse_weight(text: str, ell: int, m: int) -> Weight:
+    try:
+        coords = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"weight must be comma separated integers, got {text!r}")
+    if len(coords) != ell:
+        raise ValueError(f"weight needs {ell} entries, got {len(coords)}")
+    lam = Weight(coords)
+    if not is_dominant(lam, m):
+        raise ValueError("weight must be dominant")
+    return lam
+
+
+def _config(ns: argparse.Namespace) -> RunConfig:
+    if ns.m < 1 or ns.n < 1:
+        raise ValueError("m and n must be at least 1")
+    cap = getattr(ns, "cap", None)
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be nonnegative")
+    lam = None
+    if getattr(ns, "lam", None) is not None:
+        lam = _parse_weight(ns.lam, ns.m + ns.n, ns.m)
+    return RunConfig(
+        m=ns.m,
+        n=ns.n,
+        cap=cap,
+        lam=lam,
+        target=getattr(ns, "target", None),
+        suite=getattr(ns, "suite", None),
+        fmt=ns.format,
+        out=ns.out,
+    )
+
+
+# -- graph export ----------------------------------------------------------
+
+
+def _encode(elt) -> dict:
+    if isinstance(elt, BInfElt):
+        return {
+            "kind": "binf",
+            "S": combi_json(elt.S),
+            "bplus": combi_json(elt.bplus),
+            "bminus": combi_json(elt.bminus),
+        }
+    if isinstance(elt, XElt):
+        return {
+            "kind": "xelt",
+            "S": combi_json(elt.S),
+            "bplus": combi_json(elt.bplus),
+            "bminus": combi_json(elt.bminus),
+            "shift": list(elt.shift.coords),
+        }
+    return combi_json(elt)
+
+
+def _node_key(encoding: dict) -> str:
+    return json.dumps(encoding, sort_keys=True, separators=(",", ":"))
+
+
+def _mult_label(roots, mult) -> str:
+    body = ",".join(f"{a}.{b}:{c}" for (a, b), c in zip(roots, mult) if c)
+    return f"[{body}]"
+
+
+def _short(elt) -> str:
+    if isinstance(elt, OddSet):
+        return "{" + ",".join(f"{a}.{b}" for a, b in sorted(elt.bits)) + "}"
+    if isinstance(elt, LusztigPlus):
+        return _mult_label(elt.roots(), elt.mult)
+    if isinstance(elt, LusztigMinus):
+        return _mult_label(elt.roots(), elt.mult)
+    if isinstance(elt, HWElt):
+        return _short(elt.base)
+    if isinstance(elt, KacElt):
+        return f"S={_short(elt.S)} p={_short(elt.bplus)} m={_short(elt.bminus)}"
+    if isinstance(elt, (BInfElt, XElt)):
+        return f"S={_short(elt.S)} p={_short(elt.bplus)} m={_short(elt.bminus)}"
+    raise ValueError(f"no label for {type(elt).__name__}")
+
+
+def _kac_degree(k: KacElt) -> int:
+    return oddset_degree(k.S) + k.bplus.base.degree() + k.bminus.base.degree()
+
+
+def _all_oddsets(m: int, n: int) -> list[OddSet]:
+    if 2 ** (m * n) > ENUMERATION_LIMIT:
+        raise ValueError("degree cap exceeded")
+    boxes = [(a, b) for a in range(1, m + 1) for b in range(m + 1, m + n + 1)]
+    out = []
+    for mask in product((0, 1), repeat=len(boxes)):
+        bits = [box for box, keep in zip(boxes, mask) if keep]
+        out.append(OddSet.of(m, n, bits))
+    return out
+
+
+def cmd_graph(cfg: RunConfig) -> dict:
+    """Enumerate the requested crystal and return the graph as a dict."""
+    m, n = cfg.m, cfg.n
+    ell = m + n
+    lam = cfg.lam if cfg.lam is not None else Weight((0,) * ell)
+    if cfg.target == "binf":
+        if cfg.cap is None:
+            raise ValueError("binf graphs need --cap")
+        elts, op = enumerate_binf(m, n, cfg.cap), binf_op
+    elif cfg.target == "xlambda":
+        if cfg.cap is None:
+            raise ValueError("xlambda graphs need --cap")
+        elts, op = enumerate_x(m, n, lam, cfg.cap), x_op
+    elif cfg.target == "kac":
+        elts = [
+            k for k in kac_elements(m, n, lam)
+            if cfg.cap is None or _kac_degree(k) <= cfg.cap
+        ]
+        op = kac_op
+    elif cfg.target == "oddset":
+        elts = [
+            s for s in _all_oddsets(m, n)
+            if cfg.cap is None or oddset_degree(s) <= cfg.cap
+        ]
+        op = oddset_op
+    else:
+        raise ValueError(f"unknown graph target {cfg.target!r}")
+
+    ordered = sorted(((_node_key(_encode(e)), e) for e in elts), key=lambda p: p[0])
+    pos = {e: idx for idx, (_, e) in enumerate(ordered)}
+    edges = []
+    for idx, (_, e) in enumerate(ordered):
+        for i in range(1, ell):
+            moved = op(i, "f", e)
+            if moved is not ZERO and moved in pos:
+                edges.append((idx, pos[moved], i))
+    edges.sort()
+    return {
+        "target": cfg.target,
+        "m": m,
+        "n": n,
+        "cap": cfg.cap,
+        "lambda": list(lam.coords) if cfg.target in ("kac", "xlambda") else None,
+        "count": len(ordered),
+        "nodes": [
+            {"id": idx, "element": _encode(e), "label": _short(e), "weight": list(e.weight().coords)}
+            for idx, (_, e) in enumerate(ordered)
+        ],
+        "edges": [{"source": a, "target": b, "i": i} for a, b, i in edges],
+    }
+
+
+def _edge_style(i: int, m: int) -> str:
+    if i == m:
+        return f'color="{ODD_COLOR}", penwidth=2.0'
+    return f'color="{EDGE_COLORS[(i - 1) % len(EDGE_COLORS)]}"'
+
+
+def _render_dot(graph: dict) -> str:
+    m = graph["m"]
+    lines = [
+        f'digraph "{graph["target"]}_{m}_{graph["n"]}" {{',
+        "  rankdir=TB;",
+        "  node [shape=box, fontsize=10];",
+    ]
+    for node in graph["nodes"]:
+        lines.append(f'  n{node["id"]} [label="{node["label"]}"];')
+    for edge in graph["edges"]:
+        style = _edge_style(edge["i"], m)
+        lines.append(f'  n{edge["source"]} -> n{edge["target"]} [label="{edge["i"]}", {style}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# -- verification suites ---------------------------------------------------
+
+
+def _item(name: str, ok: bool, **extra) -> dict:
+    out = {"name": name, "ok": bool(ok)}
+    out.update(extra)
+    return out
+
+
+def _suite_qfield(cfg: RunConfig) -> list[dict]:
+    contraction = all(
+        q_binom(c, d) == _QP(-d) * q_binom(c - 1, d) + _QP(c - d) * q_binom(c - 1, d - 1)
+        for c in range(1, 16)
+        for d in range(c + 1)
+    )
+    collapse = all(
+        akito_sum(a, b) == _QP(2 * a * b) for a in range(16) for b in range(16)
+    )
+    return [
+        _item("gaussian binomial contraction (c,d <= 15)", contraction),
+        _item("telescoping sum collapse to q^(2ab) (a,b <= 15)", collapse),
+    ]
+
+
+def _suite_pbw(cfg: RunConfig) -> list[dict]:
+    items = []
+    rds = [RootData(1, 1), RootData(2, 1), RootData(1, 2)]
+    agree = True
+    rng = random.Random(20240821)
+    for rd in rds:
+        ell = rd.m + rd.n
+        words = [[rng.randint(1, ell - 1) for _ in range(k)] for k in range(5) for _ in range(6)]
+        for word in words:
+            u = normal_form(rd, word)
+            if u != normal_form(rd, word, strategy="leftmost") or u != normal_form(
+                rd, word, strategy="rightmost"
+            ):
+                agree = False
+    items.append(_item("straightening strategies agree on sampled words", agree))
+
+    rd13 = RootData(1, 3)
+    u = normal_form(rd13, [2, 3])
+    items.append(
+        _item(
+            "odd block involution: swap picks up -q and squares to one",
+            sigma_0n(rd13, u) == normal_form(rd13, [3, 2], -_QP(1))
+            and sigma_0n(rd13, sigma_0n(rd13, u)) == u,
+        )
+    )
+
+    ladders = True
+    for rd in rds:
+        m = rd.m
+        if crystal_f(rd, m, PBWVector.unit(rd)) != PBWVector.generator(rd, m):
+            ladders = False
+        if crystal_e(rd, m, PBWVector.generator(rd, m)) != PBWVector.unit(rd):
+            ladders = False
+    rd21 = RootData(2, 1)
+    for c in range(4):
+        if crystal_f(rd21, 1, f_divided(rd21, 1, c)) != f_divided(rd21, 1, c + 1):
+            ladders = False
+    items.append(_item("crystal ladders on divided powers", ladders))
+
+    round_trip = True
+    for rd in rds:
+        for word in ([1], [1, 2] if rd.m + rd.n > 2 else [1]):
+            u = normal_form(rd, word)
+            if pbw_from_json(rd, pbw_to_json(u)) != u:
+                round_trip = False
+    items.append(_item("serialization round trip", round_trip))
+    return items
+
+
+def _alpha(i: int, ell: int) -> Weight:
+    coords = [0] * ell
+    coords[i - 1], coords[i] = 1, -1
+    return Weight(tuple(coords))
+
+
+def _axiom_sweep(elements, op, eps, phi, m: int, ell: int) -> bool:
+    for b in elements:
+        w = b.weight()
+        for i in range(1, ell):
+            up, down = op(i, "e", b), op(i, "f", b)
+            if i != m and phi(i, b) != eps(i, b) + cartan(w, i, m):
+                return False
+            if i == m and eps(i, b) + phi(i, b) not in (0, 1):
+                return False
+            if up is not ZERO and (op(i, "f", up) != b or (up.weight() - w) != _alpha(i, ell)):
+                return False
+            if down is not ZERO and (op(i, "e", down) != b or (w - down.weight()) != _alpha(i, ell)):
+                return False
+    return True
+
+
+def _string_eps(op, i, b) -> int:
+    count = 0
+    while True:
+        b = op(i, "e", b)
+        if b is ZERO:
+            return count
+        count += 1
+
+
+def _string_phi(op, i, b) -> int:
+    count = 0
+    while True:
+        b = op(i, "f", b)
+        if b is ZERO:
+            return count
+        count += 1
+
+
+def _suite_crystal_axioms(cfg: RunConfig) -> list[dict]:
+    m, n = cfg.m, cfg.n
+    ell = m + n
+    cap = cfg.cap if cfg.cap is not None else 4
+    items = []
+    odds = _all_oddsets(m, n)
+    items.append(
+        _item(
+            f"odd subset axioms on all {len(odds)} subsets",
+            _axiom_sweep(odds, oddset_op, oddset_eps, oddset_phi, m, ell),
+        )
+    )
+    ball = enumerate_binf(m, n, cap)
+    items.append(
+        _item(
+            f"limit crystal axioms through degree {cap} ({len(ball)} elements)",
+            _axiom_sweep(ball, binf_op, binf_eps, binf_phi, m, ell),
+        )
+    )
+    lam = cfg.lam if cfg.lam is not None else Weight(
+        (1,) + (0,) * (m - 1) + (1,) + (0,) * (n - 1)
+    )
+    members = kac_elements(m, n, lam)
+    items.append(
+        _item(
+            f"finite quotient axioms over weight {list(lam.coords)} ({len(members)} elements)",
+            _axiom_sweep(
+                members,
+                kac_op,
+                lambda i, b: _string_eps(kac_op, i, b),
+                lambda i, b: _string_phi(kac_op, i, b),
+                m,
+                ell,
+            ),
+        )
+    )
+    return items
+
+
+def _suite_kappa(cfg: RunConfig) -> list[dict]:
+    m, n = cfg.m, cfg.n
+    ell = m + n
+    lam = cfg.lam if cfg.lam is not None else Weight(
+        (1,) + (0,) * (m - 1) + (1,) + (0,) * (n - 1)
+    )
+    members = kac_elements(m, n, lam)
+    round_trips = all(kappa_inv(kappa(k), lam) == k for k in members)
+    mu = lam + Weight((1,) * ell)
+    nu = lam + Weight((2,) * ell)
+    transitive = all(
+        theta(mu, nu, theta(lam, mu, k)) == theta(lam, nu, k) for k in members
+    )
+    invariant = all(kappa(theta(lam, mu, k)) == kappa(k) for k in members)
+    inter = True
+    for k in members:
+        b = kappa(k)
+        for i in range(1, ell):
+            if i == m:
+                continue
+            moved = kac_op(i, "f", k)
+            if moved is not ZERO and kappa(moved) != binf_op(i, "f", b):
+                inter = False
+    return [
+        _item(f"normal form round trips over weight {list(lam.coords)}", round_trips),
+        _item("enlargement transitivity", transitive),
+        _item("normal form invariant under enlargement", invariant),
+        _item("even-index lowering intertwines with the normal form", inter),
+    ]
+
+
+def _suite_components(cfg: RunConfig) -> list[dict]:
+    cap = cfg.cap if cfg.cap is not None else DEFAULT_COMPONENTS_CAP
+    report = components(cfg.m, cfg.n, cap)
+    return [
+        _item(
+            f"component count {report['count']} matches 2^(m(n-1)) = {report['expected']}",
+            report["count"] == report["expected"],
+            labels=report["labels"],
+        ),
+        _item("pairwise isomorphism and product model", report["isomorphism_checked"]),
+    ]
+
+
+def _suite_boson(cfg: RunConfig) -> list[dict]:
+    grid = congruence_grid(6, 10)
+    items = [
+        _item(
+            "lowering congruence grid (l <= 6, t <= l, s <= 10)",
+            all(entry["ok"] for entry in grid),
+            grid=grid,
+        )
+    ]
+    kernel = all(
+        act_eprime(E_t(l, t)).is_zero() for l in range(7) for t in range(l + 1)
+    )
+    items.append(_item("kernel vectors die under the coupled raising action", kernel))
+    valuations = True
+    for l in range(5):
+        for t in range(l + 1):
+            for s in range(l - t + 1, l - t + 4):
+                for k in range(l + 1):
+                    want = (
+                        0
+                        if k == t
+                        else (s + k - l) * (k - t)
+                        if k > t
+                        else (s + t + 1 - l) * (t - k)
+                    )
+                    if min_degree(C_sk(l, t, s, k)) != want:
+                        valuations = False
+    items.append(_item("coefficient family valuations (l <= 4)", valuations))
+    try:
+        report = boson_crystal_check(2, 6)
+        ok = report["rule_matched"] and report["lattice_closed"]
+    except AssertionError:
+        ok = False
+    items.append(_item("string decomposition induces the signature rule (l=2, depth 6)", ok))
+    return items
+
+
+def _suite_examples(cfg: RunConfig) -> list[dict]:
+    b = BInfElt(_EX_S, _EX_PLUS, _EX_MINUS)
+    items = []
+
+    f3 = binf_op(3, "f", b)
+    items.append(
+        _item(
+            "odd lowering adds the boundary box",
+            f3 is not ZERO
+            and f3.S.bits == _EX_S.bits | {(3, 4)}
+            and binf_op(3, "e", b) is ZERO,
+        )
+    )
+    f1 = binf_op(1, "f", b)
+    f11 = binf_op(1, "f", f1) if f1 is not ZERO else ZERO
+    items.append(
+        _item(
+            "first-row lowering moves a box then feeds the even block",
+            f1 is not ZERO
+            and f1.S.bits == (_EX_S.bits - {(2, 4)}) | {(1, 4)}
+            and f11 is not ZERO
+            and f11.bplus.entry(1, 2) == 3,
+        )
+    )
+    f5 = binf_op(5, "f", b)
+    items.append(
+        _item(
+            "minus block lowering shifts the block data",
+            f5 is not ZERO and f5.bminus.entry(4, 5) == 1 and f5.bminus.entry(4, 6) == 2,
+        )
+    )
+    items.append(
+        _item(
+            "starred string lengths at the minus indices are (1, 2, 1)",
+            [epsilon_star(i, _EX_MINUS) for i in (4, 5, 6)] == [1, 2, 1],
+        )
+    )
+    bprime = XElt(_EX_S, _EX_PLUS, HWElt(_EX_MINUS, lam_minus(_EX_LAM, 3)), lam_plus(_EX_LAM, 3))
+    f5p = x_op(5, "f", bprime)
+    items.append(
+        _item(
+            "truncated minus block reroutes the lowering onto the odd subset",
+            f5p is not ZERO
+            and f5p.S.bits == (_EX_S.bits - {(3, 5)}) | {(3, 6)}
+            and (f5 is ZERO or f5p.S != f5.S),
+        )
+    )
+    bsecond = KacElt(
+        _EX_S, HWElt(_EX_PLUS, lam_plus(_EX_LAM, 3)), HWElt(_EX_MINUS, lam_minus(_EX_LAM, 3))
+    )
+    k1 = kac_op(1, "f", bsecond)
+    items.append(
+        _item(
+            "plus truncation kills the second lowering over the fixed weight",
+            k1 is not ZERO and kac_op(1, "f", k1) is ZERO,
+        )
+    )
+    return items
+
+
+_SUITE_RUNNERS = {
+    "qfield": _suite_qfield,
+    "pbw": _suite_pbw,
+    "crystal-axioms": _suite_crystal_axioms,
+    "kappa": _suite_kappa,
+    "components": _suite_components,
+    "boson": _suite_boson,
+    "examples": _suite_examples,
+}
+
+
+def cmd_verify(cfg: RunConfig) -> dict:
+    """Run the requested suites and return the structured report."""
+    names = VERIFY_SUITES if cfg.suite in (None, "all") else (cfg.suite,)
+    for name in names:
+        if name not in _SUITE_RUNNERS:
+            raise ValueError(f"unknown suite {name!r}")
+    suites = {name: _SUITE_RUNNERS[name](cfg) for name in names}
+    checks = sum(len(items) for items in suites.values())
+    failures = sum(1 for items in suites.values() for item in items if not item["ok"])
+    return {
+        "suites": suites,
+        "checks": checks,
+        "failures": failures,
+        "ok": failures == 0,
+    }
+
+
+def _render_verify_text(report: dict) -> str:
+    lines = []
+    for name, items in report["suites"].items():
+        for item in items:
+            lines.append(f"{'PASS' if item['ok'] else 'FAIL'} [{name}] {item['name']}")
+    if report["ok"]:
+        lines.append(f"all {report['checks']} checks passed")
+    else:
+        lines.append(f"{report['failures']} of {report['checks']} checks failed")
+    return "\n".join(lines) + "\n"
+
+
+# -- components ------------------------------------------------------------
+
+
+def cmd_components(cfg: RunConfig) -> dict:
+    """Run the component census at the configured rank and cap."""
+    cap = cfg.cap if cfg.cap is not None else DEFAULT_COMPONENTS_CAP
+    return components(cfg.m, cfg.n, cap)
+
+
+def _render_components_text(report: dict) -> str:
+    labels = " ".join(
+        "{" + ",".join(f"{a}.{b}" for a, b in label) + "}" for label in report["labels"]
+    )
+    return (
+        f"rank ({report['m']},{report['n']}) cap {report['cap']}: "
+        f"{report['count']} components (expected {report['expected']}), "
+        f"isomorphism checked: {str(report['isomorphism_checked']).lower()}\n"
+        f"labels: {labels}\n"
+    )
+
+
+# -- entry point -------------------------------------------------------------
+
+
+def _add_shared_flags(sub: argparse.ArgumentParser, default_format: str) -> None:
+    sub.add_argument("--m", type=int, default=2)
+    sub.add_argument("--n", type=int, default=2)
+    sub.add_argument("--cap", type=int, default=None)
+    sub.add_argument("--lambda", dest="lam", default=None, metavar="C1,C2,...")
+    sub.add_argument("--format", choices=("json", "dot", "text"), default=default_format)
+    sub.add_argument("--out", default=None)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="supercrystal",
+        description="crystal graph export, verification suites, and component census",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    graph = subs.add_parser("graph", help="export a crystal graph")
+    graph.add_argument("--target", choices=GRAPH_TARGETS, required=True)
+    _add_shared_flags(graph, "json")
+    verify = subs.add_parser("verify", help="run verification suites")
+    verify.add_argument("--suite", choices=VERIFY_SUITES + ("all",), default="all")
+    _add_shared_flags(verify, "text")
+    comp = subs.add_parser("components", help="component census of the limit crystal")
+    _add_shared_flags(comp, "text")
+    return parser
+
+
+def _emit(payload: str, out: str | None) -> None:
+    if out is None:
+        sys.stdout.write(payload)
+    else:
+        Path(out).write_text(payload)
+
+
+def main(argv=None) -> int:
+    ns = _build_parser().parse_args(argv)
+    try:
+        cfg = _config(ns)
+        ok = True
+        if ns.command == "graph":
+            if cfg.fmt == "text":
+                raise ValueError("graph supports --format json or dot")
+            graph = cmd_graph(cfg)
+            payload = _render_dot(graph) if cfg.fmt == "dot" else json.dumps(graph, indent=2) + "\n"
+        elif ns.command == "verify":
+            if cfg.fmt == "dot":
+                raise ValueError("verify supports --format text or json")
+            report = cmd_verify(cfg)
+            ok = report["ok"]
+            payload = (
+                json.dumps(report, indent=2) + "\n"
+                if cfg.fmt == "json"
+                else _render_verify_text(report)
+            )
+        else:
+            if cfg.fmt == "dot":
+                raise ValueError("components supports --format text or json")
+            report = cmd_components(cfg)
+            payload = (
+                json.dumps(report, indent=2) + "\n"
+                if cfg.fmt == "json"
+                else _render_components_text(report)
+            )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    _emit(payload, cfg.out)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

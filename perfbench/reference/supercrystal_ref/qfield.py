@@ -1,0 +1,495 @@
+"""Exact arithmetic over the field of rational functions in q.
+
+Every coefficient in this package lives in Q(q) and is stored exactly: a
+value is a reduced fraction of integer-coefficient polynomials in q.  This
+module provides the fraction type plus the balanced q-integers, factorials,
+binomials, the bar substitution q -> 1/q, and the order-of-vanishing tests
+at q = 0 and q = infinity that the lattice computations depend on.
+
+No floating point is used anywhere.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import cache
+from math import gcd as _int_gcd
+
+Poly = tuple[int, ...]  # coefficients by ascending degree, no trailing zeros
+
+_PZERO: Poly = ()
+_PONE: Poly = (1,)
+
+
+def _trim(coeffs) -> Poly:
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _padd(a: Poly, b: Poly) -> Poly:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    return _trim(out)
+
+
+def _pneg(a: Poly) -> Poly:
+    return tuple(-c for c in a)
+
+
+def _pmul(a: Poly, b: Poly) -> Poly:
+    if not a or not b:
+        return _PZERO
+    out = [0] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b):
+                if y:
+                    out[j + k] += x * y
+    return _trim(out)
+
+
+def _pshift(a: Poly, k: int) -> Poly:
+    # multiply by q^k for k >= 0; input need not be trimmed
+    return ((0,) * k + tuple(a)) if any(a) else _PZERO
+
+
+def _content(a: Poly) -> int:
+    g = 0
+    for c in a:
+        g = _int_gcd(g, c)
+    return g
+
+
+def _primitive(a: Poly) -> Poly:
+    g = _content(a)
+    if g in (0, 1):
+        return a
+    return tuple(c // g for c in a)
+
+
+def _prem(a: Poly, b: Poly) -> Poly:
+    """Pseudo-remainder of a by b; only used inside the primitive PRS."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) - 1 >= db:
+        lead = r[-1]
+        r = [c * lb for c in r]
+        off = len(r) - 1 - db
+        for k, c in enumerate(b):
+            r[off + k] -= lead * c
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            break
+    return tuple(r)
+
+
+def _pgcd(a: Poly, b: Poly) -> Poly:
+    """Primitive gcd with positive leading coefficient."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    if a and a[-1] < 0:
+        a = _pneg(a)
+    return a
+
+
+def _pdiv(a: Poly, b: Poly) -> Poly:
+    """Exact division of a by a primitive divisor b."""
+    rem = list(a)
+    out = [0] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
+    while rem and len(rem) >= len(b):
+        c, leftover = divmod(rem[-1], b[-1])
+        if leftover:
+            raise ArithmeticError("inexact polynomial division")
+        pos = len(rem) - len(b)
+        out[pos] = c
+        for k, bc in enumerate(b):
+            rem[pos + k] -= c * bc
+        while rem and rem[-1] == 0:
+            rem.pop()
+    if rem:
+        raise ArithmeticError("inexact polynomial division")
+    return _trim(out)
+
+
+def _poly_str(p: Poly) -> str:
+    terms = []
+    for e in range(len(p) - 1, -1, -1):
+        c = p[e]
+        if c == 0:
+            continue
+        if e == 0:
+            terms.append(str(c))
+            continue
+        base = "q" if e == 1 else f"q^{e}"
+        if c == 1:
+            terms.append(base)
+        elif c == -1:
+            terms.append("-" + base)
+        else:
+            terms.append(f"{c}*{base}")
+    return "+".join(terms).replace("+-", "-")
+
+
+def _poly_parse(s: str) -> Poly:
+    s = s.strip()
+    if s in ("", "0"):
+        return _PZERO
+    s = s.replace("-", "+-")
+    if s.startswith("+"):
+        s = s[1:]
+    coeffs: dict[int, int] = {}
+    for term in s.split("+"):
+        term = term.strip()
+        if not term:
+            raise ValueError(f"bad polynomial string: {s!r}")
+        sign = 1
+        if term.startswith("-"):
+            sign, term = -1, term[1:]
+        if "*" in term:
+            cpart, qpart = term.split("*")
+            c = int(cpart)
+        elif term.startswith("q"):
+            c, qpart = 1, term
+        else:
+            c, qpart = int(term), ""
+        if qpart == "":
+            e = 0
+        elif qpart == "q":
+            e = 1
+        elif qpart.startswith("q^"):
+            e = int(qpart[2:])
+        else:
+            raise ValueError(f"bad term: {term!r}")
+        coeffs[e] = coeffs.get(e, 0) + sign * c
+    out = [0] * (max(coeffs) + 1)
+    for e, c in coeffs.items():
+        out[e] = c
+    return _trim(out)
+
+
+class QRat:
+    """A rational function in q as a reduced fraction of integer polynomials.
+
+    The normal form is unique: numerator and denominator share no factor,
+    the pair has integer content 1, and the denominator has positive leading
+    coefficient.  Equality and hashing are structural on that form, so these
+    values are safe as dict keys.  Instances are immutable by convention.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=_PONE):
+        num = _trim(num)
+        den = _trim(den)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if not num:
+            den = _PONE
+        else:
+            g = _pgcd(num, den)
+            if len(g) > 1:
+                num = _pdiv(num, g)
+                den = _pdiv(den, g)
+            c = _int_gcd(_content(num), _content(den))
+            if c > 1:
+                num = tuple(x // c for x in num)
+                den = tuple(x // c for x in den)
+            if den[-1] < 0:
+                num, den = _pneg(num), _pneg(den)
+        self.num: Poly = num
+        self.den: Poly = den
+
+    @classmethod
+    def zero(cls) -> "QRat":
+        return cls(_PZERO)
+
+    @classmethod
+    def one(cls) -> "QRat":
+        return cls(_PONE)
+
+    @classmethod
+    def from_int(cls, c: int) -> "QRat":
+        return cls((c,))
+
+    @classmethod
+    def q_power(cls, e: int) -> "QRat":
+        if e >= 0:
+            return cls(_pshift(_PONE, e))
+        return cls(_PONE, _pshift(_PONE, -e))
+
+    @classmethod
+    def from_laurent(cls, coeffs: dict[int, int]) -> "QRat":
+        """Build from a sparse Laurent polynomial {exponent: coefficient}."""
+        coeffs = {e: c for e, c in coeffs.items() if c}
+        if not coeffs:
+            return cls.zero()
+        lo = min(coeffs)
+        shift = -lo if lo < 0 else 0
+        out = [0] * (max(coeffs) + shift + 1)
+        for e, c in coeffs.items():
+            out[e + shift] = c
+        return cls(tuple(out), _pshift(_PONE, shift))
+
+    # -- arithmetic ---------------------------------------------------
+
+    def _coerced(self, other):
+        if isinstance(other, QRat):
+            return other
+        if isinstance(other, int):
+            return QRat.from_int(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return QRat(
+            _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
+            _pmul(self.den, o.den),
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QRat(_pneg(self.num), self.den)
+
+    def __sub__(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return QRat(_pmul(self.num, o.num), _pmul(self.den, o.den))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "QRat":
+        if not self.num:
+            raise ZeroDivisionError("inverse of zero")
+        return QRat(self.den, self.num)
+
+    def __truediv__(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        out = QRat.one()
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base if e > 1 else base
+            e >>= 1
+        return out
+
+    def __eq__(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return self.num == o.num and self.den == o.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __bool__(self):
+        return bool(self.num)
+
+    # -- structure maps -----------------------------------------------
+
+    def bar(self) -> "QRat":
+        """Substitute q -> 1/q."""
+        dn, dd = len(self.num) - 1, len(self.den) - 1
+        num = tuple(reversed(self.num))
+        den = tuple(reversed(self.den))
+        if dd >= dn:
+            return QRat(_pshift(num, dd - dn), den)
+        return QRat(num, _pshift(den, dn - dd))
+
+    def is_regular_at_zero(self) -> bool:
+        return self.den[0] != 0
+
+    def eval_at_zero(self) -> Fraction:
+        if self.den[0] == 0:
+            raise ZeroDivisionError("pole at q = 0")
+        return Fraction(self.num[0] if self.num else 0, self.den[0])
+
+    def is_regular_at_infinity(self) -> bool:
+        return len(self.num) <= len(self.den)
+
+    def eval_at_infinity(self) -> Fraction:
+        if len(self.num) > len(self.den):
+            raise ZeroDivisionError("pole at q = infinity")
+        if len(self.num) < len(self.den):
+            return Fraction(0)
+        return Fraction(self.num[-1], self.den[-1])
+
+    def min_degree(self) -> int:
+        """Order of vanishing at q = 0 (negative at a pole)."""
+        if not self.num:
+            raise ValueError("zero has no minimal degree")
+        nord = next(k for k, c in enumerate(self.num) if c)
+        dord = next(k for k, c in enumerate(self.den) if c)
+        return nord - dord
+
+    # -- text form ------------------------------------------------------
+
+    def __str__(self):
+        if not self.num:
+            return "0"
+        if self.den == _PONE:
+            return _poly_str(self.num)
+        return f"({_poly_str(self.num)})/({_poly_str(self.den)})"
+
+    def __repr__(self):
+        return f"QRat[{self}]"
+
+    @classmethod
+    def parse(cls, s: str) -> "QRat":
+        s = s.strip()
+        if s.startswith("(") and ")/(" in s and s.endswith(")"):
+            mid = s.index(")/(")
+            return cls(_poly_parse(s[1:mid]), _poly_parse(s[mid + 3 : -1]))
+        return cls(_poly_parse(s))
+
+
+_Q0 = QRat.zero()
+_Q1 = QRat.one()
+
+
+# -- q-combinatorics -----------------------------------------------------
+
+
+@cache
+def q_int(a: int) -> QRat:
+    """Balanced q-integer: q^(a-1) + q^(a-3) + ... + q^(1-a)."""
+    if a < 0:
+        raise ValueError("q_int needs a >= 0")
+    if a == 0:
+        return _Q0
+    num = tuple(1 if k % 2 == 0 else 0 for k in range(2 * a - 1))
+    return QRat(num, _pshift(_PONE, a - 1))
+
+
+@cache
+def q_factorial(k: int) -> QRat:
+    if k < 0:
+        raise ValueError("q_factorial needs k >= 0")
+    out = _Q1
+    for j in range(1, k + 1):
+        out = out * q_int(j)
+    return out
+
+
+@cache
+def q_binom(c: int, d: int) -> QRat:
+    """Balanced Gaussian binomial; zero unless c >= d >= 0."""
+    if not (c >= d >= 0):
+        return _Q0
+    out = _Q1
+    for j in range(1, d + 1):
+        out = out * q_int(c - d + j) / q_int(j)
+    return out
+
+
+def _as_laurent(r: QRat) -> dict[int, int]:
+    # the balanced binomials all have a plain power of q underneath
+    if any(c != 0 for c in r.den[:-1]) or r.den[-1] != 1:
+        raise ValueError("not a Laurent polynomial")
+    shift = len(r.den) - 1
+    return {e - shift: c for e, c in enumerate(r.num) if c}
+
+
+def _laurent_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            v = out.get(e, 0) + c1 * c2
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    return out
+
+
+def akito_sum(a: int, b: int) -> QRat:
+    """Telescoping q-binomial sum; collapses to the single power q^(2ab).
+
+    Computed literally as the sum, so the caller can compare against the
+    closed form.  Internally uses sparse Laurent arithmetic to keep the
+    grid checks fast.
+    """
+    if a < 0 or b < 0:
+        raise ValueError("akito_sum needs a, b >= 0")
+    lower = max(0, b - a)
+    # c_factors[i] is the product of (q^{2k} - 1) for i < k <= b
+    c_factors: dict[int, dict[int, int]] = {b: {0: 1}}
+    for i in range(b - 1, lower - 1, -1):
+        c_factors[i] = _laurent_mul(c_factors[i + 1], {2 * (i + 1): 1, 0: -1})
+    total: dict[int, int] = {}
+    for i in range(lower, b + 1):
+        term = _laurent_mul(c_factors[i], _as_laurent(q_binom(a, b - i)))
+        shift = (a - 1) * (b - i)
+        for e, c in term.items():
+            v = total.get(e + shift, 0) + c
+            if v:
+                total[e + shift] = v
+            elif e + shift in total:
+                del total[e + shift]
+    return QRat.from_laurent(total)
+
+
+# -- functional wrappers over the QRat methods ----------------------------
+
+
+def bar(r: QRat) -> QRat:
+    return r.bar()
+
+
+def is_regular_at_zero(r: QRat) -> bool:
+    return r.is_regular_at_zero()
+
+
+def eval_at_zero(r: QRat) -> Fraction:
+    return r.eval_at_zero()
+
+
+def is_regular_at_infinity(r: QRat) -> bool:
+    return r.is_regular_at_infinity()
+
+
+def eval_at_infinity(r: QRat) -> Fraction:
+    return r.eval_at_infinity()
+
+
+def min_degree(r: QRat) -> int:
+    return r.min_degree()

@@ -1,0 +1,901 @@
+"""The negative half of quantum gl(m|n) with exact PBW arithmetic.
+
+The algebra is presented on generators f_1 .. f_{l-1} (l = m+n) and worked
+with in its PBW basis: ordered monomials in root vectors, one per positive
+root, odd exponents at most 1.  Products are straightened by a pair-rewrite
+table derived from the quadratic commutation relations between root vectors;
+on top of that sit the twisted derivations e'_i and e''_i, the reversal
+involution of the 0|n subalgebra, string decompositions along a chosen index,
+the Kashiwara-style raising/lowering operators, and the residue map onto the
+crystal lattice basis.
+
+Weights are carried on the negative side throughout: a product of k
+generators has weight equal to minus the sum of their simple roots.  All the
+twist formulas below assume that sign convention.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .qfield import QRat, q_factorial
+
+_Q0 = QRat.zero()
+_Q1 = QRat.one()
+
+
+@dataclass(frozen=True)
+class Weight:
+    """An integer weight written in the delta basis (length m+n)."""
+
+    coords: tuple[int, ...]
+
+    def __add__(self, other: "Weight") -> "Weight":
+        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other: "Weight") -> "Weight":
+        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self) -> "Weight":
+        return Weight(tuple(-a for a in self.coords))
+
+    def scaled(self, k: int) -> "Weight":
+        return Weight(tuple(k * a for a in self.coords))
+
+    def is_zero(self) -> bool:
+        return not any(self.coords)
+
+    @classmethod
+    def zero(cls, ell: int) -> "Weight":
+        return cls((0,) * ell)
+
+
+@dataclass(frozen=True)
+class Root:
+    """The positive root delta_a - delta_b, 1 <= a < b <= m+n."""
+
+    a: int
+    b: int
+
+    @property
+    def height(self) -> int:
+        return self.b - self.a
+
+
+class RootData:
+    """Root system bookkeeping for gl(m|n) plus the pair-rewrite table.
+
+    Positive roots are listed in the convex order used by the PBW basis:
+    all odd roots first (by column, then bottom row first), then the m|0
+    block (by reversed column), then the 0|n block (lexicographic).  The
+    instance caches free-word expansions of root vectors and the lattice
+    basis per weight space, so reuse one instance per (m, n).
+    """
+
+    def __init__(self, m: int, n: int):
+        if m < 1 or n < 1:
+            raise ValueError("need m, n >= 1")
+        self.m = m
+        self.n = n
+        self.ell = m + n
+        self.index_set = tuple(range(1, self.ell))
+
+        odd = [Root(a, b) for b in range(m + 1, self.ell + 1) for a in range(m, 0, -1)]
+        plus = sorted(
+            (Root(a, b) for b in range(2, m + 1) for a in range(1, b)),
+            key=lambda r: (-r.b, -r.a),
+        )
+        minus = sorted(
+            (Root(a, b) for a in range(m + 1, self.ell) for b in range(a + 1, self.ell + 1)),
+            key=lambda r: (r.a, r.b),
+        )
+        self.odd_count = len(odd)
+        self.plus_count = len(plus)
+        self.minus_count = len(minus)
+        self.roots: tuple[Root, ...] = tuple(odd + plus + minus)
+        self.root_index = {r: k for k, r in enumerate(self.roots)}
+        self.nroots = len(self.roots)
+        self._odd_idx = frozenset(range(self.odd_count))
+        self._simple_idx = {
+            i: self.root_index[Root(i, i + 1)] for i in self.index_set
+        }
+
+        self._pair_table = self._build_pair_table()
+        self._free_root: dict[int, dict[tuple[int, ...], QRat]] = {}
+        self._free_mono: dict[tuple[int, ...], dict[tuple[int, ...], QRat]] = {}
+        self._lattice_vec: dict[tuple[int, ...], "PBWVector"] = {}
+        self._weight_solver: dict[Weight, tuple] = {}
+
+    # -- root/weight helpers ------------------------------------------
+
+    def is_odd_index(self, idx: int) -> bool:
+        return idx in self._odd_idx
+
+    def block(self, idx: int) -> str:
+        if idx < self.odd_count:
+            return "odd"
+        if idx < self.odd_count + self.plus_count:
+            return "plus"
+        return "minus"
+
+    def simple_index(self, i: int) -> int:
+        return self._simple_idx[i]
+
+    def alpha(self, i: int) -> Weight:
+        c = [0] * self.ell
+        c[i - 1], c[i] = 1, -1
+        return Weight(tuple(c))
+
+    def root_weight(self, r: Root) -> Weight:
+        c = [0] * self.ell
+        c[r.a - 1], c[r.b - 1] = 1, -1
+        return Weight(tuple(c))
+
+    def form(self, mu: Weight, nu: Weight) -> int:
+        """Supersymmetric bilinear form: (delta_i|delta_i) = 1 for i <= m, else -1."""
+        return sum(
+            (x * y if k < self.m else -x * y)
+            for k, (x, y) in enumerate(zip(mu.coords, nu.coords))
+        )
+
+    def cartan(self, mu: Weight, i: int) -> int:
+        """Pairing of mu with the i-th simple coroot."""
+        if i == self.m:
+            return mu.coords[i - 1] + mu.coords[i]
+        return mu.coords[i - 1] - mu.coords[i]
+
+    def qform(self, mu: Weight, nu: Weight) -> QRat:
+        """The bicharacter q(mu, nu): product of q^(mu_i nu_i) over i <= m
+        and (-1/q)^(mu_i nu_i) over i > m."""
+        expo = 0
+        parity = 0
+        for k, (x, y) in enumerate(zip(mu.coords, nu.coords)):
+            p = x * y
+            if k < self.m:
+                expo += p
+            else:
+                expo -= p
+                parity += p
+        r = QRat.q_power(expo)
+        return -r if parity % 2 else r
+
+    # -- pair rewrite table -------------------------------------------
+
+    def _crossed_pair(self, lo: Root, hi: Root) -> tuple[Root, Root] | None:
+        cands = []
+        if lo.a < hi.b and hi.a < lo.b:
+            g, d = Root(lo.a, hi.b), Root(hi.a, lo.b)
+            if {g, d} != {lo, hi}:
+                cands.append(tuple(sorted((g, d), key=lambda r: self.root_index[r])))
+        for g, d in cands:
+            gi, di = self.root_index[g], self.root_index[d]
+            li, hi_i = self.root_index[lo], self.root_index[hi]
+            if li < gi <= di < hi_i and gi != di:
+                return (g, d)
+        return None
+
+    def _build_pair_table(self):
+        table = {}
+        for hi_i in range(self.nroots):
+            for lo_i in range(hi_i):
+                lo, hi = self.roots[lo_i], self.roots[hi_i]
+                twist = self.qform(self.root_weight(hi), self.root_weight(lo)).inverse()
+                extras: list[tuple[tuple[int, ...], QRat]] = []
+                crossed = self._crossed_pair(lo, hi)
+                total = Root(min(lo.a, hi.a), max(lo.b, hi.b))
+                is_sum = lo.b == hi.a or hi.b == lo.a
+                if is_sum:
+                    total = Root(lo.a, hi.b) if lo.b == hi.a else Root(hi.a, lo.b)
+                assert not (crossed and is_sum), (lo, hi)
+                if crossed:
+                    g, d = crossed
+                    coeff = QRat.q_power(-1) - QRat.q_power(1)
+                    extras.append(((self.root_index[g], self.root_index[d]), coeff))
+                elif is_sum:
+                    extras.append(((self.root_index[total],), _Q1))
+                table[(hi_i, lo_i)] = (twist, tuple(extras))
+        return table
+
+    # -- straightening --------------------------------------------------
+
+    def _find_inversion(self, w: tuple[int, ...], strategy: str) -> int | None:
+        best = None
+        for p in range(len(w) - 1):
+            a, b = w[p], w[p + 1]
+            if a > b or (a == b and a in self._odd_idx):
+                if strategy == "leftmost":
+                    return p
+                if strategy == "rightmost":
+                    best = p
+                elif best is None or (a, p) > (w[best], best):
+                    best = p
+        return best
+
+    def reduce_root_word(
+        self, word: tuple[int, ...], coeff: QRat, strategy: str = "latest"
+    ) -> dict[tuple[int, ...], QRat]:
+        """Straighten a word of root-vector letters into PBW monomials."""
+        out: dict[tuple[int, ...], QRat] = {}
+        stack = [(word, coeff)]
+        while stack:
+            w, c = stack.pop()
+            if not c:
+                continue
+            p = self._find_inversion(w, strategy)
+            if p is None:
+                mono = self.word_monomial(w)
+                v = out.get(mono, _Q0) + c
+                if v:
+                    out[mono] = v
+                elif mono in out:
+                    del out[mono]
+                continue
+            a, b = w[p], w[p + 1]
+            if a == b:
+                continue  # square of an odd root vector
+            twist, extras = self._pair_table[(a, b)]
+            stack.append((w[:p] + (b, a) + w[p + 2 :], c * twist))
+            for mid, k in extras:
+                stack.append((w[:p] + mid + w[p + 2 :], c * k))
+        return out
+
+    def word_monomial(self, sorted_word: tuple[int, ...]) -> tuple[int, ...]:
+        mono = [0] * self.nroots
+        for idx in sorted_word:
+            mono[idx] += 1
+        return tuple(mono)
+
+    def monomial_word(self, mono: tuple[int, ...]) -> tuple[int, ...]:
+        out = []
+        for idx, c in enumerate(mono):
+            out.extend([idx] * c)
+        return tuple(out)
+
+    def monomial_weight(self, mono: tuple[int, ...]) -> Weight:
+        c = [0] * self.ell
+        for idx, e in enumerate(mono):
+            if e:
+                r = self.roots[idx]
+                c[r.a - 1] -= e
+                c[r.b - 1] += e
+        return Weight(tuple(c))
+
+    def monomial_height(self, mono: tuple[int, ...]) -> int:
+        return sum(e * self.roots[idx].height for idx, e in enumerate(mono))
+
+    # -- free-word expansions -------------------------------------------
+
+    def _ad_step(
+        self, k: int, terms: dict[tuple[int, ...], QRat]
+    ) -> dict[tuple[int, ...], QRat]:
+        # ad(f_k) x = f_k x - q(alpha_k, |x|)^{-1} x f_k, with |x| negative
+        ak = self.alpha(k)
+        out: dict[tuple[int, ...], QRat] = {}
+        for w, c in terms.items():
+            degw = Weight.zero(self.ell)
+            for j in w:
+                degw = degw + self.alpha(j)
+            for nw, nc in (((k,) + w, c), (w + (k,), -c * self.qform(ak, degw).inverse())):
+                v = out.get(nw, _Q0) + nc
+                if v:
+                    out[nw] = v
+                elif nw in out:
+                    del out[nw]
+        return out
+
+    def free_root_vector(self, idx: int) -> dict[tuple[int, ...], QRat]:
+        """Expansion of the root vector as a combination of free f-words."""
+        cached = self._free_root.get(idx)
+        if cached is not None:
+            return cached
+        r = self.roots[idx]
+        block = self.block(idx)
+        if block == "odd":
+            seq = list(range(self.m - 1, r.a - 1, -1)) + list(range(self.m + 1, r.b))
+            terms = {(self.m,): _Q1}
+        elif block == "plus":
+            seq = list(range(r.b - 2, r.a - 1, -1))
+            terms = {(r.b - 1,): _Q1}
+        else:
+            seq = list(range(r.a + 1, r.b))
+            terms = {(r.a,): _Q1}
+        for k in seq:
+            terms = self._ad_step(k, terms)
+        self._free_root[idx] = terms
+        return terms
+
+    def free_monomial(self, mono: tuple[int, ...]) -> dict[tuple[int, ...], QRat]:
+        cached = self._free_mono.get(mono)
+        if cached is not None:
+            return cached
+        terms = {(): _Q1}
+        for idx, e in enumerate(mono):
+            for _ in range(e):
+                factor = self.free_root_vector(idx)
+                nxt: dict[tuple[int, ...], QRat] = {}
+                for w1, c1 in terms.items():
+                    for w2, c2 in factor.items():
+                        w = w1 + w2
+                        v = nxt.get(w, _Q0) + c1 * c2
+                        if v:
+                            nxt[w] = v
+                        elif w in nxt:
+                            del nxt[w]
+                terms = nxt
+        self._free_mono[mono] = terms
+        return terms
+
+
+class PBWVector:
+    """An element of the negative half in the PBW basis.
+
+    ``terms`` maps exponent tuples (one slot per positive root, in the
+    convex order of the RootData) to nonzero QRat coefficients.
+    """
+
+    __slots__ = ("rd", "terms")
+
+    def __init__(self, rd: RootData, terms: dict[tuple[int, ...], QRat] | None = None):
+        self.rd = rd
+        clean: dict[tuple[int, ...], QRat] = {}
+        for mono, c in (terms or {}).items():
+            if c:
+                clean[mono] = c
+        self.terms = clean
+
+    # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def zero(cls, rd: RootData) -> "PBWVector":
+        return cls(rd)
+
+    @classmethod
+    def unit(cls, rd: RootData) -> "PBWVector":
+        return cls(rd, {(0,) * rd.nroots: _Q1})
+
+    @classmethod
+    def generator(cls, rd: RootData, i: int) -> "PBWVector":
+        return cls.root_monomial(rd, rd.simple_index(i))
+
+    @classmethod
+    def root_monomial(cls, rd: RootData, idx: int, power: int = 1) -> "PBWVector":
+        if power < 0 or (power > 1 and rd.is_odd_index(idx)):
+            raise ValueError("bad root-vector power")
+        mono = [0] * rd.nroots
+        mono[idx] = power
+        return cls(rd, {tuple(mono): _Q1})
+
+    # -- ring structure ---------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PBWVector):
+            return NotImplemented
+        return self.rd is other.rd and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other: "PBWVector") -> "PBWVector":
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            v = out.get(mono, _Q0) + c
+            if v:
+                out[mono] = v
+            elif mono in out:
+                del out[mono]
+        return PBWVector(self.rd, out)
+
+    def __neg__(self) -> "PBWVector":
+        return PBWVector(self.rd, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: "PBWVector") -> "PBWVector":
+        return self + (-other)
+
+    def scale(self, c: QRat | int) -> "PBWVector":
+        if isinstance(c, int):
+            c = QRat.from_int(c)
+        if not c:
+            return PBWVector.zero(self.rd)
+        return PBWVector(self.rd, {m: x * c for m, x in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (QRat, int)):
+            return self.scale(other)
+        if not isinstance(other, PBWVector):
+            return NotImplemented
+        rd = self.rd
+        out: dict[tuple[int, ...], QRat] = {}
+        for m1, c1 in self.terms.items():
+            w1 = rd.monomial_word(m1)
+            for m2, c2 in other.terms.items():
+                w2 = rd.monomial_word(m2)
+                c = c1 * c2
+                if w1 and w2 and (
+                    w1[-1] > w2[0] or (w1[-1] == w2[0] and rd.is_odd_index(w1[-1]))
+                ):
+                    reduced = rd.reduce_root_word(w1 + w2, c)
+                else:
+                    reduced = {rd.word_monomial(w1 + w2): c}
+                for mono, cc in reduced.items():
+                    v = out.get(mono, _Q0) + cc
+                    if v:
+                        out[mono] = v
+                    elif mono in out:
+                        del out[mono]
+        return PBWVector(rd, out)
+
+    def __rmul__(self, other):
+        if isinstance(other, (QRat, int)):
+            return self.scale(other)
+        return NotImplemented
+
+    # -- grading ---------------------------------------------------------
+
+    def weight(self) -> Weight | None:
+        """The (negative) weight; None for zero, error if inhomogeneous."""
+        w = None
+        for mono in self.terms:
+            mw = self.rd.monomial_weight(mono)
+            if w is None:
+                w = mw
+            elif w != mw:
+                raise ValueError("inhomogeneous vector has no weight")
+        return w
+
+    def degree(self) -> int:
+        """Number of generator letters; error if mixed, 0 for zero."""
+        degs = {self.rd.monomial_height(m) for m in self.terms}
+        if not degs:
+            return 0
+        if len(degs) > 1:
+            raise ValueError("inhomogeneous vector has no degree")
+        return degs.pop()
+
+    def homogeneous_parts(self) -> dict[Weight, "PBWVector"]:
+        parts: dict[Weight, dict] = {}
+        for mono, c in self.terms.items():
+            parts.setdefault(self.rd.monomial_weight(mono), {})[mono] = c
+        return {w: PBWVector(self.rd, t) for w, t in parts.items()}
+
+    def __repr__(self):
+        if not self.terms:
+            return "PBW<0>"
+        bits = []
+        for mono in sorted(self.terms):
+            factors = [
+                f"f[{self.rd.roots[i].a},{self.rd.roots[i].b}]" + (f"^{e}" if e > 1 else "")
+                for i, e in enumerate(mono)
+                if e
+            ]
+            body = "*".join(factors) if factors else "1"
+            bits.append(f"({self.terms[mono]})*{body}")
+        return "PBW<" + " + ".join(bits) + ">"
+
+
+# -- public operations ------------------------------------------------------
+
+
+def qform(rd: RootData, mu: Weight, nu: Weight) -> QRat:
+    return rd.qform(mu, nu)
+
+
+def normal_form(
+    rd: RootData,
+    word,
+    coefficient: QRat | int = 1,
+    strategy: str = "latest",
+) -> PBWVector:
+    """Straighten a free word in the generators (list of indices in 1..l-1)."""
+    if strategy not in ("latest", "leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if isinstance(coefficient, int):
+        coefficient = QRat.from_int(coefficient)
+    letters = tuple(rd.simple_index(i) for i in word)
+    return PBWVector(rd, rd.reduce_root_word(letters, coefficient, strategy))
+
+
+def _free_derivation(rd: RootData, i: int, fw: dict, positive_twist: bool) -> dict:
+    ai = rd.alpha(i)
+    out: dict[tuple[int, ...], QRat] = {}
+    for w, c in fw.items():
+        twist = _Q1
+        for p, j in enumerate(w):
+            if j == i:
+                nw = w[:p] + w[p + 1 :]
+                v = out.get(nw, _Q0) + c * twist
+                if v:
+                    out[nw] = v
+                elif nw in out:
+                    del out[nw]
+            step = rd.qform(ai, rd.alpha(j))
+            twist = twist * (step if positive_twist else step.inverse())
+    return out
+
+
+def _from_free(rd: RootData, fw: dict) -> PBWVector:
+    out: dict[tuple[int, ...], QRat] = {}
+    for w, c in fw.items():
+        letters = tuple(rd.simple_index(i) for i in w)
+        for mono, cc in rd.reduce_root_word(letters, c).items():
+            v = out.get(mono, _Q0) + cc
+            if v:
+                out[mono] = v
+            elif mono in out:
+                del out[mono]
+    return PBWVector(rd, out)
+
+
+def eprime(rd: RootData, i: int, u: PBWVector) -> PBWVector:
+    """The left twisted derivation dual to multiplication by f_i."""
+    fw: dict[tuple[int, ...], QRat] = {}
+    for mono, c in u.terms.items():
+        for w, cw in rd.free_monomial(mono).items():
+            v = fw.get(w, _Q0) + c * cw
+            if v:
+                fw[w] = v
+            elif w in fw:
+                del fw[w]
+    return _from_free(rd, _free_derivation(rd, i, fw, positive_twist=False))
+
+
+def edoubleprime(rd: RootData, i: int, u: PBWVector) -> PBWVector:
+    """The companion derivation with inverted twist."""
+    fw: dict[tuple[int, ...], QRat] = {}
+    for mono, c in u.terms.items():
+        for w, cw in rd.free_monomial(mono).items():
+            v = fw.get(w, _Q0) + c * cw
+            if v:
+                fw[w] = v
+            elif w in fw:
+                del fw[w]
+    return _from_free(rd, _free_derivation(rd, i, fw, positive_twist=True))
+
+
+def sigma_0n(rd: RootData, u: PBWVector) -> PBWVector:
+    """Bar-semilinear reversal involution of the 0|n subalgebra.
+
+    Fixes each generator f_i (i > m); on a product of generators it reverses
+    the word and twists by (-1/q) to the power of the gl_n form between the
+    degrees of the two factors.  Only defined on the subalgebra spanned by
+    0|n-block roots.
+    """
+    m = rd.m
+    lo = rd.odd_count + rd.plus_count
+    for mono in u.terms:
+        if any(e and idx < lo for idx, e in enumerate(mono)):
+            raise ValueError("sigma_0n needs a vector in the 0|n subalgebra")
+    fw: dict[tuple[int, ...], QRat] = {}
+    for mono, c in u.terms.items():
+        for w, cw in rd.free_monomial(mono).items():
+            # gl_n pairing between every earlier and later letter
+            e = 0
+            for p in range(len(w)):
+                for r in range(p + 1, len(w)):
+                    x, y = w[p], w[r]
+                    if x == y:
+                        e += 2
+                    elif abs(x - y) == 1:
+                        e -= 1
+            coeff = (c * cw).bar() * QRat.q_power(-e)
+            if e % 2:
+                coeff = -coeff
+            nw = tuple(reversed(w))
+            v = fw.get(nw, _Q0) + coeff
+            if v:
+                fw[nw] = v
+            elif nw in fw:
+                del fw[nw]
+    return _from_free(rd, fw)
+
+
+def f_divided(rd: RootData, i: int, k: int) -> PBWVector:
+    """Divided power of a generator: f_i^k / [k]!."""
+    if k < 0:
+        raise ValueError("negative divided power")
+    if i == rd.m and k > 1:
+        return PBWVector.zero(rd)
+    return PBWVector.root_monomial(rd, rd.simple_index(i), k).scale(
+        q_factorial(k).inverse()
+    )
+
+
+def string_decompose(rd: RootData, i: int, side: str, u: PBWVector) -> list[PBWVector]:
+    """Split a homogeneous u along divided powers of f_i.
+
+    side="left" (i < m): u = sum_k f_i^(k) u_k with e'_i(u_k) = 0.
+    side="right" (i > m): u = sum_k u_k f_i^(k) likewise.
+    The returned list is indexed by k; trailing zero entries are trimmed.
+    """
+    if i == rd.m:
+        raise ValueError("no string decomposition along the odd index")
+    if side == "left":
+        if not i < rd.m:
+            raise ValueError("left strings need i < m")
+    elif side == "right":
+        if not i > rd.m:
+            raise ValueError("right strings need i > m")
+    else:
+        raise ValueError(f"bad side {side!r}")
+    if u.is_zero():
+        return []
+    wt = u.weight()  # raises if inhomogeneous
+    v = eprime(rd, i, u)
+    tail = string_decompose(rd, i, side, v) if v else []
+    comps: list[PBWVector] = [PBWVector.zero(rd)] * (len(tail) + 1)
+    acc = u
+    ai = rd.alpha(i)
+    for j, vj in enumerate(tail):
+        if vj.is_zero():
+            continue
+        if side == "left":
+            uk = vj.scale(QRat.q_power(j))
+            acc = acc - f_divided(rd, i, j + 1) * uk
+        else:
+            wt_k = wt + ai.scaled(j + 1)
+            uk = vj.scale(rd.qform(ai, wt_k).inverse() * QRat.q_power(-j))
+            acc = acc - uk * f_divided(rd, i, j + 1)
+        comps[j + 1] = uk
+    comps[0] = acc
+    while comps and comps[-1].is_zero():
+        comps.pop()
+    return comps
+
+
+def _split_prefix(rd: RootData, mono: tuple[int, ...]):
+    lo = rd.odd_count + rd.plus_count
+    prefix = mono[:lo] + (0,) * (rd.nroots - lo)
+    suffix = (0,) * lo + mono[lo:]
+    return prefix, suffix
+
+
+def _crystal_0n(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
+    """Raising/lowering on a vector inside the 0|n subalgebra (i > m)."""
+    out = PBWVector.zero(rd)
+    for wt, part in u.homogeneous_parts().items():
+        comps = string_decompose(rd, i, "right", part)
+        ai = rd.alpha(i)
+        for k, uk in enumerate(comps):
+            if uk.is_zero():
+                continue
+            lk = -rd.form(uk.weight() or Weight.zero(rd.ell), ai)
+            if lower:
+                out = out + (uk * f_divided(rd, i, k + 1)).scale(QRat.q_power(lk - 2 * k))
+            elif k >= 1:
+                out = out + (uk * f_divided(rd, i, k - 1)).scale(
+                    QRat.q_power(-lk + 2 * k - 2)
+                )
+    return out
+
+
+def crystal_f(rd: RootData, i: int, u: PBWVector) -> PBWVector:
+    """Kashiwara-style lowering operator on the negative half."""
+    if i == rd.m:
+        return PBWVector.generator(rd, i) * u
+    if i < rd.m:
+        out = PBWVector.zero(rd)
+        for part in u.homogeneous_parts().values():
+            for k, uk in enumerate(string_decompose(rd, i, "left", part)):
+                if uk:
+                    out = out + f_divided(rd, i, k + 1) * uk
+        return out
+    # i > m: act on the 0|n factor of each prefix group
+    groups: dict[tuple[int, ...], dict] = {}
+    for mono, c in u.terms.items():
+        prefix, suffix = _split_prefix(rd, mono)
+        groups.setdefault(prefix, {})[suffix] = c
+    out: dict[tuple[int, ...], QRat] = {}
+    for prefix, sufterms in groups.items():
+        moved = _crystal_0n(rd, i, PBWVector(rd, sufterms), lower=True)
+        for suffix, c in moved.terms.items():
+            mono = tuple(p + s for p, s in zip(prefix, suffix))
+            v = out.get(mono, _Q0) + c
+            if v:
+                out[mono] = v
+            elif mono in out:
+                del out[mono]
+    return PBWVector(rd, out)
+
+
+def crystal_e(rd: RootData, i: int, u: PBWVector) -> PBWVector:
+    """Kashiwara-style raising operator on the negative half."""
+    if i == rd.m:
+        return eprime(rd, i, u)
+    if i < rd.m:
+        out = PBWVector.zero(rd)
+        for part in u.homogeneous_parts().values():
+            comps = string_decompose(rd, i, "left", part)
+            for k, uk in enumerate(comps):
+                if k >= 1 and uk:
+                    out = out + f_divided(rd, i, k - 1) * uk
+        return out
+    groups: dict[tuple[int, ...], dict] = {}
+    for mono, c in u.terms.items():
+        prefix, suffix = _split_prefix(rd, mono)
+        groups.setdefault(prefix, {})[suffix] = c
+    out: dict[tuple[int, ...], QRat] = {}
+    for prefix, sufterms in groups.items():
+        moved = _crystal_0n(rd, i, PBWVector(rd, sufterms), lower=False)
+        for suffix, c in moved.terms.items():
+            mono = tuple(p + s for p, s in zip(prefix, suffix))
+            v = out.get(mono, _Q0) + c
+            if v:
+                out[mono] = v
+            elif mono in out:
+                del out[mono]
+    return PBWVector(rd, out)
+
+
+# -- lattice ---------------------------------------------------------------
+
+
+def lattice_vector(rd: RootData, label: tuple[int, ...]) -> PBWVector:
+    """Basis vector of the crystal lattice attached to an exponent label.
+
+    Odd and m|0 exponents contribute the ordered monomial in divided powers;
+    the 0|n exponents contribute the sigma image of theirs.
+    """
+    cached = rd._lattice_vec.get(label)
+    if cached is not None:
+        return cached
+    lo = rd.odd_count + rd.plus_count
+    prefix = label[:lo] + (0,) * (rd.nroots - lo)
+    scale = _Q1
+    for idx in range(rd.odd_count, lo):
+        scale = scale * q_factorial(label[idx]).inverse()
+    head = PBWVector(rd, {prefix: scale})
+    minus = (0,) * lo + label[lo:]
+    mscale = _Q1
+    for idx in range(lo, rd.nroots):
+        mscale = mscale * q_factorial(label[idx]).inverse()
+    tail = sigma_0n(rd, PBWVector(rd, {minus: mscale}))
+    vec = head * tail
+    rd._lattice_vec[label] = vec
+    return vec
+
+
+def labels_of_weight(rd: RootData, wt: Weight) -> list[tuple[int, ...]]:
+    """All exponent tuples of the given (negative) weight."""
+    target = tuple(-c for c in wt.coords)  # positive root-sum coordinates
+
+    def cone_ok(t) -> bool:
+        # expressible as a nonnegative root sum only if partial sums stay >= 0
+        s = 0
+        for c in t:
+            s += c
+            if s < 0:
+                return False
+        return s == 0
+
+    if not cone_ok(target):
+        return []
+
+    def rec(idx: int, t: tuple[int, ...]) -> list[tuple[int, ...]]:
+        if not any(t):
+            return [(0,) * (rd.nroots - idx)]
+        if idx >= rd.nroots:
+            return []
+        r = rd.roots[idx]
+        out: list[tuple[int, ...]] = []
+        cur = list(t)
+        e = 0
+        while True:
+            out.extend((e,) + rest for rest in rec(idx + 1, tuple(cur)))
+            e += 1
+            if e > 1 and rd.is_odd_index(idx):
+                break
+            cur[r.a - 1] -= 1
+            cur[r.b - 1] += 1
+            if not cone_ok(cur):
+                break
+        return out
+
+    return sorted(rec(0, target))
+
+
+def _solve_weight_space(rd: RootData, wt: Weight):
+    cached = rd._weight_solver.get(wt)
+    if cached is not None:
+        return cached
+    labels = labels_of_weight(rd, wt)
+    vecs = [lattice_vector(rd, lab) for lab in labels]
+    monos = sorted({m for v in vecs for m in v.terms})
+    idx = {m: k for k, m in enumerate(monos)}
+    nsize = len(labels)
+    if len(monos) != nsize:
+        raise AssertionError("lattice basis size mismatch")
+    # invert the matrix with columns = lattice vectors in the PBW basis
+    mat = [[_Q0] * nsize for _ in range(nsize)]
+    for col, v in enumerate(vecs):
+        for mono, c in v.terms.items():
+            mat[idx[mono]][col] = c
+    inv = [[_Q1 if r == c else _Q0 for c in range(nsize)] for r in range(nsize)]
+    for col in range(nsize):
+        piv = next(r for r in range(col, nsize) if mat[r][col])
+        mat[col], mat[piv] = mat[piv], mat[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        d = mat[col][col].inverse()
+        mat[col] = [x * d for x in mat[col]]
+        inv[col] = [x * d for x in inv[col]]
+        for r in range(nsize):
+            if r != col and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    solver = (labels, idx, inv)
+    rd._weight_solver[wt] = solver
+    return solver
+
+
+def lattice_coefficients(rd: RootData, u: PBWVector) -> dict[tuple[int, ...], QRat]:
+    """Exact expansion of u over the lattice basis vectors."""
+    out: dict[tuple[int, ...], QRat] = {}
+    for wt, part in u.homogeneous_parts().items():
+        labels, idx, inv = _solve_weight_space(rd, wt)
+        rhs = [_Q0] * len(labels)
+        for mono, c in part.terms.items():
+            rhs[idx[mono]] = c
+        for row, lab in enumerate(labels):
+            acc = _Q0
+            for col in range(len(labels)):
+                if rhs[col]:
+                    acc = acc + inv[row][col] * rhs[col]
+            if acc:
+                out[lab] = acc
+    return out
+
+
+def in_lattice(rd: RootData, u: PBWVector) -> bool:
+    return all(c.is_regular_at_zero() for c in lattice_coefficients(rd, u).values())
+
+
+def lattice_residue(
+    rd: RootData, u: PBWVector
+) -> tuple[bool, dict[tuple[int, ...], Fraction] | None]:
+    """Residue of u in lattice/q*lattice as a combination of basis labels.
+
+    Non-membership is an outcome, not an error: returns (False, None) when
+    some coefficient has a pole at q=0, else (True, residue dict).
+    """
+    coeffs = lattice_coefficients(rd, u)
+    if not all(c.is_regular_at_zero() for c in coeffs.values()):
+        return False, None
+    out: dict[tuple[int, ...], Fraction] = {}
+    for lab, c in coeffs.items():
+        v = c.eval_at_zero()
+        if v:
+            out[lab] = v
+    return True, out
+
+
+# -- JSON ---------------------------------------------------------------
+
+
+def to_json(u: PBWVector) -> list[dict]:
+    out = []
+    for mono in sorted(u.terms):
+        out.append(
+            {
+                "exponents": [[idx, e] for idx, e in enumerate(mono) if e],
+                "coeff": str(u.terms[mono]),
+            }
+        )
+    return out
+
+
+def from_json(rd: RootData, data: list[dict]) -> PBWVector:
+    terms: dict[tuple[int, ...], QRat] = {}
+    for item in data:
+        mono = [0] * rd.nroots
+        for idx, e in item["exponents"]:
+            if rd.is_odd_index(idx) and e > 1:
+                raise ValueError("odd exponent above 1")
+            mono[int(idx)] = int(e)
+        terms[tuple(mono)] = QRat.parse(item["coeff"])
+    return PBWVector(rd, terms)
