@@ -576,13 +576,22 @@ _SUITE_RUNNERS = {
 }
 
 
+def _run_suite(name: str, cfg: RunConfig) -> list[dict]:
+    # a suite's own invariant checks raise AssertionError; report it as a
+    # failed check so the remaining suites still run
+    try:
+        return _SUITE_RUNNERS[name](cfg)
+    except AssertionError as exc:
+        return [_item(f"raised AssertionError: {exc}", False)]
+
+
 def cmd_verify(cfg: RunConfig) -> dict:
     """Run the requested suites and return the structured report."""
     names = VERIFY_SUITES if cfg.suite in (None, "all") else (cfg.suite,)
     for name in names:
         if name not in _SUITE_RUNNERS:
             raise ValueError(f"unknown suite {name!r}")
-    suites = {name: _SUITE_RUNNERS[name](cfg) for name in names}
+    suites = {name: _run_suite(name, cfg) for name in names}
     checks = sum(len(items) for items in suites.values())
     failures = sum(1 for items in suites.values() for item in items if not item["ok"])
     return {

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .combicrystal import (
     ZERO,
@@ -349,10 +349,33 @@ def _hw_orbit(start: HWElt, indices) -> list[HWElt]:
     return sorted(seen, key=lambda h: (h.base.degree(), h.base.mult))
 
 
+def _weyl_dimension(coords: tuple[int, ...]) -> int:
+    num = den = 1
+    for i, j in combinations(range(len(coords)), 2):
+        num *= coords[i] - coords[j] + j - i
+        den *= j - i
+    return num // den
+
+
+def kac_size(m: int, n: int, lam: Weight) -> int:
+    """Size of the Kac-module crystal over a dominant lam.
+
+    Every odd subset pairs with every member of the two highest-weight
+    block crystals, whose sizes are the gl(m) and gl(n) Weyl dimensions.
+    """
+    return (
+        2 ** (m * n)
+        * _weyl_dimension(lam.coords[:m])
+        * _weyl_dimension(lam.coords[m:])
+    )
+
+
 def kac_elements(m: int, n: int, lam: Weight) -> list[KacElt]:
     """Every member of the Kac-module crystal over lam, in a fixed order."""
     if not is_dominant(lam, m):
         raise ValueError("weight must be dominant")
+    if kac_size(m, n, lam) > ENUMERATION_LIMIT:
+        raise ValueError("Kac-module crystal exceeds the enumeration limit")
     ell = m + n
     pairs = [(a, b) for a in range(1, m + 1) for b in range(m + 1, ell + 1)]
     plus = _hw_orbit(HWElt(LusztigPlus.zero(m), lam_plus(lam, m)), range(1, m))

@@ -58,15 +58,21 @@ def _pshift(a: Poly, k: int) -> Poly:
     return ((0,) * k + tuple(a)) if any(a) else _PZERO
 
 
-def _content(a: Poly) -> int:
-    g = 0
-    for c in a:
-        g = _int_gcd(g, c)
-    return g
+def _order(a: Poly) -> int:
+    """Index of the lowest nonzero coefficient of a nonzero a: its q-order at 0."""
+    k = 0
+    while not a[k]:
+        k += 1
+    return k
+
+
+def _is_monomial(a: Poly) -> bool:
+    """True when a nonzero trimmed a is a single term c*q^k."""
+    return not any(a[:-1])
 
 
 def _primitive(a: Poly) -> Poly:
-    g = _content(a)
+    g = _int_gcd(*a)
     if g in (0, 1):
         return a
     return tuple(c // g for c in a)
@@ -181,8 +187,25 @@ class QRat:
 
     The normal form is unique: numerator and denominator share no factor,
     the pair has integer content 1, and the denominator has positive leading
-    coefficient.  Equality and hashing are structural on that form, so these
-    values are safe as dict keys.  Instances are immutable by convention.
+    coefficient; zero is ``()/(1,)``.  Equality and hashing are structural on
+    that form, so these values are safe as dict keys.  Instances are
+    immutable by convention, so arithmetic may return an operand itself.
+
+    Almost every coefficient the package meets is a Laurent polynomial (a
+    power of q below), so the normal form is reached without a polynomial
+    gcd whenever an operand's shape allows it:
+
+    - a denominator 1 is already normal;
+    - the common power of q is cancelled by a slice, and when either side is
+      then a single term the two sides are coprime, so only the integer
+      content and the sign remain;
+    - adding zero returns the other operand, and equal denominators add the
+      numerators over the shared denominator;
+    - multiplying by a single-term value c*q^k / (d*q^j) rescales the other
+      operand's normal form, which stays coprime.
+
+    Only values with several terms on both sides go through the primitive
+    PRS gcd.
     """
 
     __slots__ = ("num", "den")
@@ -194,12 +217,16 @@ class QRat:
             raise ZeroDivisionError("zero denominator")
         if not num:
             den = _PONE
-        else:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdiv(num, g)
-                den = _pdiv(den, g)
-            c = _int_gcd(_content(num), _content(den))
+        elif den != _PONE:
+            k = min(_order(num), _order(den))
+            if k:
+                num, den = num[k:], den[k:]
+            if not (_is_monomial(num) or _is_monomial(den)):
+                g = _pgcd(num, den)
+                if len(g) > 1:
+                    num = _pdiv(num, g)
+                    den = _pdiv(den, g)
+            c = _int_gcd(*num, *den)
             if c > 1:
                 num = tuple(x // c for x in num)
                 den = tuple(x // c for x in den)
@@ -218,13 +245,13 @@ class QRat:
 
     @classmethod
     def from_int(cls, c: int) -> "QRat":
-        return cls((c,))
+        return _normal((c,) if c else _PZERO, _PONE)
 
     @classmethod
     def q_power(cls, e: int) -> "QRat":
         if e >= 0:
-            return cls(_pshift(_PONE, e))
-        return cls(_PONE, _pshift(_PONE, -e))
+            return _normal(_pshift(_PONE, e), _PONE)
+        return _normal(_PONE, _pshift(_PONE, -e))
 
     @classmethod
     def from_laurent(cls, coeffs: dict[int, int]) -> "QRat":
@@ -252,6 +279,12 @@ class QRat:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        if self.den == o.den:
+            return QRat(_padd(self.num, o.num), self.den)
         return QRat(
             _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
             _pmul(self.den, o.den),
@@ -260,7 +293,7 @@ class QRat:
     __radd__ = __add__
 
     def __neg__(self):
-        return QRat(_pneg(self.num), self.den)
+        return _normal(_pneg(self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerced(other)
@@ -278,14 +311,48 @@ class QRat:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
+        if not (self.num and o.num):
+            return _Q0
+        if _is_monomial(o.num) and _is_monomial(o.den):
+            return self._scaled(o)
+        if _is_monomial(self.num) and _is_monomial(self.den):
+            return o._scaled(self)
         return QRat(_pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
 
+    def _scaled(self, m: "QRat") -> "QRat":
+        """self times a nonzero single-term m = c*q^k / (d*q^j).
+
+        self's sides are coprime with content 1, and so are c and d, so only
+        c against the content of self.den, d against that of self.num, and
+        powers of q can cancel.
+        """
+        c, d = m.num[-1], m.den[-1]
+        num, den = self.num, self.den
+        g = _int_gcd(c, *den)
+        h = _int_gcd(d, *num)
+        c, d = c // g, d // h
+        if c != 1 or h != 1:
+            num = tuple(x // h * c for x in num)
+        if d != 1 or g != 1:
+            den = tuple(x // g * d for x in den)
+        kn, kd = _order(num), _order(den)
+        e = len(m.num) - len(m.den) + kn - kd
+        num, den = num[kn:], den[kd:]
+        if e > 0:
+            num = (0,) * e + num
+        elif e < 0:
+            den = (0,) * -e + den
+        return _normal(num, den)
+
     def inverse(self) -> "QRat":
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
-        return QRat(self.den, self.num)
+        num, den = self.den, self.num
+        if den[-1] < 0:
+            num, den = _pneg(num), _pneg(den)
+        return _normal(num, den)
 
     def __truediv__(self, other):
         o = self._coerced(other)
@@ -356,9 +423,7 @@ class QRat:
         """Order of vanishing at q = 0 (negative at a pole)."""
         if not self.num:
             raise ValueError("zero has no minimal degree")
-        nord = next(k for k, c in enumerate(self.num) if c)
-        dord = next(k for k, c in enumerate(self.den) if c)
-        return nord - dord
+        return _order(self.num) - _order(self.den)
 
     # -- text form ------------------------------------------------------
 
@@ -379,6 +444,14 @@ class QRat:
             mid = s.index(")/(")
             return cls(_poly_parse(s[1:mid]), _poly_parse(s[mid + 3 : -1]))
         return cls(_poly_parse(s))
+
+
+def _normal(num: Poly, den: Poly) -> QRat:
+    """Wrap a pair that is already in normal form, skipping normalisation."""
+    r = object.__new__(QRat)
+    r.num = num
+    r.den = den
+    return r
 
 
 _Q0 = QRat.zero()
@@ -422,7 +495,7 @@ def q_binom(c: int, d: int) -> QRat:
 
 def _as_laurent(r: QRat) -> dict[int, int]:
     # the balanced binomials all have a plain power of q underneath
-    if any(c != 0 for c in r.den[:-1]) or r.den[-1] != 1:
+    if not _is_monomial(r.den) or r.den[-1] != 1:
         raise ValueError("not a Laurent polynomial")
     shift = len(r.den) - 1
     return {e - shift: c for e, c in enumerate(r.num) if c}

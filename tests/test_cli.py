@@ -11,6 +11,10 @@ a forced failure to cover the nonzero exit path.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +148,36 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     assert rc == 1
     assert "FAIL [qfield] forced" in out
     assert "1 of 1 checks failed" in out
+
+
+def test_verify_assertion_error_is_a_failure(capsys, monkeypatch):
+    def broken(cfg):
+        raise AssertionError("label round trip failed")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "components", broken)
+    rc, out, err = run(capsys, ["verify", "--suite", "components"])
+    assert rc == 1 and err == ""
+    assert "FAIL [components] raised AssertionError: label round trip failed" in out
+    assert "1 of 1 checks failed" in out
+
+
+def test_graph_kac_refuses_huge_weight(capsys):
+    argv = ["graph", "--m", "2", "--n", "2", "--target", "kac", "--lambda", "100000,0,0,0"]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_python_dash_m_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "supercrystal", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: supercrystal")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -41,6 +41,7 @@ from supercrystal.combicrystal import (
     tensor_op,
 )
 from supercrystal.limitcrystal import (
+    ENUMERATION_LIMIT,
     BInfElt,
     XElt,
     ample_weight,
@@ -58,6 +59,7 @@ from supercrystal.limitcrystal import (
     hw_factorize,
     is_dominant,
     kac_elements,
+    kac_size,
     kappa,
     kappa_inv,
     project_plus,
@@ -215,6 +217,27 @@ def test_iota_embedding_respects_lowering():
             moved = kac_op(i, "f", k)
             if moved is not ZERO:
                 assert x_op(i, "f", iota(k)) == iota(moved)
+
+
+def test_kac_size_matches_enumeration():
+    for m, n in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2)):
+        ell = m + n
+        weights = [
+            (0,) * ell,
+            tuple(range(ell, 0, -1)),
+            (2,) + (0,) * (ell - 1),
+            (0,) * (ell - 1) + (-2,),
+        ]
+        for coords in weights:
+            lam = Weight(coords)
+            assert kac_size(m, n, lam) == len(kac_elements(m, n, lam)), (m, n, coords)
+
+
+def test_kac_elements_refuses_beyond_limit():
+    # 2^(mn) * 42 * 1000 members, far past the limit
+    assert kac_size(3, 4, WLAM) > ENUMERATION_LIMIT
+    with pytest.raises(ValueError):
+        kac_elements(3, 4, WLAM)
 
 
 def test_hw_factorize_trivial_and_exhaustive():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -184,3 +185,146 @@ def test_parse_round_trip():
     vals += [QRat.zero(), QRat.one(), qp(-3), q_binom(5, 2), -q_int(4)]
     for r in vals:
         assert QRat.parse(str(r)) == r
+
+
+# -- normal form against an independent slow reduction -----------------------
+
+
+def _fpoly_trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _fpoly_rem(a: list, b: list) -> list:
+    a = list(a)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        off = len(a) - len(b)
+        for k, x in enumerate(b):
+            a[off + k] -= c * x
+        _fpoly_trim(a)
+    return a
+
+
+def _fpoly_quo(a: list, b: list) -> list:
+    a, out = list(a), [Fraction(0)] * (len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        off = len(a) - len(b)
+        out[off] = c
+        for k, x in enumerate(b):
+            a[off + k] -= c * x
+        _fpoly_trim(a)
+    assert not a
+    return _fpoly_trim(out)
+
+
+def slow_normal_form(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Euclid over Fraction coefficients, then clear denominators and content."""
+    num = _fpoly_trim([Fraction(c) for c in num])
+    den = _fpoly_trim([Fraction(c) for c in den])
+    if not num:
+        return (), (1,)
+    a, b = num, den
+    while b:
+        a, b = b, _fpoly_rem(a, b)
+    num, den = _fpoly_quo(num, a), _fpoly_quo(den, a)
+    scale = 1
+    for c in num + den:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    ints = [int(c * scale) for c in num + den]
+    g = gcd(*ints)
+    if den[-1] < 0:
+        g = -g
+    ints = [c // g for c in ints]
+    return tuple(ints[: len(num)]), tuple(ints[len(num) :])
+
+
+def _ipoly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j + k] += x * y
+    return tuple(out)
+
+
+def _ipoly_add(a, b):
+    out = [0] * max(len(a), len(b))
+    for k, x in enumerate(a):
+        out[k] += x
+    for k, y in enumerate(b):
+        out[k] += y
+    return tuple(out)
+
+
+SHAPES = ("zero", "monomial", "laurent", "polynomial", "general")
+
+
+def raw_operand(rng: random.Random, shape: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """An unreduced (num, den) pair of the given shape.
+
+    Both sides are multiplied by a random integer (possibly negative, so
+    the denominator can lead negative, and content above 1) and, now and
+    then, by a common polynomial factor, so the constructor has to cancel.
+    """
+    def coeff() -> int:
+        return rng.choice([-3, -2, -1, 1, 2, 3, 5])
+
+    def qpow(c: int) -> tuple[int, ...]:
+        return (0,) * rng.randint(0, 4) + (c,)
+
+    if shape == "zero":
+        num, den = (), random_poly(rng, nonzero=True)
+    elif shape == "monomial":
+        num, den = qpow(coeff()), qpow(coeff())
+    elif shape == "laurent":
+        num, den = random_poly(rng, nonzero=True), qpow(coeff())
+    elif shape == "polynomial":
+        num, den = random_poly(rng, nonzero=True), (coeff(),)
+    else:
+        num, den = random_poly(rng, nonzero=True), random_poly(rng, nonzero=True)
+    k = rng.choice([-6, -2, -1, 1, 1, 1, 2, 4])
+    common = rng.choice([(1,), (1,), (1,), (1, 1), (0, 1), (-1, 0, 1), (2, 0, 3)])
+    return (
+        _ipoly_mul(_ipoly_mul(num, (k,)), common),
+        _ipoly_mul(_ipoly_mul(den, (k,)), common),
+    )
+
+
+def test_normal_form_matches_slow_reduction():
+    rng = random.Random(31337)
+    for _ in range(600):
+        sa, sb = rng.choice(SHAPES), rng.choice(SHAPES)
+        a, b = raw_operand(rng, sa), raw_operand(rng, sb)
+        x, y = QRat(*a), QRat(*b)
+        assert (x.num, x.den) == slow_normal_form(*a), (sa, a)
+        assert (y.num, y.den) == slow_normal_form(*b), (sb, b)
+        (xn, xd), (yn, yd) = (x.num, x.den), (y.num, y.den)
+        cross = _ipoly_mul(xn, yd), _ipoly_mul(yn, xd)
+        want = {
+            "+": slow_normal_form(_ipoly_add(*cross), _ipoly_mul(xd, yd)),
+            "-": slow_normal_form(
+                _ipoly_add(cross[0], tuple(-c for c in cross[1])), _ipoly_mul(xd, yd)
+            ),
+            "*": slow_normal_form(_ipoly_mul(xn, yn), _ipoly_mul(xd, yd)),
+        }
+        got = {"+": x + y, "-": x - y, "*": x * y}
+        if y:
+            want["/"] = slow_normal_form(_ipoly_mul(xn, yd), _ipoly_mul(xd, yn))
+            got["/"] = x / y
+        for op, z in got.items():
+            assert (z.num, z.den) == want[op], (sa, sb, a, b, op)
+
+
+def test_adding_zero_returns_the_operand():
+    rng = random.Random(4242)
+    zero = QRat.zero()
+    for shape in SHAPES:
+        for _ in range(20):
+            x = QRat(*raw_operand(rng, shape))
+            for z in (x + zero, zero + x, x + 0, 0 + x, x - zero):
+                assert z == x and hash(z) == hash(x)
+                assert (z.num, z.den) == (x.num, x.den)
