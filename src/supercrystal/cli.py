@@ -15,7 +15,6 @@ import json
 import random
 import sys
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 
 from .combicrystal import (
@@ -30,10 +29,12 @@ from .combicrystal import (
     kac_op,
     lam_minus,
     lam_plus,
+    odd_subsets,
     oddset_eps,
     oddset_op,
     oddset_phi,
     plus_roots,
+    string_length,
 )
 from .combicrystal import to_json as combi_json
 from .limitcrystal import (
@@ -187,15 +188,10 @@ def _kac_degree(k: KacElt) -> int:
     return oddset_degree(k.S) + k.bplus.base.degree() + k.bminus.base.degree()
 
 
-def _all_oddsets(m: int, n: int) -> list[OddSet]:
+def _all_oddsets(m: int, n: int, cap: int | None = None) -> list[OddSet]:
     if 2 ** (m * n) > ENUMERATION_LIMIT:
-        raise ValueError("degree cap exceeded")
-    boxes = [(a, b) for a in range(1, m + 1) for b in range(m + 1, m + n + 1)]
-    out = []
-    for mask in product((0, 1), repeat=len(boxes)):
-        bits = [box for box, keep in zip(boxes, mask) if keep]
-        out.append(OddSet.of(m, n, bits))
-    return out
+        raise ValueError("odd subsets exceed the enumeration limit")
+    return odd_subsets(m, n, cap)
 
 
 def cmd_graph(cfg: RunConfig) -> dict:
@@ -218,11 +214,7 @@ def cmd_graph(cfg: RunConfig) -> dict:
         ]
         op = kac_op
     elif cfg.target == "oddset":
-        elts = [
-            s for s in _all_oddsets(m, n)
-            if cfg.cap is None or oddset_degree(s) <= cfg.cap
-        ]
-        op = oddset_op
+        elts, op = _all_oddsets(m, n, cfg.cap), oddset_op
     else:
         raise ValueError(f"unknown graph target {cfg.target!r}")
 
@@ -367,24 +359,6 @@ def _axiom_sweep(elements, op, eps, phi, m: int, ell: int) -> bool:
     return True
 
 
-def _string_eps(op, i, b) -> int:
-    count = 0
-    while True:
-        b = op(i, "e", b)
-        if b is ZERO:
-            return count
-        count += 1
-
-
-def _string_phi(op, i, b) -> int:
-    count = 0
-    while True:
-        b = op(i, "f", b)
-        if b is ZERO:
-            return count
-        count += 1
-
-
 def _suite_crystal_axioms(cfg: RunConfig) -> list[dict]:
     m, n = cfg.m, cfg.n
     ell = m + n
@@ -414,8 +388,8 @@ def _suite_crystal_axioms(cfg: RunConfig) -> list[dict]:
             _axiom_sweep(
                 members,
                 kac_op,
-                lambda i, b: _string_eps(kac_op, i, b),
-                lambda i, b: _string_phi(kac_op, i, b),
+                lambda i, b: string_length(kac_op, i, "e", b),
+                lambda i, b: string_length(kac_op, i, "f", b),
                 m,
                 ell,
             ),

@@ -3,8 +3,8 @@
 Three kinds of raw data: subsets of the odd negative roots (binary m x n
 matrices), multiplicity arrays over the even positive roots of the m|0 and
 0|n blocks in their convex orders, and highest-weight truncations of the
-latter.  All operators follow the same signature discipline: materialize a
-+/- sequence from the data, cancel (+,-) pairs by a stack scan, then act at
+latter.  All operators follow the same signature discipline: read a +/-
+sequence from the data, cancel (+,-) pairs by a stack scan, then act at
 the leftmost surviving + (lowering) or the rightmost surviving - (raising).
 ZERO is an explicit sentinel so every operator is total.
 
@@ -16,7 +16,7 @@ with the odd index acting on the subset alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
 
 from .superpbw import Weight
 
@@ -48,60 +48,169 @@ def _delta(ell: int, pairs) -> Weight:
     return Weight(tuple(c))
 
 
-def plus_roots(m: int) -> list[tuple[int, int]]:
+def _check_dir(dir: str) -> None:
+    if dir not in ("e", "f"):
+        raise ValueError(f"bad direction {dir!r}")
+
+
+@cache
+def plus_roots(m: int) -> tuple[tuple[int, int], ...]:
     """Positive roots of the m|0 block in convex order."""
-    return sorted(
-        ((a, b) for b in range(2, m + 1) for a in range(1, b)),
-        key=lambda r: (-r[1], -r[0]),
+    return tuple(
+        sorted(
+            ((a, b) for b in range(2, m + 1) for a in range(1, b)),
+            key=lambda r: (-r[1], -r[0]),
+        )
     )
 
 
-def minus_roots(m: int, n: int) -> list[tuple[int, int]]:
+@cache
+def minus_roots(m: int, n: int) -> tuple[tuple[int, int], ...]:
     """Positive roots of the 0|n block in convex order."""
     ell = m + n
-    return [(a, b) for a in range(m + 1, ell) for b in range(a + 1, ell + 1)]
+    return tuple((a, b) for a in range(m + 1, ell) for b in range(a + 1, ell + 1))
+
+
+@cache
+def _position(roots: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
+    return {r: k for k, r in enumerate(roots)}
 
 
 # -- elements -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class OddSet:
-    """A subset of the odd negative roots, entry (a, b) for -delta_a+delta_b."""
+    """A subset of the odd negative roots, entry (a, b) for -delta_a+delta_b.
 
-    m: int
-    n: int
-    bits: frozenset[tuple[int, int]]
+    The subset is an int mask: entry (a, b) is bit (a-1)*n + (b-m-1), so
+    row a of the m x n matrix is the n-bit field from bit (a-1)*n, column b
+    is every n-th bit from bit b-m-1, and the first box (1, m+1) is bit 0.
+    Equality and hashing read (m, n, mask); ``bits``, the same subset as a
+    frozenset of entries, is derived on first use.  Instances are immutable
+    by convention.
+    """
 
-    @classmethod
-    def empty(cls, m: int, n: int) -> "OddSet":
-        return cls(m, n, frozenset())
+    __slots__ = ("m", "n", "mask", "_bits")
 
-    @classmethod
-    def of(cls, m: int, n: int, pairs) -> "OddSet":
-        bits = frozenset((a, b) for a, b in pairs)
+    def __init__(self, m: int, n: int, bits) -> None:
+        mask = 0
         for a, b in bits:
             if not (1 <= a <= m < b <= m + n):
                 raise ValueError(f"bad odd entry {(a, b)}")
-        return cls(m, n, bits)
+            mask |= 1 << ((a - 1) * n + b - m - 1)
+        self.m = m
+        self.n = n
+        self.mask = mask
+        self._bits = bits if isinstance(bits, frozenset) else None
+
+    @classmethod
+    def empty(cls, m: int, n: int) -> "OddSet":
+        return _oddset(m, n, 0)
+
+    @classmethod
+    def of(cls, m: int, n: int, pairs) -> "OddSet":
+        return cls(m, n, frozenset((a, b) for a, b in pairs))
+
+    @property
+    def bits(self) -> frozenset[tuple[int, int]]:
+        if self._bits is None:
+            m, n, mask = self.m, self.n, self.mask
+            self._bits = frozenset(
+                (k // n + 1, k % n + m + 1) for k in range(m * n) if mask >> k & 1
+            )
+        return self._bits
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not OddSet:
+            return NotImplemented
+        return self.mask == other.mask and self.m == other.m and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n, self.mask))
+
+    def __repr__(self) -> str:
+        return f"OddSet(m={self.m}, n={self.n}, bits={self.bits!r})"
 
     def weight(self) -> Weight:
-        ell = self.m + self.n
-        pairs = []
-        for a, b in self.bits:
-            pairs.append((-1, a))
-            pairs.append((1, b))
-        return _delta(ell, pairs)
+        m, n, mask = self.m, self.n, self.mask
+        row, col = (1 << n) - 1, _column_mask(m, n)
+        rows = [-(mask >> a & row).bit_count() for a in range(0, m * n, n)]
+        return Weight(tuple(rows + [(mask >> c & col).bit_count() for c in range(n)]))
 
     def matrix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(int((a, b) in self.bits) for b in range(self.m + 1, self.m + self.n + 1))
-            for a in range(1, self.m + 1)
-        )
+        m, n, mask = self.m, self.n, self.mask
+        return tuple(tuple(mask >> (a * n + c) & 1 for c in range(n)) for a in range(m))
+
+
+def _oddset(m: int, n: int, mask: int) -> OddSet:
+    """Wrap a mask that is already a valid subset, skipping the entry check."""
+    S = object.__new__(OddSet)
+    S.m = m
+    S.n = n
+    S.mask = mask
+    S._bits = None
+    return S
+
+
+@cache
+def _column_mask(m: int, n: int) -> int:
+    """The bits of the first column, (a, m+1) for every row a."""
+    return sum(1 << (a * n) for a in range(m))
+
+
+def odd_subsets(m: int, n: int, cap: int | None = None, boxes=None) -> list[OddSet]:
+    """Every odd subset on boxes (default all m*n) of degree at most cap.
+
+    The order is that of itertools.product((0, 1), ...) over the boxes in
+    the given order: the first box is the most significant bit.  The degree
+    of an entry (a, b) is b - a.
+    """
+    if boxes is None:
+        boxes = [(a, b) for a in range(1, m + 1) for b in range(m + 1, m + n + 1)]
+    found = [(0, 0)]
+    for a, b in boxes:
+        bit, h = 1 << ((a - 1) * n + b - m - 1), b - a
+        found = [
+            pair
+            for mask, d in found
+            for pair in ((mask, d), (mask | bit, d + h))
+            if cap is None or pair[1] <= cap
+        ]
+    return [_oddset(m, n, mask) for mask, _ in found]
+
+
+class _Block:
+    """What the Lusztig data of the two even blocks share.
+
+    A subclass names its roots in convex order (``roots``) and its rank
+    fields, the ones before ``mult`` (``_rank``): (m,) or (m, n).
+    """
+
+    def entry(self, a: int, b: int) -> int:
+        return self.mult[_position(self.roots())[a, b]]
+
+    def _shift(self, src: int | None, dst: int | None):
+        """Move one unit of multiplicity from position src to dst (None: none)."""
+        out = list(self.mult)
+        if src is not None:
+            out[src] -= 1
+        if dst is not None:
+            out[dst] += 1
+        return type(self)(*self._rank(), tuple(out))
+
+    def weight(self) -> Weight:
+        pairs = []
+        for (a, b), c in zip(self.roots(), self.mult):
+            pairs.append((-c, a))
+            pairs.append((c, b))
+        return _delta(sum(self._rank()), pairs)
+
+    def degree(self) -> int:
+        return sum(c * (b - a) for (a, b), c in zip(self.roots(), self.mult))
 
 
 @dataclass(frozen=True)
-class LusztigPlus:
+class LusztigPlus(_Block):
     """Multiplicities over plus_roots(m), the Lusztig data of the m|0 block."""
 
     m: int
@@ -119,32 +228,15 @@ class LusztigPlus:
             raise ValueError(f"not plus-block roots: {sorted(unknown)}")
         return cls(m, tuple(entries.get(r, 0) for r in roots))
 
-    def roots(self) -> list[tuple[int, int]]:
+    def roots(self) -> tuple[tuple[int, int], ...]:
         return plus_roots(self.m)
 
-    def entry(self, a: int, b: int) -> int:
-        return self.mult[plus_roots(self.m).index((a, b))]
-
-    def _shift(self, moves: dict[tuple[int, int], int]) -> "LusztigPlus":
-        roots = plus_roots(self.m)
-        out = list(self.mult)
-        for r, d in moves.items():
-            out[roots.index(r)] += d
-        return LusztigPlus(self.m, tuple(out))
-
-    def weight(self) -> Weight:
-        pairs = []
-        for (a, b), c in zip(plus_roots(self.m), self.mult):
-            pairs.append((-c, a))
-            pairs.append((c, b))
-        return _delta(self.m, pairs)
-
-    def degree(self) -> int:
-        return sum(c * (b - a) for (a, b), c in zip(plus_roots(self.m), self.mult))
+    def _rank(self) -> tuple[int, ...]:
+        return (self.m,)
 
 
 @dataclass(frozen=True)
-class LusztigMinus:
+class LusztigMinus(_Block):
     """Multiplicities over minus_roots(m, n), the Lusztig data of the 0|n block."""
 
     m: int
@@ -163,29 +255,11 @@ class LusztigMinus:
             raise ValueError(f"not minus-block roots: {sorted(unknown)}")
         return cls(m, n, tuple(entries.get(r, 0) for r in roots))
 
-    def roots(self) -> list[tuple[int, int]]:
+    def roots(self) -> tuple[tuple[int, int], ...]:
         return minus_roots(self.m, self.n)
 
-    def entry(self, a: int, b: int) -> int:
-        return self.mult[minus_roots(self.m, self.n).index((a, b))]
-
-    def _shift(self, moves: dict[tuple[int, int], int]) -> "LusztigMinus":
-        roots = minus_roots(self.m, self.n)
-        out = list(self.mult)
-        for r, d in moves.items():
-            out[roots.index(r)] += d
-        return LusztigMinus(self.m, self.n, tuple(out))
-
-    def weight(self) -> Weight:
-        ell = self.m + self.n
-        pairs = []
-        for (a, b), c in zip(minus_roots(self.m, self.n), self.mult):
-            pairs.append((-c, a))
-            pairs.append((c, b))
-        return _delta(ell, pairs)
-
-    def degree(self) -> int:
-        return sum(c * (b - a) for (a, b), c in zip(minus_roots(self.m, self.n), self.mult))
+    def _rank(self) -> tuple[int, ...]:
+        return self.m, self.n
 
 
 @dataclass(frozen=True)
@@ -217,7 +291,7 @@ class HWElt:
         return lusztig_eps(i, self.base)
 
     def phi(self, i: int) -> int:
-        return self.eps(i) + cartan(self.weight(), i, self.base.m)
+        return lusztig_phi(i, self.base) + cartan(self.shift, i, self.base.m)
 
 
 @dataclass(frozen=True)
@@ -235,174 +309,221 @@ class KacElt:
 # -- the signature engine ------------------------------------------------------
 
 
-def _reduce_signature(seq):
-    """Cancel (+,-) pairs; return surviving + payloads and - payloads in order."""
-    plus: list = []
-    minus: list = []
-    for sign, payload in seq:
-        if sign == "+":
-            plus.append(payload)
-        elif plus:
-            plus.pop()
-        else:
-            minus.append(payload)
-    return plus, minus
+@cache
+def _lanes(m: int, n: int, i: int) -> tuple[int, int, int, int]:
+    """Where the signature of an even index i reads an m x n mask.
 
-
-def _oddset_signature(S: OddSet, i: int):
-    """Signature letters of S for index i; payloads are (source, target) moves."""
-    m, ell = S.m, S.m + S.n
-    seq = []
+    For i < m the + letters lie on row i+1 and the - letters on row i, read
+    column by column; for i > m on columns i and i+1, read row by row.
+    Returns the shifts that bring the + and - lanes down to the first row
+    or column, the bits of that lane, and the bit pair a move there swaps.
+    """
+    if not 0 < i < m + n or i == m:
+        raise ValueError(f"index {i} out of range")
     if i < m:
-        for b in range(m + 1, ell + 1):
-            if (i + 1, b) in S.bits:
-                seq.append(("+", ((i + 1, b), (i, b))))
-            if (i, b) in S.bits:
-                seq.append(("-", ((i, b), (i + 1, b))))
+        plus, minus, lane = i * n, (i - 1) * n, (1 << n) - 1
     else:
-        for a in range(1, m + 1):
-            if (a, i) in S.bits:
-                seq.append(("+", ((a, i), (a, i + 1))))
-            if (a, i + 1) in S.bits:
-                seq.append(("-", ((a, i + 1), (a, i))))
-    return seq
+        plus, minus, lane = i - m - 1, i - m, _column_mask(m, n)
+    return plus, minus, lane, 1 << plus | 1 << minus
+
+
+def _oddset_scan(S: OddSet, i: int):
+    """The reduced signature of S at an even index i, in one pass over the mask.
+
+    Returns the surviving + and - letters in reading order, each as the
+    lane bit v it sits on, and the bit pair p of the first row or column:
+    a move at the letter on v swaps the two bits of p * v.
+    """
+    plus, minus, lane, pair = _lanes(S.m, S.n, i)
+    up, down = S.mask >> plus & lane, S.mask >> minus & lane
+    pluses: list[int] = []
+    minuses: list[int] = []
+    both = up | down
+    while both:
+        low = both & -both
+        both ^= low
+        if up & low:
+            pluses.append(low)
+        if down & low:
+            if pluses:
+                pluses.pop()
+            else:
+                minuses.append(low)
+    return pluses, minuses, pair
+
+
+def _oddset_move(S: OddSet, dir: str, scan):
+    """Act at the first surviving + (f) or the last surviving - (e) of a scan."""
+    pluses, minuses, pair = scan
+    moves = pluses[:1] if dir == "f" else minuses[-1:]
+    if not moves:
+        return ZERO
+    return _oddset(S.m, S.n, S.mask ^ pair * moves[0])
+
+
+def _odd_bit(S: OddSet) -> int:
+    """The single bit of the entry (m, m+1) that the odd index toggles."""
+    return 1 << (S.m - 1) * S.n
 
 
 def oddset_op(i: int, dir: str, S: OddSet):
     """Crystal operator on an odd subset; returns an OddSet or ZERO."""
-    if dir not in ("e", "f"):
-        raise ValueError(f"bad direction {dir!r}")
-    m = S.m
-    if not 1 <= i <= m + S.n - 1:
-        raise ValueError(f"index {i} out of range")
-    if i == m:
-        key = (m, m + 1)
-        if dir == "f":
-            if key in S.bits:
-                return ZERO
-            return OddSet(S.m, S.n, S.bits | {key})
-        if key not in S.bits:
+    _check_dir(dir)
+    if i == S.m:
+        bit = _odd_bit(S)
+        if bool(S.mask & bit) == (dir == "f"):
             return ZERO
-        return OddSet(S.m, S.n, S.bits - {key})
-    plus, minus = _reduce_signature(_oddset_signature(S, i))
-    if dir == "f":
-        if not plus:
-            return ZERO
-        src, dst = plus[0]
-    else:
-        if not minus:
-            return ZERO
-        src, dst = minus[-1]
-    return OddSet(S.m, S.n, S.bits - {src} | {dst})
+        return _oddset(S.m, S.n, S.mask ^ bit)
+    return _oddset_move(S, dir, _oddset_scan(S, i))
 
 
 def oddset_eps(i: int, S: OddSet) -> int:
     if i == S.m:
-        return int((S.m, S.m + 1) in S.bits)
-    _, minus = _reduce_signature(_oddset_signature(S, i))
-    return len(minus)
+        return int(bool(S.mask & _odd_bit(S)))
+    return len(_oddset_scan(S, i)[1])
 
 
 def oddset_phi(i: int, S: OddSet) -> int:
     if i == S.m:
-        return 1 - int((S.m, S.m + 1) in S.bits)
-    plus, _ = _reduce_signature(_oddset_signature(S, i))
-    return len(plus)
+        return int(not S.mask & _odd_bit(S))
+    return len(_oddset_scan(S, i)[0])
 
 
-def _lusztig_signature(b: LusztigPlus | LusztigMinus, i: int):
-    """Signature of Lusztig data for index i; payloads are move dicts."""
-    if isinstance(b, LusztigPlus):
-        m = b.m
-        if not 1 <= i <= m - 1:
-            raise ValueError(f"index {i} not in the m|0 block")
-        seq = []
-        for col in range(m, i + 1, -1):
-            seq.extend([("-", {(i, col): -1, (i + 1, col): 1})] * b.entry(i, col))
-            seq.extend([("+", {(i + 1, col): -1, (i, col): 1})] * b.entry(i + 1, col))
-        seq.extend([("-", {(i, i + 1): -1})] * b.entry(i, i + 1))
-        return seq
-    m, ell = b.m, b.m + b.n
-    if not m + 1 <= i <= ell - 1:
-        raise ValueError(f"index {i} not in the 0|n block")
-    seq = []
-    for row in range(m + 1, i):
-        seq.extend([("-", {(row, i + 1): -1, (row, i): 1})] * b.entry(row, i + 1))
-        seq.extend([("+", {(row, i): -1, (row, i + 1): 1})] * b.entry(row, i))
-    seq.extend([("-", {(i, i + 1): -1})] * b.entry(i, i + 1))
-    return seq
+@cache
+def _letters(rank: tuple[int, ...], i: int, star: bool) -> tuple:
+    """Signature letters of an even block at index i, as (sign, src, dst).
+
+    rank is (m,) for the m|0 block and (m, n) for the 0|n block.  src and
+    dst are positions in ``mult``: the letter occurs mult[src] times, and
+    each copy moves one unit from src to dst (dst None: the unit is
+    dropped).  The plain m|0 block and the starred 0|n block read their
+    columns right to left, the other two their rows top down; the diagonal
+    entry (i, i+1) comes last.
+    """
+    plus = len(rank) == 1
+    m = rank[0]
+    lo, hi = (1, m) if plus else (m + 1, sum(rank))
+    if not lo <= i < hi:
+        raise ValueError(f"index {i} not in the {'m|0' if plus else '0|n'} block")
+    pos = _position(plus_roots(m) if plus else minus_roots(*rank))
+    letters = []
+    if plus != star:
+        for col in range(hi, i + 1, -1):
+            letters.append((-1, pos[i, col], pos[i + 1, col]))
+            letters.append((1, pos[i + 1, col], pos[i, col]))
+    else:
+        for row in range(lo, i):
+            letters.append((-1, pos[row, i + 1], pos[row, i]))
+            letters.append((1, pos[row, i], pos[row, i + 1]))
+    letters.append((-1, pos[i, i + 1], None))
+    return tuple(letters)
+
+
+def _lusztig_scan(b: LusztigPlus | LusztigMinus, i: int, star: bool):
+    """The reduced signature of b at i: the surviving + and - letters in
+    reading order, and the position of the diagonal entry (i, i+1)."""
+    letters = _letters(b._rank(), i, star)
+    pluses: list[tuple] = []
+    minuses: list[tuple] = []
+    for letter in letters:
+        for _ in range(b.mult[letter[1]]):
+            if letter[0] > 0:
+                pluses.append(letter)
+            elif pluses:
+                pluses.pop()
+            else:
+                minuses.append(letter)
+    return pluses, minuses, letters[-1][1]
+
+
+def _lusztig_move(b: LusztigPlus | LusztigMinus, dir: str, scan):
+    """f acts at the first surviving + or else adds to the diagonal entry;
+    e acts at the last surviving - or dies."""
+    pluses, minuses, diag = scan
+    if dir == "e":
+        return b._shift(*minuses[-1][1:]) if minuses else ZERO
+    return b._shift(*pluses[0][1:]) if pluses else b._shift(None, diag)
 
 
 def lusztig_op(i: int, dir: str, b: LusztigPlus | LusztigMinus):
     """Crystal operator on Lusztig data; f always succeeds, e may give ZERO."""
-    if dir not in ("e", "f"):
-        raise ValueError(f"bad direction {dir!r}")
-    plus, minus = _reduce_signature(_lusztig_signature(b, i))
-    if dir == "f":
-        if plus:
-            return b._shift(plus[0])
-        return b._shift({(i, i + 1): 1})
-    if not minus:
-        return ZERO
-    return b._shift(minus[-1])
+    _check_dir(dir)
+    return _lusztig_move(b, dir, _lusztig_scan(b, i, False))
 
 
 def lusztig_eps(i: int, b: LusztigPlus | LusztigMinus) -> int:
-    _, minus = _reduce_signature(_lusztig_signature(b, i))
-    return len(minus)
+    return len(_lusztig_scan(b, i, False)[1])
 
 
 def lusztig_phi(i: int, b: LusztigPlus | LusztigMinus) -> int:
     """The defined phi of the infinity crystal (may be negative)."""
-    wt = b.weight()
-    if isinstance(b, LusztigPlus):
-        return lusztig_eps(i, b) + (wt.coords[i - 1] - wt.coords[i])
-    return lusztig_eps(i, b) + cartan(wt, i, b.m)
-
-
-def _starred_signature(b: LusztigPlus | LusztigMinus, i: int):
-    if isinstance(b, LusztigPlus):
-        m = b.m
-        if not 1 <= i <= m - 1:
-            raise ValueError(f"index {i} not in the m|0 block")
-        seq = []
-        for row in range(1, i):
-            seq.extend([("-", {(row, i + 1): -1, (row, i): 1})] * b.entry(row, i + 1))
-            seq.extend([("+", {(row, i): -1, (row, i + 1): 1})] * b.entry(row, i))
-        seq.extend([("-", {(i, i + 1): -1})] * b.entry(i, i + 1))
-        return seq
-    m, ell = b.m, b.m + b.n
-    if not m + 1 <= i <= ell - 1:
-        raise ValueError(f"index {i} not in the 0|n block")
-    seq = []
-    for col in range(ell, i + 1, -1):
-        seq.extend([("-", {(i, col): -1, (i + 1, col): 1})] * b.entry(i, col))
-        seq.extend([("+", {(i + 1, col): -1, (i, col): 1})] * b.entry(i + 1, col))
-    seq.extend([("-", {(i, i + 1): -1})] * b.entry(i, i + 1))
-    return seq
+    return lusztig_eps(i, b) + cartan(b.weight(), i, b.m)
 
 
 def epsilon_star(i: int, b: LusztigPlus | LusztigMinus) -> int:
     """Starred string length, the membership bound for truncations."""
-    _, minus = _reduce_signature(_starred_signature(b, i))
-    return len(minus)
+    return len(_lusztig_scan(b, i, True)[1])
 
 
 def lusztig_star_op(i: int, dir: str, b: LusztigPlus | LusztigMinus):
     """Starred crystal operator, the lusztig_op conjugated by the involution."""
-    if dir not in ("e", "f"):
-        raise ValueError(f"bad direction {dir!r}")
-    plus, minus = _reduce_signature(_starred_signature(b, i))
-    if dir == "f":
-        if plus:
-            return b._shift(plus[0])
-        return b._shift({(i, i + 1): 1})
-    if not minus:
+    _check_dir(dir)
+    return _lusztig_move(b, dir, _lusztig_scan(b, i, True))
+
+
+def _hw_move(hw: HWElt, dir: str, scan):
+    moved = _lusztig_move(hw.base, dir, scan)
+    if moved is ZERO:
         return ZERO
-    return b._shift(minus[-1])
+    out = HWElt(moved, hw.shift)
+    return out if out.is_member() else ZERO
+
+
+def hw_op(i: int, dir: str, hw: HWElt):
+    """Crystal operator on a truncation: the Lusztig operator, kept if a member."""
+    _check_dir(dir)
+    return _hw_move(hw, dir, _lusztig_scan(hw.base, i, False))
 
 
 # -- tensor routing -------------------------------------------------------------
+
+
+def _phi_side_acts(dir: str, phi: int, eps: int) -> bool:
+    """The product rule: the operator acts on the factor whose phi is compared
+    with the other factor's eps when phi > eps (f) or phi >= eps (e)."""
+    return phi >= eps if dir == "e" else phi > eps
+
+
+def pair_op(rule: str, i: int, dir: str, S: OddSet, b):
+    """Route e_i or f_i on the pair S (x) b; returns (S', b') or ZERO.
+
+    S is an odd subset and b an odd subset, Lusztig data or a truncation.
+    The odd index acts on S alone.  Otherwise the lower rule compares phi
+    of S with eps of b, and the upper rule, used with a truncation b,
+    compares phi of b with eps of S; only those two numbers are computed.
+    """
+    if i == S.m:
+        moved = oddset_op(i, dir, S)
+        return ZERO if moved is ZERO else (moved, b)
+    _check_dir(dir)
+    scan = _oddset_scan(S, i)
+    if isinstance(b, OddSet):
+        bscan, move = _oddset_scan(b, i), _oddset_move
+    elif isinstance(b, HWElt):
+        bscan, move = _lusztig_scan(b.base, i, False), _hw_move
+    else:
+        bscan, move = _lusztig_scan(b, i, False), _lusztig_move
+    eps = len(bscan[1])
+    if rule == "upper":
+        phi = eps + cartan(b.base.weight(), i, S.m) + cartan(b.shift, i, S.m)
+        act_left = not _phi_side_acts(dir, phi, len(scan[1]))
+    else:
+        act_left = _phi_side_acts(dir, len(scan[0]), eps)
+    if act_left:
+        moved = _oddset_move(S, dir, scan)
+        return ZERO if moved is ZERO else (moved, b)
+    moved = move(b, dir, bscan)
+    return ZERO if moved is ZERO else (S, moved)
 
 
 @dataclass(frozen=True)
@@ -412,7 +533,6 @@ class TensorFactor:
     value: object
     eps: int | None = None
     phi: int | None = None
-    cartan_m: int | None = None
     apply: object = None
 
 
@@ -422,16 +542,12 @@ def tensor_op(rule: str, i: int, dir: str, pair):
     pair is (b1, b2) of TensorFactor.  Returns (new1, new2) with raw values,
     or ZERO when the routed operator dies.
     """
-    if dir not in ("e", "f"):
-        raise ValueError(f"bad direction {dir!r}")
+    _check_dir(dir)
     b1, b2 = pair
-    if rule == "odd":
-        act_left = b1.cartan_m > 0
-    elif rule in ("lower", "boson"):
-        act_left = b1.phi >= b2.eps if dir == "e" else b1.phi > b2.eps
+    if rule in ("lower", "boson"):
+        act_left = _phi_side_acts(dir, b1.phi, b2.eps)
     elif rule == "upper":
-        act_right = b2.phi >= b1.eps if dir == "e" else b2.phi > b1.eps
-        act_left = not act_right
+        act_left = not _phi_side_acts(dir, b2.phi, b1.eps)
     else:
         raise ValueError(f"unknown rule {rule!r}")
     if act_left:
@@ -450,7 +566,6 @@ def oddset_factor(S: OddSet, i: int) -> TensorFactor:
         value=S,
         eps=oddset_eps(i, S),
         phi=oddset_phi(i, S),
-        cartan_m=cartan(S.weight(), S.m, S.m),
         apply=lambda dir: oddset_op(i, dir, S),
     )
 
@@ -465,16 +580,9 @@ def lusztig_factor(b: LusztigPlus | LusztigMinus, i: int) -> TensorFactor:
 
 
 def hw_factor(hw: HWElt, i: int) -> TensorFactor:
-    def apply(dir):
-        moved = lusztig_op(i, dir, hw.base)
-        if moved is ZERO:
-            return ZERO
-        out = HWElt(moved, hw.shift)
-        if not out.is_member():
-            return ZERO
-        return out
-
-    return TensorFactor(value=hw, eps=hw.eps(i), phi=hw.phi(i), apply=apply)
+    return TensorFactor(
+        value=hw, eps=hw.eps(i), phi=hw.phi(i), apply=lambda dir: hw_op(i, dir, hw)
+    )
 
 
 # -- the Kac-module crystal -------------------------------------------------------
@@ -482,18 +590,12 @@ def hw_factor(hw: HWElt, i: int) -> TensorFactor:
 
 def kac_op(i: int, dir: str, b: KacElt):
     """Crystal operator on the Kac-module crystal; returns KacElt or ZERO."""
-    m = b.S.m
-    if i == m:
-        moved = oddset_op(i, dir, b.S)
-        if moved is ZERO:
-            return ZERO
-        return KacElt(moved, b.bplus, b.bminus)
-    if i < m:
-        out = tensor_op("lower", i, dir, (oddset_factor(b.S, i), hw_factor(b.bplus, i)))
+    if i <= b.S.m:
+        out = pair_op("lower", i, dir, b.S, b.bplus)
         if out is ZERO:
             return ZERO
         return KacElt(out[0], out[1], b.bminus)
-    out = tensor_op("upper", i, dir, (oddset_factor(b.S, i), hw_factor(b.bminus, i)))
+    out = pair_op("upper", i, dir, b.S, b.bminus)
     if out is ZERO:
         return ZERO
     return KacElt(out[0], b.bplus, out[1])
@@ -515,6 +617,33 @@ def lam_minus(lam: Weight, m: int) -> Weight:
     return Weight((0,) * m + lam.coords[m:])
 
 
+def string_length(op, i: int, dir: str, b) -> int:
+    """How many times op(i, dir, .) acts on b before giving ZERO."""
+    k = 0
+    while True:
+        b = op(i, dir, b)
+        if b is ZERO:
+            return k
+        k += 1
+
+
+def raise_to_top(op, indices, b):
+    """Raise b with op until no index in indices acts, lowest index first.
+
+    Returns the top element and the word of indices applied, in order.
+    """
+    word: list[int] = []
+    while True:
+        for i in indices:
+            up = op(i, "e", b)
+            if up is not ZERO:
+                b = up
+                word.append(i)
+                break
+        else:
+            return b, word
+
+
 # -- the bicrystal partition of the odd subsets -----------------------------------
 
 
@@ -527,29 +656,17 @@ def bicrystal_decompose(m: int, n: int) -> dict[tuple[int, ...], list[OddSet]]:
     """
     if m * n > 25:
         raise ValueError("size cap exceeded")
-    ell = m + n
-    indices = [i for i in range(1, ell) if i != m]
-    all_pairs = [(a, b) for a in range(1, m + 1) for b in range(m + 1, ell + 1)]
+    indices = [i for i in range(1, m + n) if i != m]
     groups: dict[OddSet, list[OddSet]] = {}
-    for mask in product((0, 1), repeat=len(all_pairs)):
-        S = OddSet(m, n, frozenset(p for p, on in zip(all_pairs, mask) if on))
-        cur = S
-        raised = True
-        while raised:
-            raised = False
-            for i in indices:
-                up = oddset_op(i, "e", cur)
-                if up is not ZERO:
-                    cur = up
-                    raised = True
-                    break
-        groups.setdefault(cur, []).append(S)
+    for S in odd_subsets(m, n):
+        groups.setdefault(raise_to_top(oddset_op, indices, S)[0], []).append(S)
     out: dict[tuple[int, ...], list[OddSet]] = {}
     for top, members in groups.items():
         # Bi-highest elements are bottom-left justified, so the row counts
         # read from the bottom row up form the partition label.
-        rows = [sum(1 for a, b in top.bits if a == r) for r in range(m, 0, -1)]
-        cols = [sum(1 for a, b in top.bits if b == c) for c in range(m + 1, ell + 1)]
+        wt = top.weight().coords
+        rows = [-c for c in reversed(wt[:m])]
+        cols = list(wt[m:])
         lam = tuple(rows)
         if list(lam) != sorted(rows, reverse=True):
             raise AssertionError(f"bi-highest rows not a partition: {top}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .combicrystal import (
     ZERO,
@@ -30,18 +30,19 @@ from .combicrystal import (
     LusztigPlus,
     OddSet,
     cartan,
-    hw_factor,
+    hw_op,
     lam_minus,
     lam_plus,
-    lusztig_factor,
     lusztig_op,
     lusztig_star_op,
     minus_roots,
+    odd_subsets,
     oddset_eps,
-    oddset_factor,
     oddset_op,
+    pair_op,
     plus_roots,
-    tensor_op,
+    raise_to_top,
+    string_length,
 )
 from .superpbw import Weight
 
@@ -53,7 +54,8 @@ def _pad(w: Weight, ell: int) -> Weight:
 
 
 def oddset_degree(S: OddSet) -> int:
-    return sum(b - a for a, b in S.bits)
+    # entry (a, b) has degree b - a, and its weight is -delta_a + delta_b
+    return sum(j * c for j, c in enumerate(S.weight().coords, 1))
 
 
 def is_dominant(lam: Weight, m: int) -> bool:
@@ -96,15 +98,8 @@ def binf_highest(m: int, n: int) -> BInfElt:
 def binf_op(i: int, dir: str, b: BInfElt):
     """Crystal operator on triples; the minus block moves on its own."""
     m = b.S.m
-    if i == m:
-        moved = oddset_op(i, dir, b.S)
-        if moved is ZERO:
-            return ZERO
-        return BInfElt(moved, b.bplus, b.bminus)
-    if i < m:
-        out = tensor_op(
-            "boson", i, dir, (oddset_factor(b.S, i), lusztig_factor(b.bplus, i))
-        )
+    if i <= m:
+        out = pair_op("lower", i, dir, b.S, b.bplus)
         if out is ZERO:
             return ZERO
         return BInfElt(out[0], out[1], b.bminus)
@@ -115,12 +110,7 @@ def binf_op(i: int, dir: str, b: BInfElt):
 
 
 def binf_eps(i: int, b: BInfElt) -> int:
-    k = 0
-    while True:
-        b = binf_op(i, "e", b)
-        if b is ZERO:
-            return k
-        k += 1
+    return string_length(binf_op, i, "e", b)
 
 
 def binf_phi(i: int, b: BInfElt) -> int:
@@ -167,19 +157,12 @@ def x_highest(m: int, n: int, lam: Weight) -> XElt:
 def x_op(i: int, dir: str, b: XElt):
     """Crystal operator on the parabolic crystal; the minus block is coupled."""
     m = b.S.m
-    if i == m:
-        moved = oddset_op(i, dir, b.S)
-        if moved is ZERO:
-            return ZERO
-        return XElt(moved, b.bplus, b.bminus, b.shift)
-    if i < m:
-        out = tensor_op(
-            "boson", i, dir, (oddset_factor(b.S, i), lusztig_factor(b.bplus, i))
-        )
+    if i <= m:
+        out = pair_op("lower", i, dir, b.S, b.bplus)
         if out is ZERO:
             return ZERO
         return XElt(out[0], out[1], b.bminus, b.shift)
-    out = tensor_op("upper", i, dir, (oddset_factor(b.S, i), hw_factor(b.bminus, i)))
+    out = pair_op("upper", i, dir, b.S, b.bminus)
     if out is ZERO:
         return ZERO
     return XElt(out[0], b.bplus, out[1], b.shift)
@@ -209,53 +192,35 @@ def hw_factorize(b: KacElt) -> tuple[OddSet, tuple[int, ...], tuple[int, ...]]:
     same way to the pair (S0, highest minus element) rebuilds (S, bminus).
     """
     m, n = b.S.m, b.S.n
-    xword: list[int] = []
-    cur = b.bplus.base
-    progress = True
-    while progress:
-        progress = False
-        for i in range(1, m):
-            up = lusztig_op(i, "e", cur)
-            if up is not ZERO:
-                cur = up
-                xword.append(i)
-                progress = True
-                break
-    if any(cur.mult):
+    top, xword = raise_to_top(lusztig_op, range(1, m), b.bplus.base)
+    if any(top.mult):
         raise AssertionError("plus block did not raise to the highest element")
-    yword: list[int] = []
-    S, minus = b.S, b.bminus
-    progress = True
-    while progress:
-        progress = False
-        for j in range(m + 1, m + n):
-            out = tensor_op("upper", j, "e", (oddset_factor(S, j), hw_factor(minus, j)))
-            if out is not ZERO:
-                S, minus = out
-                yword.append(j)
-                progress = True
-                break
+    (S, minus), yword = raise_to_top(_upper_pair_op, range(m + 1, m + n), (b.S, b.bminus))
     if any(minus.base.mult):
         raise AssertionError("minus block did not raise to the highest element")
     return S, tuple(reversed(xword)), tuple(reversed(yword))
 
 
+def _upper_pair_op(j: int, dir: str, pair: tuple[OddSet, HWElt]):
+    return pair_op("upper", j, dir, pair[0], pair[1])
+
+
 def _rebuild_plus(word, shift: Weight, m: int):
     cur = HWElt(LusztigPlus.zero(m), shift)
     for i in word:
-        cur = hw_factor(cur, i).apply("f")
+        cur = hw_op(i, "f", cur)
         if cur is ZERO:
             return ZERO
     return cur
 
 
 def _replay_pair(word, S: OddSet, minus: HWElt):
+    pair = (S, minus)
     for j in word:
-        out = tensor_op("upper", j, "f", (oddset_factor(S, j), hw_factor(minus, j)))
-        if out is ZERO:
+        pair = _upper_pair_op(j, "f", pair)
+        if pair is ZERO:
             return ZERO
-        S, minus = out
-    return S, minus
+    return pair
 
 
 def _check_shifts(b: KacElt, lam: Weight) -> None:
@@ -311,18 +276,7 @@ def kappa_inv(b: BInfElt, lam: Weight):
     lamm = lam_minus(lam, m)
     if any(oddset_eps(j, b.S) > cartan(lamm, j, m) for j in range(m + 1, m + n)):
         return ZERO
-    yword: list[int] = []
-    cur = b.bminus
-    progress = True
-    while progress:
-        progress = False
-        for j in range(m + 1, m + n):
-            up = lusztig_op(j, "e", cur)
-            if up is not ZERO:
-                cur = up
-                yword.append(j)
-                progress = True
-                break
+    _, yword = raise_to_top(lusztig_op, range(m + 1, m + n), b.bminus)
     out = _replay_pair(
         tuple(reversed(yword)), b.S, HWElt(LusztigMinus.zero(m, n), lamm)
     )
@@ -341,7 +295,7 @@ def _hw_orbit(start: HWElt, indices) -> list[HWElt]:
         nxt = []
         for h in frontier:
             for i in indices:
-                moved = hw_factor(h, i).apply("f")
+                moved = hw_op(i, "f", h)
                 if moved is not ZERO and moved not in seen:
                     seen.add(moved)
                     nxt.append(moved)
@@ -376,15 +330,12 @@ def kac_elements(m: int, n: int, lam: Weight) -> list[KacElt]:
         raise ValueError("weight must be dominant")
     if kac_size(m, n, lam) > ENUMERATION_LIMIT:
         raise ValueError("Kac-module crystal exceeds the enumeration limit")
-    ell = m + n
-    pairs = [(a, b) for a in range(1, m + 1) for b in range(m + 1, ell + 1)]
     plus = _hw_orbit(HWElt(LusztigPlus.zero(m), lam_plus(lam, m)), range(1, m))
     minus = _hw_orbit(
-        HWElt(LusztigMinus.zero(m, n), lam_minus(lam, m)), range(m + 1, ell)
+        HWElt(LusztigMinus.zero(m, n), lam_minus(lam, m)), range(m + 1, m + n)
     )
     out = []
-    for mask in product((0, 1), repeat=len(pairs)):
-        S = OddSet(m, n, frozenset(p for p, on in zip(pairs, mask) if on))
+    for S in odd_subsets(m, n):
         for bp in plus:
             for bm in minus:
                 out.append(KacElt(S, bp, bm))
@@ -407,28 +358,37 @@ def _block_vectors(roots, cap: int) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_binf(m: int, n: int, cap: int) -> list[BInfElt]:
-    """Every triple of degree at most cap, in a fixed order."""
+def _count_upto(cap: int, heights, free: bool) -> int:
+    """How many multisets of the given root heights have degree at most cap,
+    each height used at most once, or any number of times when free."""
+    poly = [1] + [0] * cap
+    for h in heights:
+        for d in range(h, cap + 1) if free else range(cap, h - 1, -1):
+            poly[d] += poly[d - h]
+    return sum(poly)
+
+
+def _refuse_oversized(m: int, n: int, cap: int, minus_count: int) -> None:
+    """Refuse a degree ball before building it.
+
+    The candidates are the odd subsets and the plus vectors of degree at
+    most cap, counted by degree, times minus_count for the minus block.
+    """
     if cap < 0:
         raise ValueError("degree cap exceeded")
-    ell = m + n
-    pairs = [(a, b) for a in range(1, m + 1) for b in range(m + 1, ell + 1)]
-    oddsets = []
-    for mask in product((0, 1), repeat=len(pairs)):
-        bits = frozenset(p for p, on in zip(pairs, mask) if on)
-        d = sum(b - a for a, b in bits)
-        if d <= cap:
-            oddsets.append((d, OddSet(m, n, bits)))
-    plus = [
-        (LusztigPlus(m, t).degree(), LusztigPlus(m, t))
-        for t in _block_vectors(plus_roots(m), cap)
-    ]
-    minus = [
-        (LusztigMinus(m, n, t).degree(), LusztigMinus(m, n, t))
-        for t in _block_vectors(minus_roots(m, n), cap)
-    ]
-    if len(oddsets) * len(plus) * len(minus) > ENUMERATION_LIMIT:
+    odd_heights = [b - a for a in range(1, m + 1) for b in range(m + 1, m + n + 1)]
+    plus_heights = [b - a for a, b in plus_roots(m)]
+    count = _count_upto(cap, odd_heights, False) * _count_upto(cap, plus_heights, True)
+    if count * minus_count > ENUMERATION_LIMIT:
         raise ValueError("degree cap exceeded")
+
+
+def _degree_ball(m: int, n: int, cap: int, minus, make) -> list:
+    """Every make(S, plus, minus) of degree at most cap, unsorted; minus
+    holds the (degree, element) candidates of the minus block."""
+    oddsets = [(oddset_degree(S), S) for S in odd_subsets(m, n, cap)]
+    plus = [LusztigPlus(m, t) for t in _block_vectors(plus_roots(m), cap)]
+    plus = [(bp.degree(), bp) for bp in plus]
     out = []
     for ds, S in oddsets:
         for dp, bp in plus:
@@ -436,7 +396,16 @@ def enumerate_binf(m: int, n: int, cap: int) -> list[BInfElt]:
                 continue
             for dm, bm in minus:
                 if ds + dp + dm <= cap:
-                    out.append(BInfElt(S, bp, bm))
+                    out.append(make(S, bp, bm))
+    return out
+
+
+def enumerate_binf(m: int, n: int, cap: int) -> list[BInfElt]:
+    """Every triple of degree at most cap, in a fixed order."""
+    roots = minus_roots(m, n)
+    _refuse_oversized(m, n, cap, _count_upto(cap, [b - a for a, b in roots], True))
+    minus = [LusztigMinus(m, n, t) for t in _block_vectors(roots, cap)]
+    out = _degree_ball(m, n, cap, [(bm.degree(), bm) for bm in minus], BInfElt)
     out.sort(
         key=lambda b: (b.degree(), sorted(b.S.bits), b.bplus.mult, b.bminus.mult)
     )
@@ -447,37 +416,12 @@ def enumerate_x(m: int, n: int, lam: Weight, cap: int) -> list[XElt]:
     """Every parabolic element of degree at most cap, in a fixed order."""
     if not is_dominant(lam, m):
         raise ValueError("weight must be dominant")
-    if cap < 0:
-        raise ValueError("degree cap exceeded")
-    ell = m + n
-    pairs = [(a, b) for a in range(1, m + 1) for b in range(m + 1, ell + 1)]
-    oddsets = []
-    for mask in product((0, 1), repeat=len(pairs)):
-        bits = frozenset(p for p, on in zip(pairs, mask) if on)
-        d = sum(b - a for a, b in bits)
-        if d <= cap:
-            oddsets.append((d, OddSet(m, n, bits)))
-    plus = [
-        (LusztigPlus(m, t).degree(), LusztigPlus(m, t))
-        for t in _block_vectors(plus_roots(m), cap)
-    ]
-    minus = [
-        (h.base.degree(), h)
-        for h in _hw_orbit(
-            HWElt(LusztigMinus.zero(m, n), lam_minus(lam, m)), range(m + 1, ell)
-        )
-    ]
-    if len(oddsets) * len(plus) * len(minus) > ENUMERATION_LIMIT:
-        raise ValueError("degree cap exceeded")
+    # the minus truncation is a gl(n) crystal of its Weyl dimension
+    _refuse_oversized(m, n, cap, _weyl_dimension(lam.coords[m:]))
+    top = HWElt(LusztigMinus.zero(m, n), lam_minus(lam, m))
+    minus = [(h.base.degree(), h) for h in _hw_orbit(top, range(m + 1, m + n))]
     shift = lam_plus(lam, m)
-    out = []
-    for ds, S in oddsets:
-        for dp, bp in plus:
-            if ds + dp > cap:
-                continue
-            for dm, bm in minus:
-                if ds + dp + dm <= cap:
-                    out.append(XElt(S, bp, bm, shift))
+    out = _degree_ball(m, n, cap, minus, lambda S, bp, bm: XElt(S, bp, bm, shift))
     out.sort(
         key=lambda b: (b.degree(), sorted(b.S.bits), b.bplus.mult, b.bminus.base.mult)
     )
@@ -500,30 +444,12 @@ def split_op(i: int, dir: str, pair: tuple[OddSet, OddSet]):
     m = left.m
     if not 1 <= i <= m:
         raise ValueError(f"index {i} outside the split range")
-    if i == m:
-        moved = oddset_op(i, dir, left)
-        if moved is ZERO:
-            return ZERO
-        return moved, right
-    out = tensor_op("lower", i, dir, (oddset_factor(left, i), oddset_factor(right, i)))
-    if out is ZERO:
-        return ZERO
-    return out
+    return pair_op("lower", i, dir, left, right)
 
 
 def binf_source(b: BInfElt) -> BInfElt:
     """The raising-dead element of the component containing b."""
-    ell = b.S.m + b.S.n
-    progress = True
-    while progress:
-        progress = False
-        for i in range(1, ell):
-            up = binf_op(i, "e", b)
-            if up is not ZERO:
-                b = up
-                progress = True
-                break
-    return b
+    return raise_to_top(binf_op, range(1, b.S.m + b.S.n), b)[0]
 
 
 def component_label(b: BInfElt) -> OddSet:
@@ -531,20 +457,9 @@ def component_label(b: BInfElt) -> OddSet:
     m = b.S.m
     src = binf_source(b)
     xpart, ypart = split_map(src.S)
-    if xpart.bits:
+    if xpart.mask:
         raise AssertionError("a raising-dead element keeps no boundary-column entry")
-    word: list[int] = []
-    cur = src.bplus
-    progress = True
-    while progress:
-        progress = False
-        for i in range(1, m):
-            up = lusztig_star_op(i, "e", cur)
-            if up is not ZERO:
-                cur = up
-                word.append(i)
-                progress = True
-                break
+    _, word = raise_to_top(lusztig_star_op, range(1, m), src.bplus)
     label = ypart
     for i in reversed(word):
         label = oddset_op(i, "f", label)
@@ -558,20 +473,8 @@ def component_census(m: int, n: int) -> dict[OddSet, BInfElt]:
     ell = m + n
     ybits = [(a, b) for a in range(1, m + 1) for b in range(m + 2, ell + 1)]
     out: dict[OddSet, BInfElt] = {}
-    for mask in product((0, 1), repeat=len(ybits)):
-        c = OddSet(m, n, frozenset(p for p, on in zip(ybits, mask) if on))
-        word: list[int] = []
-        cur = c
-        progress = True
-        while progress:
-            progress = False
-            for i in range(1, m):
-                up = oddset_op(i, "e", cur)
-                if up is not ZERO:
-                    cur = up
-                    word.append(i)
-                    progress = True
-                    break
+    for c in odd_subsets(m, n, boxes=ybits):
+        cur, word = raise_to_top(oddset_op, range(1, m), c)
         plus = LusztigPlus.zero(m)
         for i in reversed(word):
             plus = lusztig_star_op(i, "f", plus)
@@ -616,14 +519,7 @@ def product_op(i: int, dir: str, b: ProductElt):
         if moved is ZERO:
             return ZERO
         return ProductElt(b.S1, b.bplus, moved)
-    if i == m:
-        moved = oddset_op(i, dir, b.S1)
-        if moved is ZERO:
-            return ZERO
-        return ProductElt(moved, b.bplus, b.bminus)
-    out = tensor_op(
-        "boson", i, dir, (oddset_factor(b.S1, i), lusztig_factor(b.bplus, i))
-    )
+    out = pair_op("lower", i, dir, b.S1, b.bplus)
     if out is ZERO:
         return ZERO
     return ProductElt(out[0], out[1], b.bminus)

@@ -168,6 +168,12 @@ def test_graph_kac_refuses_huge_weight(capsys):
     assert err.startswith("error: ")
 
 
+def test_graph_oddset_refusal_names_the_limit(capsys):
+    rc, out, err = run(capsys, ["graph", "--m", "4", "--n", "5", "--target", "oddset"])
+    assert rc == 2 and out == ""
+    assert err == "error: odd subsets exceed the enumeration limit\n"
+
+
 def test_python_dash_m_entry_point():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)

@@ -39,6 +39,7 @@ from supercrystal.combicrystal import (
     lusztig_phi,
     lusztig_star_op,
     minus_roots,
+    odd_subsets,
     oddset_eps,
     oddset_factor,
     oddset_op,
@@ -152,10 +153,108 @@ def test_oddset_basics():
     assert WS.matrix() == ((0, 0, 1, 0), (1, 1, 1, 0), (0, 1, 0, 1))
     with pytest.raises(ValueError):
         OddSet.of(2, 2, [(3, 4)])
+    # the raw constructor checks too: a mask would alias these onto real boxes
+    for entry in [(3, 4), (0, 3), (1, 2), (2, 5)]:
+        with pytest.raises(ValueError):
+            OddSet(2, 2, frozenset({entry}))
     with pytest.raises(ValueError):
         LusztigPlus.of(2, {(2, 3): 1})
     with pytest.raises(ValueError):
         LusztigMinus.of(2, 2, {(1, 2): 1})
+
+
+def ref_oddset_signature(m, n, bits, i):
+    """Surviving + and - moves of the signature rule, read off the entries."""
+    seq = []
+    if i < m:
+        for b in range(m + 1, m + n + 1):
+            if (i + 1, b) in bits:
+                seq.append(("+", ((i + 1, b), (i, b))))
+            if (i, b) in bits:
+                seq.append(("-", ((i, b), (i + 1, b))))
+    else:
+        for a in range(1, m + 1):
+            if (a, i) in bits:
+                seq.append(("+", ((a, i), (a, i + 1))))
+            if (a, i + 1) in bits:
+                seq.append(("-", ((a, i + 1), (a, i))))
+    plus, minus = [], []
+    for sign, move in seq:
+        if sign == "+":
+            plus.append(move)
+        elif plus:
+            plus.pop()
+        else:
+            minus.append(move)
+    return plus, minus
+
+
+def ref_oddset_op(m, n, bits, i, d):
+    """The operator on a frozenset of entries; None stands for ZERO."""
+    if i == m:
+        on = (m, m + 1) in bits
+        if on == (d == "f"):
+            return None
+        return bits ^ {(m, m + 1)}
+    plus, minus = ref_oddset_signature(m, n, bits, i)
+    moves = plus[:1] if d == "f" else minus[-1:]
+    if not moves:
+        return None
+    src, dst = moves[0]
+    return bits - {src} | {dst}
+
+
+def test_oddset_mask_matches_frozenset_reference():
+    rng = random.Random(20261018)
+    ranks = [(m, n) for m in range(1, 17) for n in range(1, 17) if m * n <= 16]
+    for m, n in ranks:
+        ell = m + n
+        boxes = [(a, b) for a in range(1, m + 1) for b in range(m + 1, ell + 1)]
+        samples = [frozenset(), frozenset(boxes)]
+        samples += [frozenset(p for p in boxes if rng.random() < 0.5) for _ in range(12)]
+        for bits in samples:
+            S = OddSet(m, n, set(bits))
+            assert S.bits == bits
+            coords = [0] * ell
+            for a, b in bits:
+                coords[a - 1] -= 1
+                coords[b - 1] += 1
+            assert S.weight() == Weight(tuple(coords))
+            assert S.matrix() == tuple(
+                tuple(int((a, b) in bits) for b in range(m + 1, ell + 1))
+                for a in range(1, m + 1)
+            )
+            for i in range(1, ell):
+                plus, minus = ref_oddset_signature(m, n, bits, i)
+                on = int((m, m + 1) in bits)
+                assert oddset_eps(i, S) == (on if i == m else len(minus))
+                assert oddset_phi(i, S) == (1 - on if i == m else len(plus))
+                for d in ("e", "f"):
+                    want = ref_oddset_op(m, n, bits, i, d)
+                    got = oddset_op(i, d, S)
+                    if want is None:
+                        assert got is ZERO, (m, n, sorted(bits), i, d)
+                        continue
+                    # the operator's result and the same set built from
+                    # entries are one value: equal, with equal hashes
+                    rebuilt = OddSet(m, n, want)
+                    assert got.bits == want and got == rebuilt
+                    assert hash(got) == hash(rebuilt)
+
+
+def test_odd_subsets_product_order():
+    for m, n in ((1, 1), (2, 2), (2, 3), (3, 2)):
+        full = all_oddsets(m, n)
+        assert odd_subsets(m, n) == full
+        for cap in range(6):
+            assert odd_subsets(m, n, cap) == [
+                S for S in full if sum(b - a for a, b in S.bits) <= cap
+            ]
+    boxes = [(1, 4), (2, 3), (1, 3)]
+    assert [S.bits for S in odd_subsets(2, 2, boxes=boxes)] == [
+        frozenset(p for p, on in zip(boxes, mask) if on)
+        for mask in product((0, 1), repeat=3)
+    ]
 
 
 def test_block_weights_and_degrees():

@@ -14,6 +14,7 @@ a small ball of triples through the triangular-basis residue map.
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -34,6 +35,7 @@ from supercrystal.combicrystal import (
     lam_plus,
     lusztig_op,
     minus_roots,
+    odd_subsets,
     oddset_eps,
     oddset_factor,
     oddset_op,
@@ -42,6 +44,8 @@ from supercrystal.combicrystal import (
 )
 from supercrystal.limitcrystal import (
     ENUMERATION_LIMIT,
+    _block_vectors,
+    _count_upto,
     BInfElt,
     XElt,
     ample_weight,
@@ -491,6 +495,34 @@ def test_components_report():
 
     with pytest.raises(ValueError):
         components(3, 4, 40)
+
+
+def test_degree_counts_match_enumeration():
+    for m in range(1, 4):
+        for n in range(1, 4):
+            odd = [b - a for a in range(1, m + 1) for b in range(m + 1, m + n + 1)]
+            for cap in range(9):
+                assert _count_upto(cap, odd, False) == len(odd_subsets(m, n, cap))
+                for roots in (plus_roots(m), minus_roots(m, n)):
+                    heights = [b - a for a, b in roots]
+                    assert _count_upto(cap, heights, True) == len(_block_vectors(roots, cap))
+
+
+def test_oversized_balls_refused_before_building():
+    lam = Weight((2, 1, 0, 3, 2, 1, 0))
+    requests = [
+        lambda: components(3, 4, 40),
+        lambda: enumerate_x(3, 4, lam, 40),
+        # 29 odd subsets, one plus vector and 21241 minus vectors: only the
+        # minus block carries this one over the limit
+        lambda: enumerate_binf(1, 5, 12),
+    ]
+    for request in requests:
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="^degree cap exceeded$"):
+            request()
+        # building the candidates first took seconds at this cap
+        assert time.monotonic() - start < 2.0
 
 
 def test_project_plus_compatibility():
