@@ -41,6 +41,7 @@ from .limitcrystal import (
     ENUMERATION_LIMIT,
     BInfElt,
     XElt,
+    _count_upto,
     binf_eps,
     binf_op,
     binf_phi,
@@ -190,7 +191,10 @@ def _kac_degree(k: KacElt) -> int:
 
 def _all_oddsets(m: int, n: int, cap: int | None = None) -> list[OddSet]:
     if 2 ** (m * n) > ENUMERATION_LIMIT:
-        raise ValueError("odd subsets exceed the enumeration limit")
+        # with a cap, count by degree; a cap past the top degree keeps them all
+        heights = [b - a for a in range(1, m + 1) for b in range(m + 1, m + n + 1)]
+        if cap is None or _count_upto(min(cap, sum(heights)), heights, False) > ENUMERATION_LIMIT:
+            raise ValueError("odd subsets exceed the enumeration limit")
     return odd_subsets(m, n, cap)
 
 

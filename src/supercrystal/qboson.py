@@ -16,7 +16,7 @@ weight ``0``, and divided powers multiply by balanced q-binomials.
 
 from __future__ import annotations
 
-from .qfield import QRat, min_degree, q_binom, q_int
+from .qfield import QRat, add_into, min_degree, q_binom, q_int, row_reduce
 
 _Q0 = QRat.zero()
 _Q1 = QRat.one()
@@ -76,11 +76,7 @@ class BosonTensorVec:
             raise ValueError("mixed cutoffs")
         out = dict(self.coeffs)
         for mono, c in other.coeffs.items():
-            v = out.get(mono, _Q0) + c
-            if v:
-                out[mono] = v
-            elif mono in out:
-                del out[mono]
+            add_into(out, mono, c)
         return BosonTensorVec(self.l, out)
 
     def __neg__(self) -> "BosonTensorVec":
@@ -141,13 +137,7 @@ def act_f_pow(s: int, v: BosonTensorVec) -> BosonTensorVec:
             # k^i scales f^(a) v1 by q^(i(l-2a)); divided powers combine
             # with the balanced binomials on both factors
             cc = c * _qp(i * (l - 2 * a) - i * (s - i)) * q_binom(na, a) * q_binom(nb, b)
-            if not cc:
-                continue
-            vv = out.get((na, nb), _Q0) + cc
-            if vv:
-                out[(na, nb)] = vv
-            elif (na, nb) in out:
-                del out[(na, nb)]
+            add_into(out, (na, nb), cc)
     return BosonTensorVec(l, out)
 
 
@@ -158,19 +148,9 @@ def act_eprime(v: BosonTensorVec) -> BosonTensorVec:
     bridge = _qp(-1) - _qp(1)
     for (a, b), c in v.coeffs.items():
         if a > 0:
-            cc = c * bridge * q_int(l - a + 1) * _qp(l - 2 * (a - 1))
-            vv = out.get((a - 1, b), _Q0) + cc
-            if vv:
-                out[(a - 1, b)] = vv
-            elif (a - 1, b) in out:
-                del out[(a - 1, b)]
+            add_into(out, (a - 1, b), c * bridge * q_int(l - a + 1) * _qp(l - 2 * (a - 1)))
         if b > 0:
-            cc = c * _qp(l - 2 * a + 1 - b)
-            vv = out.get((a, b - 1), _Q0) + cc
-            if vv:
-                out[(a, b - 1)] = vv
-            elif (a, b - 1) in out:
-                del out[(a, b - 1)]
+            add_into(out, (a, b - 1), c * _qp(l - 2 * a + 1 - b))
     return BosonTensorVec(l, out)
 
 
@@ -236,25 +216,6 @@ def congruence_grid(max_l: int, max_s: int) -> list[dict]:
 # -- exact linear algebra over the coefficient field -------------------
 
 
-def _eliminate(rows: list[list[QRat]]) -> int:
-    # in-place row reduction; returns the rank
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _decompose(v: BosonTensorVec, family: list[BosonTensorVec], monos: list[tuple[int, int]]) -> list[QRat]:
     # solve sum_t c_t family[t] = v in the monomial coordinates
     if any(m not in monos for m in v.coeffs):
@@ -263,13 +224,13 @@ def _decompose(v: BosonTensorVec, family: list[BosonTensorVec], monos: list[tupl
         [member.coeffs.get(m, _Q0) for member in family] + [v.coeffs.get(m, _Q0)]
         for m in monos
     ]
-    rank = _eliminate(rows)
-    assert rank == len(family), "kernel family is not a basis"
-    sol = [_Q0] * len(family)
-    for row in rows[:rank]:
-        lead = next(c for c, x in enumerate(row[:-1]) if x)
-        sol[lead] = row[-1]
-    return sol
+    # a unique solution needs a pivot in every family column and none in v's;
+    # reduced row k is then e_k next to the k-th coefficient
+    rank = row_reduce(rows)
+    assert rank == len(family) and all(rows[k][k] for k in range(rank)), (
+        "kernel family is not a basis"
+    )
+    return [row[-1] for row in rows[:rank]]
 
 
 def _combine(l: int, coeffs: list[QRat], family: list[BosonTensorVec]) -> BosonTensorVec:
@@ -308,7 +269,7 @@ def boson_crystal_check(l: int, depth: int) -> dict:
         below = [(i, d - 1 - i) for i in range(min(l, d - 1) + 1)] if d else []
         images = [act_eprime(BosonTensorVec.monomial(l, i, j)) for i, j in monos]
         rows = [[img.coeffs.get(m, _Q0) for m in below] for img in images]
-        kernel = len(monos) - (_eliminate(rows) if below else 0)
+        kernel = len(monos) - (row_reduce(rows) if below else 0)
         assert kernel == (1 if d <= l else 0), (l, d, kernel)
         if d <= l:
             assert act_eprime(E_t(l, d)).is_zero()

@@ -3,8 +3,9 @@
 Every coefficient in this package lives in Q(q) and is stored exactly: a
 value is a reduced fraction of integer-coefficient polynomials in q.  This
 module provides the fraction type plus the balanced q-integers, factorials,
-binomials, the bar substitution q -> 1/q, and the order-of-vanishing tests
-at q = 0 and q = infinity that the lattice computations depend on.
+binomials, the bar substitution q -> 1/q, the order-of-vanishing tests
+at q = 0 and q = infinity that the lattice computations depend on, and the
+one sparse accumulator and one exact row reduction the other modules share.
 
 No floating point is used anywhere.
 """
@@ -458,6 +459,42 @@ _Q0 = QRat.zero()
 _Q1 = QRat.one()
 
 
+# -- sparse accumulation and exact row reduction ---------------------------
+
+
+def add_into(out: dict, key, c) -> None:
+    """out[key] += c, dropping the key when the sum is zero."""
+    v = out[key] + c if key in out else c
+    if v:
+        out[key] = v
+    elif key in out:
+        del out[key]
+
+
+def row_reduce(rows: list[list[QRat]]) -> int:
+    """Gauss-Jordan elimination in place; returns the rank.
+
+    Each pivot is the first nonzero entry at or below the current row,
+    scaled to one and cleared from every other row, so the nonzero rows
+    end in reduced row echelon form.
+    """
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 # -- q-combinatorics -----------------------------------------------------
 
 
@@ -493,52 +530,26 @@ def q_binom(c: int, d: int) -> QRat:
     return out
 
 
-def _as_laurent(r: QRat) -> dict[int, int]:
-    # the balanced binomials all have a plain power of q underneath
-    if not _is_monomial(r.den) or r.den[-1] != 1:
-        raise ValueError("not a Laurent polynomial")
-    shift = len(r.den) - 1
-    return {e - shift: c for e, c in enumerate(r.num) if c}
-
-
-def _laurent_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            v = out.get(e, 0) + c1 * c2
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
-
-
 def akito_sum(a: int, b: int) -> QRat:
     """Telescoping q-binomial sum; collapses to the single power q^(2ab).
 
     Computed literally as the sum, so the caller can compare against the
-    closed form.  Internally uses sparse Laurent arithmetic to keep the
-    grid checks fast.
+    closed form.  Every term is a Laurent polynomial, so the terms are
+    added as dense integer polynomials over one common power of q.
     """
     if a < 0 or b < 0:
         raise ValueError("akito_sum needs a, b >= 0")
-    lower = max(0, b - a)
-    # c_factors[i] is the product of (q^{2k} - 1) for i < k <= b
-    c_factors: dict[int, dict[int, int]] = {b: {0: 1}}
-    for i in range(b - 1, lower - 1, -1):
-        c_factors[i] = _laurent_mul(c_factors[i + 1], {2 * (i + 1): 1, 0: -1})
-    total: dict[int, int] = {}
-    for i in range(lower, b + 1):
-        term = _laurent_mul(c_factors[i], _as_laurent(q_binom(a, b - i)))
-        shift = (a - 1) * (b - i)
-        for e, c in term.items():
-            v = total.get(e + shift, 0) + c
-            if v:
-                total[e + shift] = v
-            elif e + shift in total:
-                del total[e + shift]
-    return QRat.from_laurent(total)
+    terms: list[tuple[Poly, int]] = []  # (polynomial, power of q it is shifted by)
+    factor = _PONE  # the product of (q^{2k} - 1) for i < k <= b
+    for i in range(b, max(0, b - a) - 1, -1):
+        binom = q_binom(a, b - i)  # num / q^e, the balanced binomials' shape
+        terms.append((_pmul(factor, binom.num), (a - 1) * (b - i) - (len(binom.den) - 1)))
+        factor = _pmul(factor, _padd(_pshift(_PONE, 2 * i), (-1,)))
+    lo = min(shift for _, shift in terms)
+    total = _PZERO
+    for poly, shift in terms:
+        total = _padd(total, _pshift(poly, shift - lo))
+    return QRat.from_laurent({lo + e: c for e, c in enumerate(total)})
 
 
 # -- functional wrappers over the QRat methods ----------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qfield import QRat, q_factorial
+from .qfield import QRat, add_into, q_factorial, row_reduce
 
 _Q0 = QRat.zero()
 _Q1 = QRat.one()
@@ -224,12 +224,7 @@ class RootData:
                 continue
             p = self._find_inversion(w, strategy)
             if p is None:
-                mono = self.word_monomial(w)
-                v = out.get(mono, _Q0) + c
-                if v:
-                    out[mono] = v
-                elif mono in out:
-                    del out[mono]
+                add_into(out, self.word_monomial(w), c)
                 continue
             a, b = w[p], w[p + 1]
             if a == b:
@@ -276,12 +271,8 @@ class RootData:
             degw = Weight.zero(self.ell)
             for j in w:
                 degw = degw + self.alpha(j)
-            for nw, nc in (((k,) + w, c), (w + (k,), -c * self.qform(ak, degw).inverse())):
-                v = out.get(nw, _Q0) + nc
-                if v:
-                    out[nw] = v
-                elif nw in out:
-                    del out[nw]
+            add_into(out, (k,) + w, c)
+            add_into(out, w + (k,), -c * self.qform(ak, degw).inverse())
         return out
 
     def free_root_vector(self, idx: int) -> dict[tuple[int, ...], QRat]:
@@ -316,12 +307,7 @@ class RootData:
                 nxt: dict[tuple[int, ...], QRat] = {}
                 for w1, c1 in terms.items():
                     for w2, c2 in factor.items():
-                        w = w1 + w2
-                        v = nxt.get(w, _Q0) + c1 * c2
-                        if v:
-                            nxt[w] = v
-                        elif w in nxt:
-                            del nxt[w]
+                        add_into(nxt, w1 + w2, c1 * c2)
                 terms = nxt
         self._free_mono[mono] = terms
         return terms
@@ -385,11 +371,7 @@ class PBWVector:
     def __add__(self, other: "PBWVector") -> "PBWVector":
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            v = out.get(mono, _Q0) + c
-            if v:
-                out[mono] = v
-            elif mono in out:
-                del out[mono]
+            add_into(out, mono, c)
         return PBWVector(self.rd, out)
 
     def __neg__(self) -> "PBWVector":
@@ -424,11 +406,7 @@ class PBWVector:
                 else:
                     reduced = {rd.word_monomial(w1 + w2): c}
                 for mono, cc in reduced.items():
-                    v = out.get(mono, _Q0) + cc
-                    if v:
-                        out[mono] = v
-                    elif mono in out:
-                        del out[mono]
+                    add_into(out, mono, cc)
         return PBWVector(rd, out)
 
     def __rmul__(self, other):
@@ -501,22 +479,13 @@ def normal_form(
     return PBWVector(rd, rd.reduce_root_word(letters, coefficient, strategy))
 
 
-def _free_derivation(rd: RootData, i: int, fw: dict, positive_twist: bool) -> dict:
-    ai = rd.alpha(i)
-    out: dict[tuple[int, ...], QRat] = {}
-    for w, c in fw.items():
-        twist = _Q1
-        for p, j in enumerate(w):
-            if j == i:
-                nw = w[:p] + w[p + 1 :]
-                v = out.get(nw, _Q0) + c * twist
-                if v:
-                    out[nw] = v
-                elif nw in out:
-                    del out[nw]
-            step = rd.qform(ai, rd.alpha(j))
-            twist = twist * (step if positive_twist else step.inverse())
-    return out
+def _to_free(rd: RootData, u: PBWVector) -> dict:
+    """u expanded as a combination of free words in the generators."""
+    fw: dict[tuple[int, ...], QRat] = {}
+    for mono, c in u.terms.items():
+        for w, cw in rd.free_monomial(mono).items():
+            add_into(fw, w, c * cw)
+    return fw
 
 
 def _from_free(rd: RootData, fw: dict) -> PBWVector:
@@ -524,38 +493,32 @@ def _from_free(rd: RootData, fw: dict) -> PBWVector:
     for w, c in fw.items():
         letters = tuple(rd.simple_index(i) for i in w)
         for mono, cc in rd.reduce_root_word(letters, c).items():
-            v = out.get(mono, _Q0) + cc
-            if v:
-                out[mono] = v
-            elif mono in out:
-                del out[mono]
+            add_into(out, mono, cc)
     return PBWVector(rd, out)
+
+
+def _derivation(rd: RootData, i: int, u: PBWVector, positive_twist: bool) -> PBWVector:
+    # delete each letter f_i of each free word, twisted by the letters before it
+    ai = rd.alpha(i)
+    out: dict[tuple[int, ...], QRat] = {}
+    for w, c in _to_free(rd, u).items():
+        twist = _Q1
+        for p, j in enumerate(w):
+            if j == i:
+                add_into(out, w[:p] + w[p + 1 :], c * twist)
+            step = rd.qform(ai, rd.alpha(j))
+            twist = twist * (step if positive_twist else step.inverse())
+    return _from_free(rd, out)
 
 
 def eprime(rd: RootData, i: int, u: PBWVector) -> PBWVector:
     """The left twisted derivation dual to multiplication by f_i."""
-    fw: dict[tuple[int, ...], QRat] = {}
-    for mono, c in u.terms.items():
-        for w, cw in rd.free_monomial(mono).items():
-            v = fw.get(w, _Q0) + c * cw
-            if v:
-                fw[w] = v
-            elif w in fw:
-                del fw[w]
-    return _from_free(rd, _free_derivation(rd, i, fw, positive_twist=False))
+    return _derivation(rd, i, u, positive_twist=False)
 
 
 def edoubleprime(rd: RootData, i: int, u: PBWVector) -> PBWVector:
     """The companion derivation with inverted twist."""
-    fw: dict[tuple[int, ...], QRat] = {}
-    for mono, c in u.terms.items():
-        for w, cw in rd.free_monomial(mono).items():
-            v = fw.get(w, _Q0) + c * cw
-            if v:
-                fw[w] = v
-            elif w in fw:
-                del fw[w]
-    return _from_free(rd, _free_derivation(rd, i, fw, positive_twist=True))
+    return _derivation(rd, i, u, positive_twist=True)
 
 
 def sigma_0n(rd: RootData, u: PBWVector) -> PBWVector:
@@ -566,32 +529,24 @@ def sigma_0n(rd: RootData, u: PBWVector) -> PBWVector:
     degrees of the two factors.  Only defined on the subalgebra spanned by
     0|n-block roots.
     """
-    m = rd.m
     lo = rd.odd_count + rd.plus_count
     for mono in u.terms:
         if any(e and idx < lo for idx, e in enumerate(mono)):
             raise ValueError("sigma_0n needs a vector in the 0|n subalgebra")
+    # bar is additive, so it applies after the free words are summed
     fw: dict[tuple[int, ...], QRat] = {}
-    for mono, c in u.terms.items():
-        for w, cw in rd.free_monomial(mono).items():
-            # gl_n pairing between every earlier and later letter
-            e = 0
-            for p in range(len(w)):
-                for r in range(p + 1, len(w)):
-                    x, y = w[p], w[r]
-                    if x == y:
-                        e += 2
-                    elif abs(x - y) == 1:
-                        e -= 1
-            coeff = (c * cw).bar() * QRat.q_power(-e)
-            if e % 2:
-                coeff = -coeff
-            nw = tuple(reversed(w))
-            v = fw.get(nw, _Q0) + coeff
-            if v:
-                fw[nw] = v
-            elif nw in fw:
-                del fw[nw]
+    for w, c in _to_free(rd, u).items():
+        # gl_n pairing between every earlier and later letter
+        e = 0
+        for p in range(len(w)):
+            for r in range(p + 1, len(w)):
+                x, y = w[p], w[r]
+                if x == y:
+                    e += 2
+                elif abs(x - y) == 1:
+                    e -= 1
+        coeff = c.bar() * QRat.q_power(-e)
+        fw[tuple(reversed(w))] = -coeff if e % 2 else coeff
     return _from_free(rd, fw)
 
 
@@ -655,36 +610,32 @@ def _split_prefix(rd: RootData, mono: tuple[int, ...]):
     return prefix, suffix
 
 
-def _crystal_0n(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
-    """Raising/lowering on a vector inside the 0|n subalgebra (i > m)."""
+def _string_step(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
+    """Move every string component of u one step along f_i (i != m).
+
+    Left strings (i < m) carry f_i^(k) on the left; right strings (i > m),
+    inside the 0|n subalgebra, carry it on the right with a q-power twist.
+    """
+    side = "left" if i < rd.m else "right"
     out = PBWVector.zero(rd)
-    for wt, part in u.homogeneous_parts().items():
-        comps = string_decompose(rd, i, "right", part)
-        ai = rd.alpha(i)
-        for k, uk in enumerate(comps):
-            if uk.is_zero():
+    for part in u.homogeneous_parts().values():
+        for k, uk in enumerate(string_decompose(rd, i, side, part)):
+            if uk.is_zero() or (k == 0 and not lower):
                 continue
-            lk = -rd.form(uk.weight() or Weight.zero(rd.ell), ai)
-            if lower:
-                out = out + (uk * f_divided(rd, i, k + 1)).scale(QRat.q_power(lk - 2 * k))
-            elif k >= 1:
-                out = out + (uk * f_divided(rd, i, k - 1)).scale(
-                    QRat.q_power(-lk + 2 * k - 2)
-                )
+            fk = f_divided(rd, i, k + 1 if lower else k - 1)
+            if side == "left":
+                out = out + fk * uk
+            else:
+                e = -rd.form(uk.weight(), rd.alpha(i)) - 2 * k
+                out = out + (uk * fk).scale(QRat.q_power(e if lower else -e - 2))
     return out
 
 
-def crystal_f(rd: RootData, i: int, u: PBWVector) -> PBWVector:
-    """Kashiwara-style lowering operator on the negative half."""
+def _crystal(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
     if i == rd.m:
-        return PBWVector.generator(rd, i) * u
+        return PBWVector.generator(rd, i) * u if lower else eprime(rd, i, u)
     if i < rd.m:
-        out = PBWVector.zero(rd)
-        for part in u.homogeneous_parts().values():
-            for k, uk in enumerate(string_decompose(rd, i, "left", part)):
-                if uk:
-                    out = out + f_divided(rd, i, k + 1) * uk
-        return out
+        return _string_step(rd, i, u, lower)
     # i > m: act on the 0|n factor of each prefix group
     groups: dict[tuple[int, ...], dict] = {}
     for mono, c in u.terms.items():
@@ -692,47 +643,32 @@ def crystal_f(rd: RootData, i: int, u: PBWVector) -> PBWVector:
         groups.setdefault(prefix, {})[suffix] = c
     out: dict[tuple[int, ...], QRat] = {}
     for prefix, sufterms in groups.items():
-        moved = _crystal_0n(rd, i, PBWVector(rd, sufterms), lower=True)
+        moved = _string_step(rd, i, PBWVector(rd, sufterms), lower)
         for suffix, c in moved.terms.items():
-            mono = tuple(p + s for p, s in zip(prefix, suffix))
-            v = out.get(mono, _Q0) + c
-            if v:
-                out[mono] = v
-            elif mono in out:
-                del out[mono]
+            add_into(out, tuple(p + s for p, s in zip(prefix, suffix)), c)
     return PBWVector(rd, out)
+
+
+def crystal_f(rd: RootData, i: int, u: PBWVector) -> PBWVector:
+    """Kashiwara-style lowering operator on the negative half."""
+    return _crystal(rd, i, u, lower=True)
 
 
 def crystal_e(rd: RootData, i: int, u: PBWVector) -> PBWVector:
     """Kashiwara-style raising operator on the negative half."""
-    if i == rd.m:
-        return eprime(rd, i, u)
-    if i < rd.m:
-        out = PBWVector.zero(rd)
-        for part in u.homogeneous_parts().values():
-            comps = string_decompose(rd, i, "left", part)
-            for k, uk in enumerate(comps):
-                if k >= 1 and uk:
-                    out = out + f_divided(rd, i, k - 1) * uk
-        return out
-    groups: dict[tuple[int, ...], dict] = {}
-    for mono, c in u.terms.items():
-        prefix, suffix = _split_prefix(rd, mono)
-        groups.setdefault(prefix, {})[suffix] = c
-    out: dict[tuple[int, ...], QRat] = {}
-    for prefix, sufterms in groups.items():
-        moved = _crystal_0n(rd, i, PBWVector(rd, sufterms), lower=False)
-        for suffix, c in moved.terms.items():
-            mono = tuple(p + s for p, s in zip(prefix, suffix))
-            v = out.get(mono, _Q0) + c
-            if v:
-                out[mono] = v
-            elif mono in out:
-                del out[mono]
-    return PBWVector(rd, out)
+    return _crystal(rd, i, u, lower=False)
 
 
 # -- lattice ---------------------------------------------------------------
+
+
+def _divided_scale(mono: tuple[int, ...]) -> QRat:
+    """The product of 1/[e]! over the exponents e of mono."""
+    scale = _Q1
+    for e in mono:
+        if e > 1:
+            scale = scale * q_factorial(e).inverse()
+    return scale
 
 
 def lattice_vector(rd: RootData, label: tuple[int, ...]) -> PBWVector:
@@ -744,17 +680,9 @@ def lattice_vector(rd: RootData, label: tuple[int, ...]) -> PBWVector:
     cached = rd._lattice_vec.get(label)
     if cached is not None:
         return cached
-    lo = rd.odd_count + rd.plus_count
-    prefix = label[:lo] + (0,) * (rd.nroots - lo)
-    scale = _Q1
-    for idx in range(rd.odd_count, lo):
-        scale = scale * q_factorial(label[idx]).inverse()
-    head = PBWVector(rd, {prefix: scale})
-    minus = (0,) * lo + label[lo:]
-    mscale = _Q1
-    for idx in range(lo, rd.nroots):
-        mscale = mscale * q_factorial(label[idx]).inverse()
-    tail = sigma_0n(rd, PBWVector(rd, {minus: mscale}))
+    prefix, minus = _split_prefix(rd, label)
+    head = PBWVector(rd, {prefix: _divided_scale(prefix)})
+    tail = sigma_0n(rd, PBWVector(rd, {minus: _divided_scale(minus)}))
     vec = head * tail
     rd._lattice_vec[label] = vec
     return vec
@@ -810,24 +738,19 @@ def _solve_weight_space(rd: RootData, wt: Weight):
     nsize = len(labels)
     if len(monos) != nsize:
         raise AssertionError("lattice basis size mismatch")
-    # invert the matrix with columns = lattice vectors in the PBW basis
-    mat = [[_Q0] * nsize for _ in range(nsize)]
+    # invert the matrix with columns = lattice vectors in the PBW basis by
+    # reducing [M | I] to [I | M^-1]
+    rows = [
+        [_Q0] * nsize + [_Q1 if c == r else _Q0 for c in range(nsize)] for r in range(nsize)
+    ]
     for col, v in enumerate(vecs):
         for mono, c in v.terms.items():
-            mat[idx[mono]][col] = c
-    inv = [[_Q1 if r == c else _Q0 for c in range(nsize)] for r in range(nsize)]
-    for col in range(nsize):
-        piv = next(r for r in range(col, nsize) if mat[r][col])
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = mat[col][col].inverse()
-        mat[col] = [x * d for x in mat[col]]
-        inv[col] = [x * d for x in inv[col]]
-        for r in range(nsize):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+            rows[idx[mono]][col] = c
+    row_reduce(rows)
+    # [I | M^-1] needs a pivot in every column of M; I alone has full rank
+    if not all(rows[k][k] for k in range(nsize)):
+        raise AssertionError("lattice vectors are linearly dependent")
+    inv = [row[nsize:] for row in rows]
     solver = (labels, idx, inv)
     rd._weight_solver[wt] = solver
     return solver
@@ -838,16 +761,10 @@ def lattice_coefficients(rd: RootData, u: PBWVector) -> dict[tuple[int, ...], QR
     out: dict[tuple[int, ...], QRat] = {}
     for wt, part in u.homogeneous_parts().items():
         labels, idx, inv = _solve_weight_space(rd, wt)
-        rhs = [_Q0] * len(labels)
         for mono, c in part.terms.items():
-            rhs[idx[mono]] = c
-        for row, lab in enumerate(labels):
-            acc = _Q0
-            for col in range(len(labels)):
-                if rhs[col]:
-                    acc = acc + inv[row][col] * rhs[col]
-            if acc:
-                out[lab] = acc
+            col = idx[mono]
+            for row, lab in enumerate(labels):
+                add_into(out, lab, inv[row][col] * c)
     return out
 
 
@@ -893,9 +810,18 @@ def from_json(rd: RootData, data: list[dict]) -> PBWVector:
     terms: dict[tuple[int, ...], QRat] = {}
     for item in data:
         mono = [0] * rd.nroots
+        seen = set()
         for idx, e in item["exponents"]:
+            idx, e = int(idx), int(e)
+            if not 0 <= idx < rd.nroots:
+                raise ValueError(f"root index {idx} outside 0..{rd.nroots - 1}")
+            if idx in seen:
+                raise ValueError(f"root index {idx} repeated in one monomial")
+            if e < 0:
+                raise ValueError("negative exponent")
             if rd.is_odd_index(idx) and e > 1:
                 raise ValueError("odd exponent above 1")
-            mono[int(idx)] = int(e)
-        terms[tuple(mono)] = QRat.parse(item["coeff"])
+            seen.add(idx)
+            mono[idx] = e
+        add_into(terms, tuple(mono), QRat.parse(item["coeff"]))
     return PBWVector(rd, terms)

@@ -168,6 +168,15 @@ def test_graph_kac_refuses_huge_weight(capsys):
     assert err.startswith("error: ")
 
 
+def test_graph_oddset_cap_counts_by_degree(capsys):
+    # 2^20 subsets at rank (4,5), but only four of degree at most 2
+    rc, out, err = run(
+        capsys, ["graph", "--m", "4", "--n", "5", "--target", "oddset", "--cap", "2"]
+    )
+    assert rc == 0 and err == ""
+    assert json.loads(out)["count"] == 4
+
+
 def test_graph_oddset_refusal_names_the_limit(capsys):
     rc, out, err = run(capsys, ["graph", "--m", "4", "--n", "5", "--target", "oddset"])
     assert rc == 2 and out == ""

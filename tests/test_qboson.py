@@ -20,6 +20,7 @@ from supercrystal.qboson import (
     BosonTensorVec,
     C_sk,
     E_t,
+    _decompose,
     act_eprime,
     act_f_pow,
     boson_crystal_check,
@@ -187,6 +188,15 @@ def test_c_sk_recursion():
         C_sk(2, 1, 3, 5)
     with pytest.raises(ValueError):
         C_sk(2, 3, 1, 0)
+
+
+def test_decompose_refuses_a_dependent_family():
+    # E_1 twice spans a line; neither a vector on it nor one off it has
+    # unique coefficients
+    e, monos = E_t(2, 1), [(0, 1), (1, 0)]
+    for v in (e, BosonTensorVec.monomial(2, 0, 1)):
+        with pytest.raises(AssertionError, match="not a basis"):
+            _decompose(v, [e, e], monos)
 
 
 def test_boson_crystal_check_reports():

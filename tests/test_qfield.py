@@ -20,6 +20,7 @@ from supercrystal.qfield import (
     q_binom,
     q_factorial,
     q_int,
+    row_reduce,
 )
 
 
@@ -328,3 +329,80 @@ def test_adding_zero_returns_the_operand():
             for z in (x + zero, zero + x, x + 0, 0 + x, x - zero):
                 assert z == x and hash(z) == hash(x)
                 assert (z.num, z.den) == (x.num, x.den)
+
+
+# -- exact row reduction ------------------------------------------------------
+
+
+def _small_entry(rng: random.Random) -> QRat:
+    # Laurent and general values, small enough to keep elimination quick
+    shape = rng.randrange(4)
+    if shape == 0:
+        return QRat.from_int(rng.randint(-3, 3))
+    if shape == 1:
+        return rng.choice((1, -1)) * qp(rng.randint(-2, 2))
+    if shape == 2:
+        return qp(rng.randint(-2, 2)) + rng.randint(-2, 2)
+    return QRat((rng.randint(-2, 2), 1), (1, rng.choice((1, 2))))
+
+
+def _matmul(a: list[list[QRat]], b: list[list[QRat]]) -> list[list[QRat]]:
+    out = []
+    for row in a:
+        out.append([])
+        for col in zip(*b):
+            acc = QRat.zero()
+            for x, y in zip(row, col):
+                acc = acc + x * y
+            out[-1].append(acc)
+    return out
+
+
+def _unit_triangular(rng: random.Random, size: int, upper: bool) -> list[list[QRat]]:
+    # ones on the diagonal, random entries above it (or below it), zeros elsewhere
+    mat = [[QRat.one() if r == c else QRat.zero() for c in range(size)] for r in range(size)]
+    for r in range(size):
+        for c in range(size):
+            if (c > r) if upper else (c < r):
+                mat[r][c] = _small_entry(rng)
+    return mat
+
+
+def _known_rank_matrix(rng: random.Random, nrows: int, ncols: int, rank: int):
+    # L * D * U with unit-triangular L, U and exactly `rank` nonzero pivots in D
+    lower = _unit_triangular(rng, nrows, upper=False)
+    upper = _unit_triangular(rng, ncols, upper=True)
+    pivots = set(rng.sample(range(min(nrows, ncols)), rank))
+    diag = [[QRat.zero()] * ncols for _ in range(nrows)]
+    for k in pivots:
+        while not diag[k][k]:
+            diag[k][k] = _small_entry(rng)
+    return _matmul(_matmul(lower, diag), upper)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (3, 3), (4, 4), (5, 5), (2, 5), (5, 2), (3, 4), (4, 3)]
+)
+def test_row_reduce_rank(shape):
+    nrows, ncols = shape
+    rng = random.Random(10 * nrows + ncols)
+    for rank in range(min(shape) + 1):
+        for _ in range(3):
+            mat = _known_rank_matrix(rng, nrows, ncols, rank)
+            assert row_reduce([row[:] for row in mat]) == rank, (shape, rank, mat)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 5), (5, 3)])
+def test_row_reduce_solves_full_rank_systems(shape):
+    # b = M x0 lies in the column space, so [M | b] reduces to [I | x] over 0
+    nrows, ncols = shape
+    rng = random.Random(100 + 10 * nrows + ncols)
+    for _ in range(4):
+        mat = _known_rank_matrix(rng, nrows, ncols, ncols)
+        x0 = [[_small_entry(rng)] for _ in range(ncols)]
+        b = [row[0] for row in _matmul(mat, x0)]
+        rows = [row + [bi] for row, bi in zip(mat, b)]
+        assert row_reduce(rows) == ncols
+        x = [[row[-1]] for row in rows[:ncols]]
+        assert not any(v for row in rows[ncols:] for v in row)
+        assert [row[0] for row in _matmul(mat, x)] == b

@@ -15,6 +15,7 @@ from free_oracle import (
     gram_rank,
     words_of_weight,
 )
+from supercrystal import superpbw
 from supercrystal.qfield import QRat
 from supercrystal.superpbw import (
     PBWVector,
@@ -201,6 +202,21 @@ def test_edoubleprime_kills_odd_root_vectors():
         assert edoubleprime(rd, 1, PBWVector.root_monomial(rd, idx)).is_zero()
 
 
+@pytest.mark.parametrize("mn", [(2, 2), (2, 3), (1, 3), (3, 1)])
+def test_twisted_leibniz_rules(mn):
+    # e'_i(uv) = e'_i(u) v + q(a_i, |u|) u e'_i(v), and e''_i with the inverse
+    # twist, on every product of two root vectors
+    rd = RDS.get(mn) or RootData(*mn)
+    roots = [PBWVector.root_monomial(rd, idx) for idx in range(rd.nroots)]
+    for u, v in product(roots, repeat=2):
+        uv = u * v
+        for i in rd.index_set:
+            twist = rd.qform(rd.alpha(i), u.weight())
+            for op, tw in ((eprime, twist), (edoubleprime, twist.inverse())):
+                want = op(rd, i, u) * v + (u * op(rd, i, v)).scale(tw)
+                assert op(rd, i, uv) == want, (mn, u, v, i, op.__name__)
+
+
 def test_eprime_divided_powers():
     rd = RDS[(2, 2)]
     for k in range(1, 5):
@@ -351,6 +367,15 @@ def test_lattice_residue_examples():
     assert not in_lattice(rd, PBWVector.generator(rd, 1).scale(qp(-1)))
 
 
+def test_weight_space_solver_refuses_dependent_vectors(monkeypatch):
+    rd = RootData(2, 1)  # fresh, since each RootData caches its solvers
+    both = rvec(rd, 1, 3) + rvec(rd, 2, 3) * PBWVector.generator(rd, 1)
+    assert len(both.terms) == len(labels_of_weight(rd, both.weight())) == 2
+    monkeypatch.setattr(superpbw, "lattice_vector", lambda rd, label: both)
+    with pytest.raises(AssertionError, match="linearly dependent"):
+        lattice_residue(rd, both)
+
+
 def test_lattice_basis_residues():
     rd = RDS[(2, 2)]
     for lab in labels_up_to(rd, 3):
@@ -416,5 +441,22 @@ def test_json_round_trip():
             terms[lab] = qp(rng.randint(-3, 3)) * QRat.from_int(rng.randint(1, 5))
         u = PBWVector(rd, terms)
         assert from_json(rd, to_json(u)) == u
+    # a monomial repeated across items adds up, and may cancel
+    item = {"exponents": [[4, 1]], "coeff": "q"}
+    assert from_json(rd, [item, item]) == rvec(rd, 1, 2).scale(2 * qp(1))
+    assert from_json(rd, [item, {"exponents": [[4, 1]], "coeff": "-q"}]).is_zero()
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [
+        [[0, 2]],  # odd exponent above 1
+        [[-1, 2]],  # negative root index
+        [[9, 1]],  # root index past the last root
+        [[4, -1]],  # negative exponent
+        [[4, 1], [4, 2]],  # root index repeated in one monomial
+    ],
+)
+def test_from_json_rejects_bad_monomials(exponents):
     with pytest.raises(ValueError):
-        from_json(rd, [{"exponents": [[0, 2]], "coeff": "1"}])
+        from_json(RDS[(2, 2)], [{"exponents": exponents, "coeff": "1"}])
