@@ -172,15 +172,11 @@ def _mult_label(roots, mult) -> str:
 def _short(elt) -> str:
     if isinstance(elt, OddSet):
         return "{" + ",".join(f"{a}.{b}" for a, b in sorted(elt.bits)) + "}"
-    if isinstance(elt, LusztigPlus):
-        return _mult_label(elt.roots(), elt.mult)
-    if isinstance(elt, LusztigMinus):
+    if isinstance(elt, (LusztigPlus, LusztigMinus)):
         return _mult_label(elt.roots(), elt.mult)
     if isinstance(elt, HWElt):
         return _short(elt.base)
-    if isinstance(elt, KacElt):
-        return f"S={_short(elt.S)} p={_short(elt.bplus)} m={_short(elt.bminus)}"
-    if isinstance(elt, (BInfElt, XElt)):
+    if isinstance(elt, (KacElt, BInfElt, XElt)):
         return f"S={_short(elt.S)} p={_short(elt.bplus)} m={_short(elt.bminus)}"
     raise ValueError(f"no label for {type(elt).__name__}")
 
@@ -191,9 +187,9 @@ def _kac_degree(k: KacElt) -> int:
 
 def _all_oddsets(m: int, n: int, cap: int | None = None) -> list[OddSet]:
     if 2 ** (m * n) > ENUMERATION_LIMIT:
-        # with a cap, count by degree; a cap past the top degree keeps them all
+        # with a cap, count by degree
         heights = [b - a for a in range(1, m + 1) for b in range(m + 1, m + n + 1)]
-        if cap is None or _count_upto(min(cap, sum(heights)), heights, False) > ENUMERATION_LIMIT:
+        if cap is None or _count_upto(cap, heights, False) > ENUMERATION_LIMIT:
             raise ValueError("odd subsets exceed the enumeration limit")
     return odd_subsets(m, n, cap)
 
@@ -222,7 +218,7 @@ def cmd_graph(cfg: RunConfig) -> dict:
     else:
         raise ValueError(f"unknown graph target {cfg.target!r}")
 
-    ordered = sorted(((_node_key(_encode(e)), e) for e in elts), key=lambda p: p[0])
+    ordered = sorted(((_encode(e), e) for e in elts), key=lambda p: _node_key(p[0]))
     pos = {e: idx for idx, (_, e) in enumerate(ordered)}
     edges = []
     for idx, (_, e) in enumerate(ordered):
@@ -239,8 +235,8 @@ def cmd_graph(cfg: RunConfig) -> dict:
         "lambda": list(lam.coords) if cfg.target in ("kac", "xlambda") else None,
         "count": len(ordered),
         "nodes": [
-            {"id": idx, "element": _encode(e), "label": _short(e), "weight": list(e.weight().coords)}
-            for idx, (_, e) in enumerate(ordered)
+            {"id": idx, "element": enc, "label": _short(e), "weight": list(e.weight().coords)}
+            for idx, (enc, e) in enumerate(ordered)
         ],
         "edges": [{"source": a, "target": b, "i": i} for a, b, i in edges],
     }
@@ -347,59 +343,58 @@ def _alpha(i: int, ell: int) -> Weight:
     return Weight(tuple(coords))
 
 
-def _axiom_sweep(elements, op, eps, phi, m: int, ell: int) -> bool:
+def _axiom_sweep(name: str, elements, op, eps, phi, m: int, ell: int) -> dict:
+    """The check item for the crystal axioms on elements.  A failed item
+    names its first counterexample: the element, the index, the direction
+    and the law that broke."""
     for b in elements:
         w = b.weight()
         for i in range(1, ell):
-            up, down = op(i, "e", b), op(i, "f", b)
-            if i != m and phi(i, b) != eps(i, b) + cartan(w, i, m):
-                return False
-            if i == m and eps(i, b) + phi(i, b) not in (0, 1):
-                return False
-            if up is not ZERO and (op(i, "f", up) != b or (up.weight() - w) != _alpha(i, ell)):
-                return False
-            if down is not ZERO and (op(i, "e", down) != b or (w - down.weight()) != _alpha(i, ell)):
-                return False
-    return True
+            up, down, alpha = op(i, "e", b), op(i, "f", b), _alpha(i, ell)
+            laws = (
+                ("e/f", "phi = eps + <wt,h_i>", i == m or phi(i, b) == eps(i, b) + cartan(w, i, m)),
+                ("e/f", "eps + phi in {0, 1}", i != m or eps(i, b) + phi(i, b) in (0, 1)),
+                ("e", "f(e(b)) = b", up is ZERO or op(i, "f", up) == b),
+                ("e", "wt(e(b)) = wt(b) + alpha_i", up is ZERO or up.weight() - w == alpha),
+                ("f", "e(f(b)) = b", down is ZERO or op(i, "e", down) == b),
+                ("f", "wt(f(b)) = wt(b) - alpha_i", down is ZERO or w - down.weight() == alpha),
+            )
+            for dir, law, ok in laws:
+                if not ok:
+                    where = f"element {_short(b)}, index {i}, {dir}"
+                    return _item(name, False, counterexample=f"{where}: {law} fails")
+    return _item(name, True)
 
 
 def _suite_crystal_axioms(cfg: RunConfig) -> list[dict]:
     m, n = cfg.m, cfg.n
     ell = m + n
     cap = cfg.cap if cfg.cap is not None else 4
-    items = []
     odds = _all_oddsets(m, n)
-    items.append(
-        _item(
-            f"odd subset axioms on all {len(odds)} subsets",
-            _axiom_sweep(odds, oddset_op, oddset_eps, oddset_phi, m, ell),
-        )
-    )
     ball = enumerate_binf(m, n, cap)
-    items.append(
-        _item(
-            f"limit crystal axioms through degree {cap} ({len(ball)} elements)",
-            _axiom_sweep(ball, binf_op, binf_eps, binf_phi, m, ell),
-        )
-    )
     lam = cfg.lam if cfg.lam is not None else Weight(
         (1,) + (0,) * (m - 1) + (1,) + (0,) * (n - 1)
     )
     members = kac_elements(m, n, lam)
-    items.append(
-        _item(
+    return [
+        _axiom_sweep(
+            f"odd subset axioms on all {len(odds)} subsets",
+            odds, oddset_op, oddset_eps, oddset_phi, m, ell,
+        ),
+        _axiom_sweep(
+            f"limit crystal axioms through degree {cap} ({len(ball)} elements)",
+            ball, binf_op, binf_eps, binf_phi, m, ell,
+        ),
+        _axiom_sweep(
             f"finite quotient axioms over weight {list(lam.coords)} ({len(members)} elements)",
-            _axiom_sweep(
-                members,
-                kac_op,
-                lambda i, b: string_length(kac_op, i, "e", b),
-                lambda i, b: string_length(kac_op, i, "f", b),
-                m,
-                ell,
-            ),
-        )
-    )
-    return items
+            members,
+            kac_op,
+            lambda i, b: string_length(kac_op, i, "e", b),
+            lambda i, b: string_length(kac_op, i, "f", b),
+            m,
+            ell,
+        ),
+    ]
 
 
 def _suite_kappa(cfg: RunConfig) -> list[dict]:
@@ -434,8 +429,7 @@ def _suite_kappa(cfg: RunConfig) -> list[dict]:
 
 
 def _suite_components(cfg: RunConfig) -> list[dict]:
-    cap = cfg.cap if cfg.cap is not None else DEFAULT_COMPONENTS_CAP
-    report = components(cfg.m, cfg.n, cap)
+    report = cmd_components(cfg)
     return [
         _item(
             f"component count {report['count']} matches 2^(m(n-1)) = {report['expected']}",
@@ -584,7 +578,10 @@ def _render_verify_text(report: dict) -> str:
     lines = []
     for name, items in report["suites"].items():
         for item in items:
-            lines.append(f"{'PASS' if item['ok'] else 'FAIL'} [{name}] {item['name']}")
+            line = f"{'PASS' if item['ok'] else 'FAIL'} [{name}] {item['name']}"
+            if "counterexample" in item:
+                line += f": {item['counterexample']}"
+            lines.append(line)
     if report["ok"]:
         lines.append(f"all {report['checks']} checks passed")
     else:

@@ -588,17 +588,27 @@ def hw_factor(hw: HWElt, i: int) -> TensorFactor:
 # -- the Kac-module crystal -------------------------------------------------------
 
 
+def route_triple(i: int, dir: str, S: OddSet, plus, minus):
+    """Route e_i or f_i on a triple; returns (S', plus', minus') or ZERO.
+
+    Indices up to m act on S (x) plus by the lower rule.  Above m, a
+    truncated minus block (an HWElt) is coupled to S by the upper rule,
+    and a free one moves on its own.
+    """
+    if i <= S.m:
+        out = pair_op("lower", i, dir, S, plus)
+        return ZERO if out is ZERO else (out[0], out[1], minus)
+    if isinstance(minus, HWElt):
+        out = pair_op("upper", i, dir, S, minus)
+        return ZERO if out is ZERO else (out[0], plus, out[1])
+    moved = lusztig_op(i, dir, minus)
+    return ZERO if moved is ZERO else (S, plus, moved)
+
+
 def kac_op(i: int, dir: str, b: KacElt):
     """Crystal operator on the Kac-module crystal; returns KacElt or ZERO."""
-    if i <= b.S.m:
-        out = pair_op("lower", i, dir, b.S, b.bplus)
-        if out is ZERO:
-            return ZERO
-        return KacElt(out[0], out[1], b.bminus)
-    out = pair_op("upper", i, dir, b.S, b.bminus)
-    if out is ZERO:
-        return ZERO
-    return KacElt(out[0], b.bplus, out[1])
+    out = route_triple(i, dir, b.S, b.bplus, b.bminus)
+    return ZERO if out is ZERO else KacElt(*out)
 
 
 def kac_highest(m: int, n: int, lam: Weight) -> KacElt:
@@ -625,6 +635,15 @@ def string_length(op, i: int, dir: str, b) -> int:
         if b is ZERO:
             return k
         k += 1
+
+
+def lower_along(op, word, b):
+    """Apply op(i, "f", .) to b for each i of word in turn; ZERO once a step dies."""
+    for i in word:
+        b = op(i, "f", b)
+        if b is ZERO:
+            return ZERO
+    return b
 
 
 def raise_to_top(op, indices, b):

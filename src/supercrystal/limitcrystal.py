@@ -31,8 +31,10 @@ from .combicrystal import (
     OddSet,
     cartan,
     hw_op,
+    kac_op,
     lam_minus,
     lam_plus,
+    lower_along,
     lusztig_op,
     lusztig_star_op,
     minus_roots,
@@ -42,6 +44,7 @@ from .combicrystal import (
     pair_op,
     plus_roots,
     raise_to_top,
+    route_triple,
     string_length,
 )
 from .superpbw import Weight
@@ -97,16 +100,8 @@ def binf_highest(m: int, n: int) -> BInfElt:
 
 def binf_op(i: int, dir: str, b: BInfElt):
     """Crystal operator on triples; the minus block moves on its own."""
-    m = b.S.m
-    if i <= m:
-        out = pair_op("lower", i, dir, b.S, b.bplus)
-        if out is ZERO:
-            return ZERO
-        return BInfElt(out[0], out[1], b.bminus)
-    moved = lusztig_op(i, dir, b.bminus)
-    if moved is ZERO:
-        return ZERO
-    return BInfElt(b.S, b.bplus, moved)
+    out = route_triple(i, dir, b.S, b.bplus, b.bminus)
+    return ZERO if out is ZERO else BInfElt(*out)
 
 
 def binf_eps(i: int, b: BInfElt) -> int:
@@ -156,16 +151,8 @@ def x_highest(m: int, n: int, lam: Weight) -> XElt:
 
 def x_op(i: int, dir: str, b: XElt):
     """Crystal operator on the parabolic crystal; the minus block is coupled."""
-    m = b.S.m
-    if i <= m:
-        out = pair_op("lower", i, dir, b.S, b.bplus)
-        if out is ZERO:
-            return ZERO
-        return XElt(out[0], out[1], b.bminus, b.shift)
-    out = pair_op("upper", i, dir, b.S, b.bminus)
-    if out is ZERO:
-        return ZERO
-    return XElt(out[0], b.bplus, out[1], b.shift)
+    out = route_triple(i, dir, b.S, b.bplus, b.bminus)
+    return ZERO if out is ZERO else XElt(*out, b.shift)
 
 
 def project_plus(b: XElt):
@@ -195,32 +182,10 @@ def hw_factorize(b: KacElt) -> tuple[OddSet, tuple[int, ...], tuple[int, ...]]:
     top, xword = raise_to_top(lusztig_op, range(1, m), b.bplus.base)
     if any(top.mult):
         raise AssertionError("plus block did not raise to the highest element")
-    (S, minus), yword = raise_to_top(_upper_pair_op, range(m + 1, m + n), (b.S, b.bminus))
-    if any(minus.base.mult):
+    top, yword = raise_to_top(kac_op, range(m + 1, m + n), b)
+    if any(top.bminus.base.mult):
         raise AssertionError("minus block did not raise to the highest element")
-    return S, tuple(reversed(xword)), tuple(reversed(yword))
-
-
-def _upper_pair_op(j: int, dir: str, pair: tuple[OddSet, HWElt]):
-    return pair_op("upper", j, dir, pair[0], pair[1])
-
-
-def _rebuild_plus(word, shift: Weight, m: int):
-    cur = HWElt(LusztigPlus.zero(m), shift)
-    for i in word:
-        cur = hw_op(i, "f", cur)
-        if cur is ZERO:
-            return ZERO
-    return cur
-
-
-def _replay_pair(word, S: OddSet, minus: HWElt):
-    pair = (S, minus)
-    for j in word:
-        pair = _upper_pair_op(j, "f", pair)
-        if pair is ZERO:
-            return ZERO
-    return pair
+    return top.S, tuple(reversed(xword)), tuple(reversed(yword))
 
 
 def _check_shifts(b: KacElt, lam: Weight) -> None:
@@ -239,23 +204,20 @@ def theta(lam: Weight, mu: Weight, b: KacElt) -> KacElt:
     if not is_dominant(diff, m) or all(c == 0 for c in diff.coords):
         raise ValueError("target weight must strictly dominate the source")
     S0, xword, yword = hw_factorize(b)
-    plus = _rebuild_plus(xword, lam_plus(mu, m), m)
-    pair = _replay_pair(yword, S0, HWElt(LusztigMinus.zero(m, n), lam_minus(mu, m)))
-    if plus is ZERO or pair is ZERO:
+    plus = lower_along(hw_op, xword, HWElt(LusztigPlus.zero(m), lam_plus(mu, m)))
+    minus = HWElt(LusztigMinus.zero(m, n), lam_minus(mu, m))
+    out = ZERO if plus is ZERO else lower_along(kac_op, yword, KacElt(S0, plus, minus))
+    if out is ZERO:
         raise AssertionError("replay over a larger weight must not die")
-    return KacElt(pair[0], plus, pair[1])
+    return out
 
 
 def kappa(b: KacElt) -> BInfElt:
     """The limit class of a Kac-module element, as a triple of free data."""
     m, n = b.S.m, b.S.n
     S0, xword, yword = hw_factorize(b)
-    plus = LusztigPlus.zero(m)
-    for i in xword:
-        plus = lusztig_op(i, "f", plus)
-    minus = LusztigMinus.zero(m, n)
-    for j in yword:
-        minus = lusztig_op(j, "f", minus)
+    plus = lower_along(lusztig_op, xword, LusztigPlus.zero(m))
+    minus = lower_along(lusztig_op, yword, LusztigMinus.zero(m, n))
     return BInfElt(S0, plus, minus)
 
 
@@ -277,12 +239,8 @@ def kappa_inv(b: BInfElt, lam: Weight):
     if any(oddset_eps(j, b.S) > cartan(lamm, j, m) for j in range(m + 1, m + n)):
         return ZERO
     _, yword = raise_to_top(lusztig_op, range(m + 1, m + n), b.bminus)
-    out = _replay_pair(
-        tuple(reversed(yword)), b.S, HWElt(LusztigMinus.zero(m, n), lamm)
-    )
-    if out is ZERO:
-        return ZERO
-    return KacElt(out[0], plus, out[1])
+    top = KacElt(b.S, plus, HWElt(LusztigMinus.zero(m, n), lamm))
+    return lower_along(kac_op, reversed(yword), top)
 
 
 # -- member enumeration ------------------------------------------------------------
@@ -360,7 +318,19 @@ def _block_vectors(roots, cap: int) -> list[tuple[int, ...]]:
 
 def _count_upto(cap: int, heights, free: bool) -> int:
     """How many multisets of the given root heights have degree at most cap,
-    each height used at most once, or any number of times when free."""
+    each height used at most once, or any number of times when free.
+
+    No list grows with a huge cap.  A 0/1 count stops at the total height.
+    A free count is at least cap // min(heights) + 1 (the powers of the
+    lowest root); once that bound passes ENUMERATION_LIMIT it is returned
+    in place of the exact count, since callers only compare with the limit.
+    """
+    if not heights:
+        return 1
+    if not free:
+        cap = min(cap, sum(heights))
+    elif cap // min(heights) >= ENUMERATION_LIMIT:
+        return cap // min(heights) + 1
     poly = [1] + [0] * cap
     for h in heights:
         for d in range(h, cap + 1) if free else range(cap, h - 1, -1):
@@ -460,11 +430,9 @@ def component_label(b: BInfElt) -> OddSet:
     if xpart.mask:
         raise AssertionError("a raising-dead element keeps no boundary-column entry")
     _, word = raise_to_top(lusztig_star_op, range(1, m), src.bplus)
-    label = ypart
-    for i in reversed(word):
-        label = oddset_op(i, "f", label)
-        if label is ZERO:
-            raise AssertionError("the label word left the Y subsets")
+    label = lower_along(oddset_op, reversed(word), ypart)
+    if label is ZERO:
+        raise AssertionError("the label word left the Y subsets")
     return label
 
 
@@ -475,9 +443,7 @@ def component_census(m: int, n: int) -> dict[OddSet, BInfElt]:
     out: dict[OddSet, BInfElt] = {}
     for c in odd_subsets(m, n, boxes=ybits):
         cur, word = raise_to_top(oddset_op, range(1, m), c)
-        plus = LusztigPlus.zero(m)
-        for i in reversed(word):
-            plus = lusztig_star_op(i, "f", plus)
+        plus = lower_along(lusztig_star_op, reversed(word), LusztigPlus.zero(m))
         src = BInfElt(cur, plus, LusztigMinus.zero(m, n))
         for i in range(1, ell):
             if binf_op(i, "e", src) is not ZERO:
@@ -513,16 +479,8 @@ def product_highest(m: int, n: int) -> ProductElt:
 
 
 def product_op(i: int, dir: str, b: ProductElt):
-    m = b.bplus.m
-    if i > m:
-        moved = lusztig_op(i, dir, b.bminus)
-        if moved is ZERO:
-            return ZERO
-        return ProductElt(b.S1, b.bplus, moved)
-    out = pair_op("lower", i, dir, b.S1, b.bplus)
-    if out is ZERO:
-        return ZERO
-    return ProductElt(out[0], out[1], b.bminus)
+    out = route_triple(i, dir, b.S1, b.bplus, b.bminus)
+    return ZERO if out is ZERO else ProductElt(*out)
 
 
 def _sync_bfs(a_start, a_op, b_start, b_op, ell: int, depth: int) -> None:

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qfield import QRat, add_into, q_factorial, row_reduce
+from .qfield import QRat, add_into, q_factorial
 
-_Q0 = QRat.zero()
 _Q1 = QRat.one()
 
 
@@ -70,7 +69,8 @@ class RootData:
     all odd roots first (by column, then bottom row first), then the m|0
     block (by reversed column), then the 0|n block (lexicographic).  The
     instance caches free-word expansions of root vectors and the lattice
-    basis per weight space, so reuse one instance per (m, n).
+    vectors, and remembers which weight spaces were checked triangular,
+    so reuse one instance per (m, n).
     """
 
     def __init__(self, m: int, n: int):
@@ -105,7 +105,7 @@ class RootData:
         self._free_root: dict[int, dict[tuple[int, ...], QRat]] = {}
         self._free_mono: dict[tuple[int, ...], dict[tuple[int, ...], QRat]] = {}
         self._lattice_vec: dict[tuple[int, ...], "PBWVector"] = {}
-        self._weight_solver: dict[Weight, tuple] = {}
+        self._triangular: set[Weight] = set()
 
     # -- root/weight helpers ------------------------------------------
 
@@ -727,44 +727,38 @@ def labels_of_weight(rd: RootData, wt: Weight) -> list[tuple[int, ...]]:
     return sorted(rec(0, target))
 
 
-def _solve_weight_space(rd: RootData, wt: Weight):
-    cached = rd._weight_solver.get(wt)
-    if cached is not None:
-        return cached
-    labels = labels_of_weight(rd, wt)
-    vecs = [lattice_vector(rd, lab) for lab in labels]
-    monos = sorted({m for v in vecs for m in v.terms})
-    idx = {m: k for k, m in enumerate(monos)}
-    nsize = len(labels)
-    if len(monos) != nsize:
-        raise AssertionError("lattice basis size mismatch")
-    # invert the matrix with columns = lattice vectors in the PBW basis by
-    # reducing [M | I] to [I | M^-1]
-    rows = [
-        [_Q0] * nsize + [_Q1 if c == r else _Q0 for c in range(nsize)] for r in range(nsize)
-    ]
-    for col, v in enumerate(vecs):
-        for mono, c in v.terms.items():
-            rows[idx[mono]][col] = c
-    row_reduce(rows)
-    # [I | M^-1] needs a pivot in every column of M; I alone has full rank
-    if not all(rows[k][k] for k in range(nsize)):
-        raise AssertionError("lattice vectors are linearly dependent")
-    inv = [row[nsize:] for row in rows]
-    solver = (labels, idx, inv)
-    rd._weight_solver[wt] = solver
-    return solver
+def _check_triangular(rd: RootData, wt: Weight) -> None:
+    # Every monomial of weight wt is one of its labels, so lattice vectors
+    # that each lead (lex-largest monomial) with their own label form a
+    # triangular basis of the weight space.
+    if wt in rd._triangular:
+        return
+    for lab in labels_of_weight(rd, wt):
+        if max(lattice_vector(rd, lab).terms, default=None) != lab:
+            raise AssertionError(
+                f"weight {wt.coords}: the lattice vector of label {lab} does not "
+                "lead with its label, so the vectors may be linearly dependent"
+            )
+    rd._triangular.add(wt)
 
 
 def lattice_coefficients(rd: RootData, u: PBWVector) -> dict[tuple[int, ...], QRat]:
-    """Exact expansion of u over the lattice basis vectors."""
+    """Exact expansion of u over the lattice basis vectors.
+
+    Each lattice vector's lex-largest monomial is its own label, so peeling
+    the lex-largest monomial of the remainder solves the triangular system.
+    """
     out: dict[tuple[int, ...], QRat] = {}
     for wt, part in u.homogeneous_parts().items():
-        labels, idx, inv = _solve_weight_space(rd, wt)
-        for mono, c in part.terms.items():
-            col = idx[mono]
-            for row, lab in enumerate(labels):
-                add_into(out, lab, inv[row][col] * c)
+        _check_triangular(rd, wt)
+        rest = dict(part.terms)
+        while rest:
+            lab = max(rest)
+            vec = lattice_vector(rd, lab)
+            c = rest[lab] / vec.terms[lab]
+            out[lab] = c
+            for mono, x in vec.terms.items():
+                add_into(rest, mono, -c * x)
     return out
 
 

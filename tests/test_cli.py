@@ -20,6 +20,8 @@ import pytest
 
 from supercrystal import cli
 from supercrystal.cli import cmd_components, cmd_graph, cmd_verify, main
+from supercrystal.combicrystal import OddSet
+from supercrystal.combicrystal import from_json as combi_from_json
 from supercrystal.limitcrystal import enumerate_binf, enumerate_x
 from supercrystal.superpbw import Weight
 
@@ -51,6 +53,13 @@ def test_graph_kac_rank_2_2_zero_weight(capsys):
     # edge endpoints always name listed nodes
     for edge in graph["edges"]:
         assert 0 <= edge["source"] < 16 and 0 <= edge["target"] < 16
+    # nodes come in canonical order, each with its own element and label
+    keys = [cli._node_key(node["element"]) for node in graph["nodes"]]
+    assert keys == sorted(keys)
+    for node in graph["nodes"]:
+        elt = combi_from_json(node["element"])
+        assert cli._short(elt) == node["label"]
+        assert list(elt.weight().coords) == node["weight"]
 
 
 def test_graph_counts_match_enumerators(capsys):
@@ -159,6 +168,27 @@ def test_verify_assertion_error_is_a_failure(capsys, monkeypatch):
     assert rc == 1 and err == ""
     assert "FAIL [components] raised AssertionError: label round trip failed" in out
     assert "1 of 1 checks failed" in out
+
+
+def test_verify_names_the_first_broken_axiom(capsys, monkeypatch):
+    real, empty = cli.oddset_op, OddSet.empty(1, 2)
+
+    def broken(i, dir, S):
+        # f_1 leaves the empty subset alone instead of adding the odd box
+        return S if (i, dir, S) == (1, "f", empty) else real(i, dir, S)
+
+    monkeypatch.setattr(cli, "oddset_op", broken)
+    argv = ["verify", "--suite", "crystal-axioms", "--m", "1", "--n", "2"]
+    want = "element {}, index 1, f: e(f(b)) = b fails"
+    rc, out, _ = run(capsys, argv)
+    assert rc == 1
+    assert f"FAIL [crystal-axioms] odd subset axioms on all 4 subsets: {want}\n" in out
+    assert out.count("PASS [crystal-axioms]") == 2
+    rc, out, _ = run(capsys, argv + ["--format", "json"])
+    items = json.loads(out)["suites"]["crystal-axioms"]
+    assert rc == 1 and items[0]["ok"] is False
+    assert items[0]["counterexample"] == want
+    assert [sorted(item) for item in items[1:]] == [["name", "ok"]] * 2
 
 
 def test_graph_kac_refuses_huge_weight(capsys):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -523,6 +524,22 @@ def test_oversized_balls_refused_before_building():
             request()
         # building the candidates first took seconds at this cap
         assert time.monotonic() - start < 2.0
+
+
+def test_huge_caps_are_decided_without_a_list_as_long_as_the_cap():
+    # a free block with a root has more than cap members, so these are over
+    # the limit whatever the other blocks hold (about 16 MB to refuse before)
+    for request in (lambda: enumerate_binf(1, 2, 10**6), lambda: components(1, 2, 10**6)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^degree cap exceeded$"):
+                request()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    # rank (1,1) has no even roots: its one odd root caps the degree at 1
+    assert len(enumerate_binf(1, 1, 10**9)) == 2
 
 
 def test_project_plus_compatibility():

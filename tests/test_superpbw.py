@@ -30,6 +30,7 @@ from supercrystal.superpbw import (
     from_json,
     in_lattice,
     labels_of_weight,
+    lattice_coefficients,
     lattice_residue,
     lattice_vector,
     normal_form,
@@ -374,6 +375,29 @@ def test_weight_space_solver_refuses_dependent_vectors(monkeypatch):
     monkeypatch.setattr(superpbw, "lattice_vector", lambda rd, label: both)
     with pytest.raises(AssertionError, match="linearly dependent"):
         lattice_residue(rd, both)
+
+
+@pytest.mark.parametrize("mn,deg", [((1, 4), 5), ((1, 5), 4), ((2, 4), 4), ((3, 3), 4)])
+def test_lattice_basis_is_triangular(mn, deg):
+    # lattice coordinates are peeled off lex-largest monomial first, which is
+    # exact only when every lattice vector leads with its own label
+    rd = RootData(*mn)
+    for d in range(deg + 1):
+        for mu in weights_of_degree(rd, d):
+            for lab in labels_of_weight(rd, Weight(mu)):
+                assert max(lattice_vector(rd, lab).terms) == lab, (mn, lab)
+
+
+def test_lattice_coefficients_rebuild_crystal_images():
+    for rd, deg in ((RDS[(2, 2)], 3), (RootData(1, 4), 3)):
+        for lab in labels_up_to(rd, deg):
+            v = lattice_vector(rd, lab)
+            for i in rd.index_set:
+                for u in (crystal_f(rd, i, v), crystal_e(rd, i, v)):
+                    total = PBWVector.zero(rd)
+                    for label, c in lattice_coefficients(rd, u).items():
+                        total = total + lattice_vector(rd, label).scale(c)
+                    assert total == u, (rd.m, rd.n, lab, i)
 
 
 def test_lattice_basis_residues():
