@@ -7,7 +7,9 @@ table derived from the quadratic commutation relations between root vectors;
 on top of that sit the twisted derivations e'_i and e''_i, the reversal
 involution of the 0|n subalgebra, string decompositions along a chosen index,
 the Kashiwara-style raising/lowering operators, and the residue map onto the
-crystal lattice basis.
+crystal lattice basis.  The derivations and the reversal act on a PBW
+monomial root by root, through their images of single root vectors, which
+each RootData tabulates once.
 
 Weights are carried on the negative side throughout: a product of k
 generators has weight equal to minus the sum of their simple roots.  All the
@@ -18,10 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .qfield import QRat, add_into, q_factorial
 
 _Q1 = QRat.one()
+
+
+def _signed_q_power(e: int, s: int) -> QRat:
+    """(-1)^s q^e."""
+    r = QRat.q_power(e)
+    return -r if s % 2 else r
 
 
 @dataclass(frozen=True)
@@ -68,9 +77,9 @@ class RootData:
     Positive roots are listed in the convex order used by the PBW basis:
     all odd roots first (by column, then bottom row first), then the m|0
     block (by reversed column), then the 0|n block (lexicographic).  The
-    instance caches free-word expansions of root vectors and the lattice
-    vectors, and remembers which weight spaces were checked triangular,
-    so reuse one instance per (m, n).
+    instance fills its tables as they are first needed (e'_i, e''_i and the
+    0|n reversal of each root vector, lattice vectors, weight spaces checked
+    triangular), so reuse one instance per (m, n).
     """
 
     def __init__(self, m: int, n: int):
@@ -86,10 +95,7 @@ class RootData:
             (Root(a, b) for b in range(2, m + 1) for a in range(1, b)),
             key=lambda r: (-r.b, -r.a),
         )
-        minus = sorted(
-            (Root(a, b) for a in range(m + 1, self.ell) for b in range(a + 1, self.ell + 1)),
-            key=lambda r: (r.a, r.b),
-        )
+        minus = [Root(a, b) for a in range(m + 1, self.ell) for b in range(a + 1, self.ell + 1)]
         self.odd_count = len(odd)
         self.plus_count = len(plus)
         self.minus_count = len(minus)
@@ -97,13 +103,12 @@ class RootData:
         self.root_index = {r: k for k, r in enumerate(self.roots)}
         self.nroots = len(self.roots)
         self._odd_idx = frozenset(range(self.odd_count))
-        self._simple_idx = {
-            i: self.root_index[Root(i, i + 1)] for i in self.index_set
-        }
+        self._simple_idx = {i: self.root_index[Root(i, i + 1)] for i in self.index_set}
 
         self._pair_table = self._build_pair_table()
         self._free_root: dict[int, dict[tuple[int, ...], QRat]] = {}
-        self._free_mono: dict[tuple[int, ...], dict[tuple[int, ...], QRat]] = {}
+        self._derivative: dict[tuple[int, int], list] = {}
+        self._sigma: dict[int, PBWVector] | None = None
         self._lattice_vec: dict[tuple[int, ...], "PBWVector"] = {}
         self._triangular: set[Weight] = set()
 
@@ -111,13 +116,6 @@ class RootData:
 
     def is_odd_index(self, idx: int) -> bool:
         return idx in self._odd_idx
-
-    def block(self, idx: int) -> str:
-        if idx < self.odd_count:
-            return "odd"
-        if idx < self.odd_count + self.plus_count:
-            return "plus"
-        return "minus"
 
     def simple_index(self, i: int) -> int:
         return self._simple_idx[i]
@@ -148,31 +146,24 @@ class RootData:
     def qform(self, mu: Weight, nu: Weight) -> QRat:
         """The bicharacter q(mu, nu): product of q^(mu_i nu_i) over i <= m
         and (-1/q)^(mu_i nu_i) over i > m."""
-        expo = 0
-        parity = 0
-        for k, (x, y) in enumerate(zip(mu.coords, nu.coords)):
-            p = x * y
-            if k < self.m:
-                expo += p
-            else:
-                expo -= p
-                parity += p
-        r = QRat.q_power(expo)
-        return -r if parity % 2 else r
+        return _signed_q_power(*self._qform_exponent(mu, nu))
+
+    def _qform_exponent(self, mu: Weight, nu: Weight) -> tuple[int, int]:
+        """(e, s) with q(mu, nu) = (-1)^s q^e."""
+        m = self.m
+        even = sum(x * y for x, y in zip(mu.coords[:m], nu.coords[:m]))
+        odd = sum(x * y for x, y in zip(mu.coords[m:], nu.coords[m:]))
+        return even - odd, odd % 2
 
     # -- pair rewrite table -------------------------------------------
 
     def _crossed_pair(self, lo: Root, hi: Root) -> tuple[Root, Root] | None:
-        cands = []
-        if lo.a < hi.b and hi.a < lo.b:
-            g, d = Root(lo.a, hi.b), Root(hi.a, lo.b)
-            if {g, d} != {lo, hi}:
-                cands.append(tuple(sorted((g, d), key=lambda r: self.root_index[r])))
-        for g, d in cands:
-            gi, di = self.root_index[g], self.root_index[d]
-            li, hi_i = self.root_index[lo], self.root_index[hi]
-            if li < gi <= di < hi_i and gi != di:
-                return (g, d)
+        if not (lo.a < hi.b and hi.a < lo.b):
+            return None
+        g, d = sorted((Root(lo.a, hi.b), Root(hi.a, lo.b)), key=self.root_index.get)
+        gi, di = self.root_index[g], self.root_index[d]
+        if {g, d} != {lo, hi} and self.root_index[lo] < gi < di < self.root_index[hi]:
+            return (g, d)
         return None
 
     def _build_pair_table(self):
@@ -181,20 +172,17 @@ class RootData:
             for lo_i in range(hi_i):
                 lo, hi = self.roots[lo_i], self.roots[hi_i]
                 twist = self.qform(self.root_weight(hi), self.root_weight(lo)).inverse()
-                extras: list[tuple[tuple[int, ...], QRat]] = []
                 crossed = self._crossed_pair(lo, hi)
-                total = Root(min(lo.a, hi.a), max(lo.b, hi.b))
                 is_sum = lo.b == hi.a or hi.b == lo.a
-                if is_sum:
-                    total = Root(lo.a, hi.b) if lo.b == hi.a else Root(hi.a, lo.b)
                 assert not (crossed and is_sum), (lo, hi)
+                extras = ()
                 if crossed:
-                    g, d = crossed
                     coeff = QRat.q_power(-1) - QRat.q_power(1)
-                    extras.append(((self.root_index[g], self.root_index[d]), coeff))
+                    extras = ((tuple(self.root_index[r] for r in crossed), coeff),)
                 elif is_sum:
-                    extras.append(((self.root_index[total],), _Q1))
-                table[(hi_i, lo_i)] = (twist, tuple(extras))
+                    total = Root(lo.a, hi.b) if lo.b == hi.a else Root(hi.a, lo.b)
+                    extras = (((self.root_index[total],), _Q1),)
+                table[(hi_i, lo_i)] = (twist, extras)
         return table
 
     # -- straightening --------------------------------------------------
@@ -268,9 +256,7 @@ class RootData:
         ak = self.alpha(k)
         out: dict[tuple[int, ...], QRat] = {}
         for w, c in terms.items():
-            degw = Weight.zero(self.ell)
-            for j in w:
-                degw = degw + self.alpha(j)
+            degw = sum((self.alpha(j) for j in w), Weight.zero(self.ell))
             add_into(out, (k,) + w, c)
             add_into(out, w + (k,), -c * self.qform(ak, degw).inverse())
         return out
@@ -281,11 +267,10 @@ class RootData:
         if cached is not None:
             return cached
         r = self.roots[idx]
-        block = self.block(idx)
-        if block == "odd":
+        if idx < self.odd_count:
             seq = list(range(self.m - 1, r.a - 1, -1)) + list(range(self.m + 1, r.b))
             terms = {(self.m,): _Q1}
-        elif block == "plus":
+        elif idx < self.odd_count + self.plus_count:
             seq = list(range(r.b - 2, r.a - 1, -1))
             terms = {(r.b - 1,): _Q1}
         else:
@@ -297,19 +282,13 @@ class RootData:
         return terms
 
     def free_monomial(self, mono: tuple[int, ...]) -> dict[tuple[int, ...], QRat]:
-        cached = self._free_mono.get(mono)
-        if cached is not None:
-            return cached
         terms = {(): _Q1}
-        for idx, e in enumerate(mono):
-            for _ in range(e):
-                factor = self.free_root_vector(idx)
-                nxt: dict[tuple[int, ...], QRat] = {}
-                for w1, c1 in terms.items():
-                    for w2, c2 in factor.items():
-                        add_into(nxt, w1 + w2, c1 * c2)
-                terms = nxt
-        self._free_mono[mono] = terms
+        for idx in self.monomial_word(mono):
+            nxt: dict[tuple[int, ...], QRat] = {}
+            for w1, c1 in terms.items():
+                for w2, c2 in self.free_root_vector(idx).items():
+                    add_into(nxt, w1 + w2, c1 * c2)
+            terms = nxt
         return terms
 
 
@@ -324,11 +303,7 @@ class PBWVector:
 
     def __init__(self, rd: RootData, terms: dict[tuple[int, ...], QRat] | None = None):
         self.rd = rd
-        clean: dict[tuple[int, ...], QRat] = {}
-        for mono, c in (terms or {}).items():
-            if c:
-                clean[mono] = c
-        self.terms = clean
+        self.terms = {mono: c for mono, c in (terms or {}).items() if c}
 
     # -- constructors ----------------------------------------------------
 
@@ -479,75 +454,100 @@ def normal_form(
     return PBWVector(rd, rd.reduce_root_word(letters, coefficient, strategy))
 
 
-def _to_free(rd: RootData, u: PBWVector) -> dict:
-    """u expanded as a combination of free words in the generators."""
-    fw: dict[tuple[int, ...], QRat] = {}
-    for mono, c in u.terms.items():
-        for w, cw in rd.free_monomial(mono).items():
-            add_into(fw, w, c * cw)
-    return fw
+def _words(rd: RootData, u: PBWVector):
+    return ((rd.monomial_word(mono), c) for mono, c in u.terms.items())
 
 
-def _from_free(rd: RootData, fw: dict) -> PBWVector:
+def _free_root_words(rd: RootData, idx: int):
+    """The root vector's free-word expansion, in simple-root letters."""
+    for w, c in rd.free_root_vector(idx).items():
+        yield tuple(rd.simple_index(j) for j in w), c
+
+
+def _derivative_table(rd: RootData, i: int, sign: int) -> list:
+    """Per root: e'_i (sign -1) or e''_i (sign 1) of the root vector as
+    (sorted root word, coefficient) pairs, and (e, s) with q(alpha_i, root)
+    = (-1)^s q^e.  The generators' entries are known; every other entry is
+    derived from the free-word expansion, which reads only those.
+    """
+    table = rd._derivative.get((i, sign))
+    if table is None:
+        ai, gen = rd.alpha(i), rd.simple_index(i)
+        table = [
+            [(((), _Q1),) if idx == gen else (), *rd._qform_exponent(ai, rd.root_weight(r))]
+            for idx, r in enumerate(rd.roots)
+        ]
+        for idx, r in enumerate(rd.roots):
+            if r.height > 1:
+                image = _derive(rd, sign, table, _free_root_words(rd, idx))
+                table[idx][0] = tuple(_words(rd, image))
+        rd._derivative[(i, sign)] = table
+    return table
+
+
+def _derive(rd: RootData, sign: int, table: list, words) -> PBWVector:
+    # e'_i(x f_b y) sums q(alpha_i, |x|)^(-sign) x e'_i(f_b) y over the letters
+    # f_b; |x| is negative, so each letter b of x adds q(alpha_i, b)^(sign)
     out: dict[tuple[int, ...], QRat] = {}
-    for w, c in fw.items():
-        letters = tuple(rd.simple_index(i) for i in w)
-        for mono, cc in rd.reduce_root_word(letters, c).items():
-            add_into(out, mono, cc)
+    for word, c in words:
+        expo = parity = 0
+        for p, idx in enumerate(word):
+            image, e, s = table[idx]
+            if image:
+                twisted = c * _signed_q_power(sign * expo, parity)
+                head, tail = word[:p], word[p + 1 :]
+                for mid, k in image:
+                    for mono, x in rd.reduce_root_word(head + mid + tail, twisted * k).items():
+                        add_into(out, mono, x)
+            expo += e
+            parity += s
     return PBWVector(rd, out)
-
-
-def _derivation(rd: RootData, i: int, u: PBWVector, positive_twist: bool) -> PBWVector:
-    # delete each letter f_i of each free word, twisted by the letters before it
-    ai = rd.alpha(i)
-    out: dict[tuple[int, ...], QRat] = {}
-    for w, c in _to_free(rd, u).items():
-        twist = _Q1
-        for p, j in enumerate(w):
-            if j == i:
-                add_into(out, w[:p] + w[p + 1 :], c * twist)
-            step = rd.qform(ai, rd.alpha(j))
-            twist = twist * (step if positive_twist else step.inverse())
-    return _from_free(rd, out)
 
 
 def eprime(rd: RootData, i: int, u: PBWVector) -> PBWVector:
     """The left twisted derivation dual to multiplication by f_i."""
-    return _derivation(rd, i, u, positive_twist=False)
+    return _derive(rd, -1, _derivative_table(rd, i, -1), _words(rd, u))
 
 
 def edoubleprime(rd: RootData, i: int, u: PBWVector) -> PBWVector:
     """The companion derivation with inverted twist."""
-    return _derivation(rd, i, u, positive_twist=True)
+    return _derive(rd, 1, _derivative_table(rd, i, 1), _words(rd, u))
+
+
+def _reverse(rd: RootData, table: dict[int, PBWVector], words) -> PBWVector:
+    # sigma(c f_b1 .. f_bk) = bar(c) (-1/q)^e sigma(f_bk) .. sigma(f_b1), where
+    # e sums the gl_n pairing (b_p, b_r) over p < r; each (b, b) is 2, so
+    # e = |weight|^2 / 2 - k
+    out = PBWVector.zero(rd)
+    for word, c in words:
+        wt = rd.monomial_weight(rd.word_monomial(word))
+        e = sum(x * x for x in wt.coords) // 2 - len(word)
+        acc = reduce(PBWVector.__mul__, [table[idx] for idx in reversed(word)], PBWVector.unit(rd))
+        out = out + acc.scale(c.bar() * _signed_q_power(-e, e))
+    return out
 
 
 def sigma_0n(rd: RootData, u: PBWVector) -> PBWVector:
     """Bar-semilinear reversal involution of the 0|n subalgebra.
 
-    Fixes each generator f_i (i > m); on a product of generators it reverses
-    the word and twists by (-1/q) to the power of the gl_n form between the
-    degrees of the two factors.  Only defined on the subalgebra spanned by
-    0|n-block roots.
+    Fixes each generator f_i (i > m); on a product it reverses the factors
+    and twists by (-1/q) to the power of the gl_n form between the degrees
+    of the two factors.  Only defined on the subalgebra spanned by 0|n-block
+    roots.
     """
     lo = rd.odd_count + rd.plus_count
     for mono in u.terms:
         if any(e and idx < lo for idx, e in enumerate(mono)):
             raise ValueError("sigma_0n needs a vector in the 0|n subalgebra")
-    # bar is additive, so it applies after the free words are summed
-    fw: dict[tuple[int, ...], QRat] = {}
-    for w, c in _to_free(rd, u).items():
-        # gl_n pairing between every earlier and later letter
-        e = 0
-        for p in range(len(w)):
-            for r in range(p + 1, len(w)):
-                x, y = w[p], w[r]
-                if x == y:
-                    e += 2
-                elif abs(x - y) == 1:
-                    e -= 1
-        coeff = c.bar() * QRat.q_power(-e)
-        fw[tuple(reversed(w))] = -coeff if e % 2 else coeff
-    return _from_free(rd, fw)
+    if rd._sigma is None:
+        # the generators' entries are known; every other root vector's entry
+        # reverses its free-word expansion, which reads only those
+        table = {idx: PBWVector.root_monomial(rd, idx) for idx in range(lo, rd.nroots)}
+        for idx in range(lo, rd.nroots):
+            if rd.roots[idx].height > 1:
+                table[idx] = _reverse(rd, table, _free_root_words(rd, idx))
+        rd._sigma = table
+    return _reverse(rd, rd._sigma, _words(rd, u))
 
 
 def f_divided(rd: RootData, i: int, k: int) -> PBWVector:

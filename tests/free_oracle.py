@@ -63,8 +63,11 @@ def free_mul(u: FreeVec, v: FreeVec) -> FreeVec:
     return out
 
 
-def free_eprime(m: int, i: int, u: FreeVec) -> FreeVec:
-    """e'_i(f_j w) = [i = j] w + q(alpha_i, alpha_j)^(-1) f_j e'_i(w)."""
+def free_eprime(m: int, i: int, u: FreeVec, inverse_twist: bool = False) -> FreeVec:
+    """e'_i(f_j w) = [i = j] w + q(alpha_i, alpha_j)^(-1) f_j e'_i(w).
+
+    With ``inverse_twist`` this is e''_i, which twists by q(alpha_i, alpha_j).
+    """
     out: FreeVec = {}
     for w, c in u.items():
         twist = _Q1
@@ -76,7 +79,33 @@ def free_eprime(m: int, i: int, u: FreeVec) -> FreeVec:
                     out[nw] = x
                 elif nw in out:
                     del out[nw]
-            twist = twist * _bichar_inv(m, i, j)
+            step = _bichar_inv(m, i, j)
+            twist = twist * (step.inverse() if inverse_twist else step)
+    return out
+
+
+def _gl_pairing(i: int, j: int) -> int:
+    """(alpha_i, alpha_j) under the dot product of delta coordinates."""
+    xs = {i: 1, i + 1: -1}
+    ys = {j: 1, j + 1: -1}
+    return sum(x * ys.get(k, 0) for k, x in xs.items())
+
+
+def free_sigma(u: FreeVec) -> FreeVec:
+    """The 0|n reversal on free words: c w -> bar(c) (-1/q)^e reversed(w).
+
+    e sums the gl_n pairing over every earlier and later letter of w.
+    """
+    out: FreeVec = {}
+    for w, c in u.items():
+        e = sum(_gl_pairing(w[p], w[r]) for p in range(len(w)) for r in range(p + 1, len(w)))
+        coeff = c.bar() * QRat.q_power(-e)
+        nw = tuple(reversed(w))
+        x = out.get(nw, _Q0) + (-coeff if e % 2 else coeff)
+        if x:
+            out[nw] = x
+        elif nw in out:
+            del out[nw]
     return out
 
 

@@ -203,7 +203,8 @@ def full_label(rd: RootData, b: BInfElt) -> tuple[int, ...]:
 
 def test_criterion_4_algebra_matches_combinatorics():
     start = time.monotonic()
-    for m, n, cap in ((1, 1, 5), (2, 1, 5), (1, 2, 5), (2, 2, 4)):
+    balls = ((1, 1, 5), (2, 1, 5), (1, 2, 5), (2, 2, 4), (2, 3, 4), (3, 2, 4), (1, 3, 5))
+    for m, n, cap in balls:
         rd = RootData(m, n)
         ell = m + n
         for b in enumerate_binf(m, n, cap):

@@ -10,8 +10,10 @@ import pytest
 from free_oracle import (
     defining_relations,
     equal_in_quotient,
+    free_eprime,
     free_mul,
     free_of_pbw,
+    free_sigma,
     gram_rank,
     words_of_weight,
 )
@@ -62,12 +64,13 @@ def random_word(rng: random.Random, rd: RootData, maxlen: int) -> tuple[int, ...
 
 
 def labels_up_to(rd: RootData, deg: int) -> list[tuple[int, ...]]:
-    ranges = []
-    for idx in range(rd.nroots):
-        h = rd.roots[idx].height
-        cap = 1 if rd.is_odd_index(idx) else deg // h
-        ranges.append(range(cap + 1))
-    return [t for t in product(*ranges) if rd.monomial_height(t) <= deg]
+    """Every PBW monomial with at most deg generator letters, sorted."""
+    return sorted(
+        lab
+        for d in range(deg + 1)
+        for mu in weights_of_degree(rd, d)
+        for lab in labels_of_weight(rd, Weight(mu))
+    )
 
 
 def weights_of_degree(rd: RootData, deg: int) -> list[tuple[int, ...]]:
@@ -218,6 +221,21 @@ def test_twisted_leibniz_rules(mn):
                 assert op(rd, i, uv) == want, (mn, u, v, i, op.__name__)
 
 
+@pytest.mark.parametrize("mn", [(2, 2), (2, 3), (1, 3), (3, 1)])
+def test_derivations_match_free_oracle(mn):
+    # the free-word derivation deletes each letter f_i with its twist; the
+    # package never expands a whole monomial, so this is its reference
+    rd = RDS.get(mn) or RootData(*mn)
+    for lab in labels_up_to(rd, 4):
+        u = PBWVector(rd, {lab: _Q1})
+        fu = free_of_pbw(u)
+        for i in rd.index_set:
+            for op, inverse in ((eprime, False), (edoubleprime, True)):
+                want = free_eprime(rd.m, i, fu, inverse_twist=inverse)
+                got = free_of_pbw(op(rd, i, u))
+                assert equal_in_quotient(rd.m, got, want), (mn, lab, i, op.__name__)
+
+
 def test_eprime_divided_powers():
     rd = RDS[(2, 2)]
     for k in range(1, 5):
@@ -301,6 +319,19 @@ def test_sigma_involution_and_commutes_with_eprime():
             assert sigma_0n(rd, su) == u
             for i in letters:
                 assert sigma_0n(rd, eprime(rd, i, su)) == eprime(rd, i, u)
+
+
+@pytest.mark.parametrize("mn", [(1, 3), (1, 4), (2, 3)])
+def test_sigma_matches_free_reversal(mn):
+    rd = RootData(*mn)
+    lo = rd.odd_count + rd.plus_count
+    for lab in labels_up_to(rd, 4):
+        if any(lab[:lo]):
+            continue
+        u = PBWVector(rd, {lab: _Q1})
+        su = sigma_0n(rd, u)
+        assert equal_in_quotient(rd.m, free_of_pbw(su), free_sigma(free_of_pbw(u))), (mn, lab)
+        assert sigma_0n(rd, su) == u, (mn, lab)
 
 
 def test_sigma_divided_power_and_domain():
