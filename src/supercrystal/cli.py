@@ -57,7 +57,15 @@ from .limitcrystal import (
     x_op,
 )
 from .qboson import C_sk, E_t, act_eprime, boson_crystal_check, congruence_grid
-from .qfield import QRat, akito_sum, min_degree, q_binom
+from .qfield import (
+    QRat,
+    akito_sum,
+    full_product_reference,
+    min_degree,
+    q_binom,
+    q_factorial,
+    q_int,
+)
 from .superpbw import (
     PBWVector,
     RootData,
@@ -273,6 +281,47 @@ def _item(name: str, ok: bool, **extra) -> dict:
     return out
 
 
+def _first_failure(name: str, failures, **extra) -> dict:
+    """The check item for a sweep.  ``failures`` lazily describes each
+    failing case, and the first description is the item's counterexample."""
+    first = next(failures, None)
+    if first is None:
+        return _item(name, True, **extra)
+    return _item(name, False, counterexample=first, **extra)
+
+
+def _cyclotomic_pairs(count: int, seed: int):
+    """Seeded pairs of values whose sides are products of q-integers, [k]!,
+    q^(2j) - 1 and q + 1, q - 1, q, so that denominators share factors as
+    those of divided powers do."""
+    rng = random.Random(seed)
+    factors = (
+        [QRat(q_int(k).num) for k in (2, 3, 4)]
+        + [QRat(q_factorial(k).num) for k in (2, 3)]
+        + [_QP(2 * j) - 1 for j in (1, 2, 3)]
+        + [_QP(1) + 1, _QP(1) - 1, _QP(1)]
+    )
+
+    def side():
+        out = QRat.from_int(rng.choice((1, -1, 2, 3, -6)))
+        for _ in range(rng.randint(0, 3)):
+            out = out * rng.choice(factors)
+        return out.num
+
+    for _ in range(count):
+        yield QRat(side(), side()), QRat(side(), side())
+
+
+def _arithmetic_failures():
+    # (x + y, y) adds a pair whose sum cancels part of the shared denominator
+    for x, y in _cyclotomic_pairs(60, 20261019):
+        for u, v in ((x, y), (x + y, y)):
+            for op, got in (("+", u + v), ("-", u - v), ("*", u * v), ("/", u / v)):
+                want = full_product_reference(op, u, v)
+                if got != want:
+                    yield f"({u}) {op} ({v}): expected {want}, found {got}"
+
+
 def _suite_qfield(cfg: RunConfig) -> list[dict]:
     contraction = all(
         q_binom(c, d) == _QP(-d) * q_binom(c - 1, d) + _QP(c - d) * q_binom(c - 1, d - 1)
@@ -285,6 +334,10 @@ def _suite_qfield(cfg: RunConfig) -> list[dict]:
     return [
         _item("gaussian binomial contraction (c,d <= 15)", contraction),
         _item("telescoping sum collapse to q^(2ab) (a,b <= 15)", collapse),
+        _first_failure(
+            "+ - * / on 120 seeded cyclotomic-shaped pairs match full-product reduction",
+            _arithmetic_failures(),
+        ),
     ]
 
 
@@ -347,23 +400,29 @@ def _axiom_sweep(name: str, elements, op, eps, phi, m: int, ell: int) -> dict:
     """The check item for the crystal axioms on elements.  A failed item
     names its first counterexample: the element, the index, the direction
     and the law that broke."""
-    for b in elements:
-        w = b.weight()
-        for i in range(1, ell):
-            up, down, alpha = op(i, "e", b), op(i, "f", b), _alpha(i, ell)
-            laws = (
-                ("e/f", "phi = eps + <wt,h_i>", i == m or phi(i, b) == eps(i, b) + cartan(w, i, m)),
-                ("e/f", "eps + phi in {0, 1}", i != m or eps(i, b) + phi(i, b) in (0, 1)),
-                ("e", "f(e(b)) = b", up is ZERO or op(i, "f", up) == b),
-                ("e", "wt(e(b)) = wt(b) + alpha_i", up is ZERO or up.weight() - w == alpha),
-                ("f", "e(f(b)) = b", down is ZERO or op(i, "e", down) == b),
-                ("f", "wt(f(b)) = wt(b) - alpha_i", down is ZERO or w - down.weight() == alpha),
-            )
-            for dir, law, ok in laws:
-                if not ok:
-                    where = f"element {_short(b)}, index {i}, {dir}"
-                    return _item(name, False, counterexample=f"{where}: {law} fails")
-    return _item(name, True)
+
+    def failures():
+        for b in elements:
+            w = b.weight()
+            for i in range(1, ell):
+                up, down, alpha = op(i, "e", b), op(i, "f", b), _alpha(i, ell)
+                laws = (
+                    (
+                        "e/f",
+                        "phi = eps + <wt,h_i>",
+                        i == m or phi(i, b) == eps(i, b) + cartan(w, i, m),
+                    ),
+                    ("e/f", "eps + phi in {0, 1}", i != m or eps(i, b) + phi(i, b) in (0, 1)),
+                    ("e", "f(e(b)) = b", up is ZERO or op(i, "f", up) == b),
+                    ("e", "wt(e(b)) = wt(b) + alpha_i", up is ZERO or up.weight() - w == alpha),
+                    ("f", "e(f(b)) = b", down is ZERO or op(i, "e", down) == b),
+                    ("f", "wt(f(b)) = wt(b) - alpha_i", down is ZERO or w - down.weight() == alpha),
+                )
+                for dir, law, ok in laws:
+                    if not ok:
+                        yield f"element {_short(b)}, index {i}, {dir}: {law} fails"
+
+    return _first_failure(name, failures())
 
 
 def _suite_crystal_axioms(cfg: RunConfig) -> list[dict]:
@@ -404,27 +463,44 @@ def _suite_kappa(cfg: RunConfig) -> list[dict]:
         (1,) + (0,) * (m - 1) + (1,) + (0,) * (n - 1)
     )
     members = kac_elements(m, n, lam)
-    round_trips = all(kappa_inv(kappa(k), lam) == k for k in members)
     mu = lam + Weight((1,) * ell)
     nu = lam + Weight((2,) * ell)
-    transitive = all(
-        theta(mu, nu, theta(lam, mu, k)) == theta(lam, nu, k) for k in members
-    )
-    invariant = all(kappa(theta(lam, mu, k)) == kappa(k) for k in members)
-    inter = True
-    for k in members:
-        b = kappa(k)
-        for i in range(1, ell):
-            if i == m:
-                continue
-            moved = kac_op(i, "f", k)
-            if moved is not ZERO and kappa(moved) != binf_op(i, "f", b):
-                inter = False
+
+    def fails(law: str, holds):
+        return (f"element {_short(k)}: {law} fails" for k in members if not holds(k))
+
+    def intertwining_failures():
+        for k in members:
+            b = kappa(k)
+            for i in range(1, ell):
+                if i == m:
+                    continue
+                moved = kac_op(i, "f", k)
+                if moved is not ZERO and kappa(moved) != binf_op(i, "f", b):
+                    yield f"element {_short(k)}, index {i}, f: kappa(f_i b) = f_i kappa(b) fails"
+
     return [
-        _item(f"normal form round trips over weight {list(lam.coords)}", round_trips),
-        _item("enlargement transitivity", transitive),
-        _item("normal form invariant under enlargement", invariant),
-        _item("even-index lowering intertwines with the normal form", inter),
+        _first_failure(
+            f"normal form round trips over weight {list(lam.coords)}",
+            fails("kappa_inv(kappa(b)) = b", lambda k: kappa_inv(kappa(k), lam) == k),
+        ),
+        _first_failure(
+            "enlargement transitivity",
+            fails(
+                "theta(mu,nu,theta(lam,mu,b)) = theta(lam,nu,b)",
+                lambda k: theta(mu, nu, theta(lam, mu, k)) == theta(lam, nu, k),
+            ),
+        ),
+        _first_failure(
+            "normal form invariant under enlargement",
+            fails(
+                "kappa(theta(lam,mu,b)) = kappa(b)",
+                lambda k: kappa(theta(lam, mu, k)) == kappa(k),
+            ),
+        ),
+        _first_failure(
+            "even-index lowering intertwines with the normal form", intertwining_failures()
+        ),
     ]
 
 
@@ -440,20 +516,7 @@ def _suite_components(cfg: RunConfig) -> list[dict]:
     ]
 
 
-def _suite_boson(cfg: RunConfig) -> list[dict]:
-    grid = congruence_grid(6, 10)
-    items = [
-        _item(
-            "lowering congruence grid (l <= 6, t <= l, s <= 10)",
-            all(entry["ok"] for entry in grid),
-            grid=grid,
-        )
-    ]
-    kernel = all(
-        act_eprime(E_t(l, t)).is_zero() for l in range(7) for t in range(l + 1)
-    )
-    items.append(_item("kernel vectors die under the coupled raising action", kernel))
-    valuations = True
+def _valuation_failures():
     for l in range(5):
         for t in range(l + 1):
             for s in range(l - t + 1, l - t + 4):
@@ -465,15 +528,44 @@ def _suite_boson(cfg: RunConfig) -> list[dict]:
                         if k > t
                         else (s + t + 1 - l) * (t - k)
                     )
-                    if min_degree(C_sk(l, t, s, k)) != want:
-                        valuations = False
-    items.append(_item("coefficient family valuations (l <= 4)", valuations))
+                    c = C_sk(l, t, s, k)
+                    found = min_degree(c) if c else "none (the coefficient is zero)"
+                    if found != want:
+                        where = f"(l, t, s, k) = ({l}, {t}, {s}, {k})"
+                        yield f"{where}: expected degree {want}, found {found}"
+
+
+def _suite_boson(cfg: RunConfig) -> list[dict]:
+    grid = congruence_grid(6, 10)
+    items = [
+        _first_failure(
+            "lowering congruence grid (l <= 6, t <= l, s <= 10)",
+            (
+                f"cell (l, t, s) = ({e['l']}, {e['t']}, {e['s']}): f^(s) E_t is not the "
+                f"case {e['case']} monomial modulo q times the lattice"
+                for e in grid
+                if not e["ok"]
+            ),
+            grid=grid,
+        ),
+        _first_failure(
+            "kernel vectors die under the coupled raising action",
+            (
+                f"(l, t) = ({l}, {t}): the raising action does not kill E_t"
+                for l in range(7)
+                for t in range(l + 1)
+                if not act_eprime(E_t(l, t)).is_zero()
+            ),
+        ),
+        _first_failure("coefficient family valuations (l <= 4)", _valuation_failures()),
+    ]
+    name = "string decomposition induces the signature rule (l=2, depth 6)"
     try:
         report = boson_crystal_check(2, 6)
         ok = report["rule_matched"] and report["lattice_closed"]
-    except AssertionError:
-        ok = False
-    items.append(_item("string decomposition induces the signature rule (l=2, depth 6)", ok))
+        items.append(_item(name, ok))
+    except AssertionError as exc:
+        items.append(_item(name, False, counterexample=f"first failed assertion: {exc}"))
     return items
 
 

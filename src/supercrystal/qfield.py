@@ -127,6 +127,30 @@ def _pdiv(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
+def _gcd(a: Poly, b: Poly) -> Poly:
+    """Primitive gcd of nonzero a and b, with positive leading coefficient.
+
+    The common power of q is split off by slicing, and when either side is
+    a single term once its own power of q is gone, nothing else is common,
+    so the primitive PRS runs only on two sides with several terms each.
+    """
+    ka, kb = _order(a), _order(b)
+    if len(a) - ka == 1 or len(b) - kb == 1:
+        g = _PONE
+    else:
+        g = _pgcd(a[ka:], b[kb:])
+    k = ka if ka < kb else kb
+    return (0,) * k + g if k else g
+
+
+def _exquo(a: Poly, g: Poly) -> Poly:
+    """Exact quotient of a by a divisor g from _gcd; a bare q^k is a slice."""
+    k = _order(g)
+    if len(g) - k == 1:
+        return a[k:]
+    return _pdiv(a[k:], g[k:])
+
+
 def _poly_str(p: Poly) -> str:
     terms = []
     for e in range(len(p) - 1, -1, -1):
@@ -192,21 +216,26 @@ class QRat:
     that form, so these values are safe as dict keys.  Instances are
     immutable by convention, so arithmetic may return an operand itself.
 
-    Almost every coefficient the package meets is a Laurent polynomial (a
-    power of q below), so the normal form is reached without a polynomial
-    gcd whenever an operand's shape allows it:
+    The constructor is the one normaliser for a raw (num, den) pair.  The
+    arithmetic instead starts from two operands already in normal form and
+    uses Henrici's algorithms (Knuth, TAOCP vol. 2, 4.5.1), so each gcd
+    runs on factors rather than on full products, and a result that is
+    coprime by construction only has its integer content and sign fixed:
 
-    - a denominator 1 is already normal;
-    - the common power of q is cancelled by a slice, and when either side is
-      then a single term the two sides are coprime, so only the integer
-      content and the sign remain;
-    - adding zero returns the other operand, and equal denominators add the
-      numerators over the shared denominator;
+    - for a/b * c/d, gcd(a, d) and gcd(c, b) are cancelled before the
+      cofactors are multiplied;
+    - for a/b + c/d with g = gcd(b, d): if g = 1 the sum (ad + cb) / bd is
+      already coprime; otherwise t = a(d/g) + c(b/g) can share a factor only
+      with g, and h = gcd(t, g) is cancelled from t and d;
+    - equal denominators are the case g = b of the same rule, and two
+      single-term denominators add by shifting the numerators to the larger
+      power of q;
     - multiplying by a single-term value c*q^k / (d*q^j) rescales the other
-      operand's normal form, which stays coprime.
+      operand's normal form, and adding zero returns the other operand.
 
-    Only values with several terms on both sides go through the primitive
-    PRS gcd.
+    Every gcd splits off its power of q by a slice and answers at once when
+    either side is then a single term, so the primitive PRS gcd runs only on
+    two factors with several terms each.
     """
 
     __slots__ = ("num", "den")
@@ -219,20 +248,11 @@ class QRat:
         if not num:
             den = _PONE
         elif den != _PONE:
-            k = min(_order(num), _order(den))
-            if k:
-                num, den = num[k:], den[k:]
-            if not (_is_monomial(num) or _is_monomial(den)):
-                g = _pgcd(num, den)
-                if len(g) > 1:
-                    num = _pdiv(num, g)
-                    den = _pdiv(den, g)
-            c = _int_gcd(*num, *den)
-            if c > 1:
-                num = tuple(x // c for x in num)
-                den = tuple(x // c for x in den)
-            if den[-1] < 0:
-                num, den = _pneg(num), _pneg(den)
+            g = _gcd(num, den)
+            if g != _PONE:
+                num, den = _exquo(num, g), _exquo(den, g)
+            r = _finish(num, den)
+            num, den = r.num, r.den
         self.num: Poly = num
         self.den: Poly = den
 
@@ -284,12 +304,24 @@ class QRat:
             return self
         if not self.num:
             return o
-        if self.den == o.den:
-            return QRat(_padd(self.num, o.num), self.den)
-        return QRat(
-            _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-            _pmul(self.den, o.den),
-        )
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if b == d:
+            g, bq, t = b, _PONE, _padd(a, c)
+        elif _is_monomial(b) and _is_monomial(d):
+            return _add_over_powers(a, b, c, d)
+        else:
+            g = _gcd(b, d)
+            if g == _PONE:
+                # coprime, and nonzero: a*d = -c*b would force b = d, a case taken above
+                return _finish(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+            bq = _exquo(b, g)
+            t = _padd(_pmul(a, _exquo(d, g)), _pmul(c, bq))
+        if not t:
+            return _Q0
+        h = _gcd(t, g)
+        if h != _PONE:
+            t, d = _exquo(t, h), _exquo(d, h)
+        return _finish(t, d if bq == _PONE else _pmul(bq, d))
 
     __radd__ = __add__
 
@@ -318,7 +350,14 @@ class QRat:
             return self._scaled(o)
         if _is_monomial(self.num) and _is_monomial(self.den):
             return o._scaled(self)
-        return QRat(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        a, b, c, d = self.num, self.den, o.num, o.den
+        g = _gcd(a, d)
+        if g != _PONE:
+            a, d = _exquo(a, g), _exquo(d, g)
+        g = _gcd(c, b)
+        if g != _PONE:
+            c, b = _exquo(c, g), _exquo(b, g)
+        return _finish(_pmul(a, c), _pmul(b, d))
 
     __rmul__ = __mul__
 
@@ -455,8 +494,60 @@ def _normal(num: Poly, den: Poly) -> QRat:
     return r
 
 
+def _finish(num: Poly, den: Poly) -> QRat:
+    """Wrap a coprime pair with nonzero num: divide out the integer content
+    of the pair and make the denominator lead positive."""
+    c = _int_gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num = tuple(x // c for x in num)
+        den = tuple(x // c for x in den)
+    return _normal(num, den)
+
+
+def _add_over_powers(a: Poly, b: Poly, c: Poly, d: Poly) -> QRat:
+    """a/b + c/d for distinct single-term denominators b and d.
+
+    Both numerators are scaled to the least common multiple of the two
+    coefficients and shifted to the larger power of q, so no product is
+    formed; a single-term denominator is coprime to whatever is left once
+    the common power of q is sliced off.
+    """
+    j, k, lb, ld = len(b) - 1, len(d) - 1, b[-1], d[-1]
+    if lb != ld:
+        lcm = lb * ld // _int_gcd(lb, ld)
+        a = tuple(x * (lcm // lb) for x in a)
+        c = tuple(x * (lcm // ld) for x in c)
+        lb = lcm
+    if j < k:
+        a = (0,) * (k - j) + a
+    elif k < j:
+        c = (0,) * (j - k) + c
+    num = _padd(a, c)
+    if not num:
+        return _Q0
+    e = max(j, k)
+    s = min(_order(num), e)
+    return _finish(num[s:], (0,) * (e - s) + (lb,))
+
+
 _Q0 = QRat.zero()
 _Q1 = QRat.one()
+
+
+def full_product_reference(op: str, x: QRat, y: QRat) -> QRat:
+    """x op y for op in "+-*/", from the full cross products reduced by the
+    constructor's one gcd: the slow route the arithmetic must agree with."""
+    (a, b), (c, d) = (x.num, x.den), (y.num, y.den)
+    if op in "+-":
+        cb = _pmul(c, b)
+        return QRat(_padd(_pmul(a, d), cb if op == "+" else _pneg(cb)), _pmul(b, d))
+    if op == "*":
+        return QRat(_pmul(a, c), _pmul(b, d))
+    if op == "/":
+        return QRat(_pmul(a, d), _pmul(b, c))
+    raise ValueError(f"unknown operation {op!r}")
 
 
 # -- sparse accumulation and exact row reduction ---------------------------

@@ -369,10 +369,10 @@ class PBWVector:
             return NotImplemented
         rd = self.rd
         out: dict[tuple[int, ...], QRat] = {}
+        right = [(rd.monomial_word(m2), c2) for m2, c2 in other.terms.items()]
         for m1, c1 in self.terms.items():
             w1 = rd.monomial_word(m1)
-            for m2, c2 in other.terms.items():
-                w2 = rd.monomial_word(m2)
+            for w2, c2 in right:
                 c = c1 * c2
                 if w1 and w2 and (
                     w1[-1] > w2[0] or (w1[-1] == w2[0] and rd.is_odd_index(w1[-1]))

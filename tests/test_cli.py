@@ -20,9 +20,9 @@ import pytest
 
 from supercrystal import cli
 from supercrystal.cli import cmd_components, cmd_graph, cmd_verify, main
-from supercrystal.combicrystal import OddSet
+from supercrystal.combicrystal import ZERO, OddSet
 from supercrystal.combicrystal import from_json as combi_from_json
-from supercrystal.limitcrystal import enumerate_binf, enumerate_x
+from supercrystal.limitcrystal import enumerate_binf, enumerate_x, kac_elements
 from supercrystal.superpbw import Weight
 
 
@@ -189,6 +189,103 @@ def test_verify_names_the_first_broken_axiom(capsys, monkeypatch):
     assert rc == 1 and items[0]["ok"] is False
     assert items[0]["counterexample"] == want
     assert [sorted(item) for item in items[1:]] == [["name", "ok"]] * 2
+
+
+def test_verify_boson_names_the_failing_cell_and_valuation(capsys, monkeypatch):
+    real_grid, real_c = cli.congruence_grid, cli.C_sk
+
+    def broken_grid(max_l, max_s):
+        grid = real_grid(max_l, max_s)
+        for entry in grid:
+            if (entry["l"], entry["t"], entry["s"]) == (2, 1, 3):
+                entry["ok"] = False
+        return grid
+
+    def broken_c(l, t, s, k):
+        c = real_c(l, t, s, k)
+        return c * cli._QP(1) if (l, t, s, k) == (1, 0, 2, 1) else c
+
+    monkeypatch.setattr(cli, "congruence_grid", broken_grid)
+    monkeypatch.setattr(cli, "C_sk", broken_c)
+    rc, out, _ = run(capsys, ["verify", "--suite", "boson", "--format", "json"])
+    items = json.loads(out)["suites"]["boson"]
+    assert rc == 1 and [item["ok"] for item in items] == [False, True, False, True]
+    assert items[0]["counterexample"] == (
+        "cell (l, t, s) = (2, 1, 3): f^(s) E_t is not the case 2 monomial"
+        " modulo q times the lattice"
+    )
+    assert items[2]["counterexample"] == "(l, t, s, k) = (1, 0, 2, 1): expected degree 2, found 3"
+
+    # a vanishing coefficient has no degree, and is reported rather than raised
+    monkeypatch.setattr(cli, "C_sk", lambda l, t, s, k: cli.QRat.zero())
+
+    def broken_check(l, depth):
+        raise AssertionError((2, 3, 1, 2, "f"))
+
+    real_raise, survivor = cli.act_eprime, cli.E_t(3, 2)
+
+    def broken_raise(v):
+        return cli.E_t(v.l, 0) if v == survivor else real_raise(v)
+
+    monkeypatch.setattr(cli, "boson_crystal_check", broken_check)
+    monkeypatch.setattr(cli, "act_eprime", broken_raise)
+    rc, out, err = run(capsys, ["verify", "--suite", "boson"])
+    assert rc == 1 and err == ""
+    assert (
+        "FAIL [boson] kernel vectors die under the coupled raising action:"
+        " (l, t) = (3, 2): the raising action does not kill E_t\n"
+    ) in out
+    assert (
+        "FAIL [boson] coefficient family valuations (l <= 4): (l, t, s, k) = (0, 0, 1, 0):"
+        " expected degree 0, found none (the coefficient is zero)\n"
+    ) in out
+    assert (
+        "FAIL [boson] string decomposition induces the signature rule (l=2, depth 6):"
+        " first failed assertion: (2, 3, 1, 2, 'f')\n"
+    ) in out
+
+
+def test_verify_kappa_names_the_element_and_law(capsys, monkeypatch):
+    members = kac_elements(2, 2, Weight((1, 0, 1, 0)))
+    lost = members[3]
+    lowered = next(k for k in members if cli.kac_op(1, "f", k) is not ZERO)
+    real_inv, real_binf = cli.kappa_inv, cli.binf_op
+    lost_b, lowered_b = cli.kappa(lost), cli.kappa(lowered)
+
+    def broken_inv(b, lam):
+        return members[0] if b == lost_b else real_inv(b, lam)
+
+    def broken_binf(i, dir, b):
+        return ZERO if (i, dir, b) == (1, "f", lowered_b) else real_binf(i, dir, b)
+
+    monkeypatch.setattr(cli, "kappa_inv", broken_inv)
+    monkeypatch.setattr(cli, "binf_op", broken_binf)
+    rc, out, _ = run(capsys, ["verify", "--suite", "kappa", "--format", "json"])
+    items = json.loads(out)["suites"]["kappa"]
+    assert rc == 1 and [item["ok"] for item in items] == [False, True, True, False]
+    assert items[0]["counterexample"] == (
+        f"element {cli._short(lost)}: kappa_inv(kappa(b)) = b fails"
+    )
+    assert items[3]["counterexample"] == (
+        f"element {cli._short(lowered)}, index 1, f: kappa(f_i b) = f_i kappa(b) fails"
+    )
+
+
+def test_verify_qfield_checks_arithmetic_against_full_products(capsys, monkeypatch):
+    rc, out, _ = run(capsys, ["verify", "--suite", "qfield"])
+    assert rc == 0
+    assert "PASS [qfield] + - * / on 120 seeded cyclotomic-shaped pairs" in out
+    real = cli.full_product_reference
+
+    def off_by_one(op, x, y):
+        want = real(op, x, y)
+        return want + 1 if op == "*" else want
+
+    monkeypatch.setattr(cli, "full_product_reference", off_by_one)
+    rc, out, _ = run(capsys, ["verify", "--suite", "qfield", "--format", "json"])
+    item = json.loads(out)["suites"]["qfield"][2]
+    assert rc == 1 and item["ok"] is False
+    assert " * (" in item["counterexample"] and ": expected " in item["counterexample"]
 
 
 def test_graph_kac_refuses_huge_weight(capsys):

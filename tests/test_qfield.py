@@ -14,6 +14,7 @@ from supercrystal.qfield import (
     bar,
     eval_at_infinity,
     eval_at_zero,
+    full_product_reference,
     is_regular_at_infinity,
     is_regular_at_zero,
     min_degree,
@@ -221,16 +222,20 @@ def _fpoly_quo(a: list, b: list) -> list:
     return _fpoly_trim(out)
 
 
+def _fpoly_gcd(a: list, b: list) -> list:
+    while b:
+        a, b = b, _fpoly_rem(a, b)
+    return a
+
+
 def slow_normal_form(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Euclid over Fraction coefficients, then clear denominators and content."""
     num = _fpoly_trim([Fraction(c) for c in num])
     den = _fpoly_trim([Fraction(c) for c in den])
     if not num:
         return (), (1,)
-    a, b = num, den
-    while b:
-        a, b = b, _fpoly_rem(a, b)
-    num, den = _fpoly_quo(num, a), _fpoly_quo(den, a)
+    g = _fpoly_gcd(num, den)
+    num, den = _fpoly_quo(num, g), _fpoly_quo(den, g)
     scale = 1
     for c in num + den:
         scale = scale * c.denominator // gcd(scale, c.denominator)
@@ -295,29 +300,154 @@ def raw_operand(rng: random.Random, shape: str) -> tuple[tuple[int, ...], tuple[
     )
 
 
+def assert_ops_match_slow_reduction(a, b, context) -> None:
+    """Build x and y from the raw pairs a and b, then check the normal form
+    of each, and of x + y, x - y, x * y and x / y both from the arithmetic
+    and from full_product_reference, against slow_normal_form of the full
+    cross products."""
+    x, y = QRat(*a), QRat(*b)
+    assert (x.num, x.den) == slow_normal_form(*a), (context, a)
+    assert (y.num, y.den) == slow_normal_form(*b), (context, b)
+    (xn, xd), (yn, yd) = (x.num, x.den), (y.num, y.den)
+    cross = _ipoly_mul(xn, yd), _ipoly_mul(yn, xd)
+    want = {
+        "+": slow_normal_form(_ipoly_add(*cross), _ipoly_mul(xd, yd)),
+        "-": slow_normal_form(
+            _ipoly_add(cross[0], tuple(-c for c in cross[1])), _ipoly_mul(xd, yd)
+        ),
+        "*": slow_normal_form(_ipoly_mul(xn, yn), _ipoly_mul(xd, yd)),
+    }
+    got = {"+": x + y, "-": x - y, "*": x * y}
+    if y:
+        want["/"] = slow_normal_form(_ipoly_mul(xn, yd), _ipoly_mul(xd, yn))
+        got["/"] = x / y
+    for op, z in got.items():
+        assert (z.num, z.den) == want[op], (context, a, b, op)
+        ref = full_product_reference(op, x, y)
+        assert (ref.num, ref.den) == want[op], (context, a, b, op, "reference")
+
+
 def test_normal_form_matches_slow_reduction():
     rng = random.Random(31337)
     for _ in range(600):
         sa, sb = rng.choice(SHAPES), rng.choice(SHAPES)
-        a, b = raw_operand(rng, sa), raw_operand(rng, sb)
-        x, y = QRat(*a), QRat(*b)
-        assert (x.num, x.den) == slow_normal_form(*a), (sa, a)
-        assert (y.num, y.den) == slow_normal_form(*b), (sb, b)
-        (xn, xd), (yn, yd) = (x.num, x.den), (y.num, y.den)
-        cross = _ipoly_mul(xn, yd), _ipoly_mul(yn, xd)
-        want = {
-            "+": slow_normal_form(_ipoly_add(*cross), _ipoly_mul(xd, yd)),
-            "-": slow_normal_form(
-                _ipoly_add(cross[0], tuple(-c for c in cross[1])), _ipoly_mul(xd, yd)
-            ),
-            "*": slow_normal_form(_ipoly_mul(xn, yn), _ipoly_mul(xd, yd)),
-        }
-        got = {"+": x + y, "-": x - y, "*": x * y}
-        if y:
-            want["/"] = slow_normal_form(_ipoly_mul(xn, yd), _ipoly_mul(xd, yn))
-            got["/"] = x / y
-        for op, z in got.items():
-            assert (z.num, z.den) == want[op], (sa, sb, a, b, op)
+        assert_ops_match_slow_reduction(raw_operand(rng, sa), raw_operand(rng, sb), (sa, sb))
+
+
+# -- sums and products whose denominators share cyclotomic factors -------------
+#
+# The divided powers put [k]! and (q^(2j) - 1) in denominators, so operands
+# met in practice share factors.  These pairs exercise every branch of the
+# reduced-fraction sum and product: coprime denominators, a common factor
+# that survives or cancels, cross-cancellation in a product, and zero.
+
+
+def _q_int_poly(k: int) -> tuple[int, ...]:
+    # q^(k-1) [k] = 1 + q^2 + ... + q^(2k-2)
+    return tuple(1 - e % 2 for e in range(2 * k - 1))
+
+
+def _q_factorial_poly(k: int) -> tuple[int, ...]:
+    out: tuple[int, ...] = (1,)
+    for j in range(1, k + 1):
+        out = _ipoly_mul(out, _q_int_poly(j))
+    return out
+
+
+def _q2j_minus_one(j: int) -> tuple[int, ...]:
+    return (-1,) + (0,) * (2 * j - 1) + (1,)
+
+
+CYCLOTOMIC_FACTORS = (
+    [_q_int_poly(k) for k in (2, 3, 4)]
+    + [_q_factorial_poly(k) for k in (2, 3)]
+    + [_q2j_minus_one(j) for j in (1, 2, 3)]
+    + [(0, 1), (1, 1), (-1, 1)]
+)
+
+
+def cyclotomic_product(rng: random.Random) -> tuple[int, ...]:
+    out: tuple[int, ...] = (rng.choice([1, 1, -1, 2, 3, -6]),)
+    for _ in range(rng.randint(0, 3)):
+        out = _ipoly_mul(out, rng.choice(CYCLOTOMIC_FACTORS))
+    return out
+
+
+def _slow_gcd_degree(a, b) -> int:
+    return len(_fpoly_gcd([Fraction(c) for c in a], [Fraction(c) for c in b])) - 1
+
+
+P2, P3 = _q_int_poly(2), _q_int_poly(3)  # 1 + q^2 and 1 + q^2 + q^4
+QP1, QM1 = (1, 1), (-1, 1)  # q + 1 and q - 1
+
+
+def test_sum_with_coprime_denominators():
+    x, y = QRat(QM1, P2), QRat(QP1, P3)
+    assert _slow_gcd_degree(x.den, y.den) == 0
+    assert_ops_match_slow_reduction((QM1, P2), (QP1, P3), "g = 1")
+    assert x + y == QRat(
+        _ipoly_add(_ipoly_mul(QM1, P3), _ipoly_mul(QP1, P2)), _ipoly_mul(P2, P3)
+    )
+
+
+def test_sum_with_a_common_factor_that_survives():
+    # g = q + 1; t = [3] + [2] (polynomial parts) is 5 at q = -1, so h = 1
+    b, d = _ipoly_mul(QP1, P2), _ipoly_mul(QP1, P3)
+    x, y = QRat((1,), b), QRat((1,), d)
+    assert _slow_gcd_degree(b, d) == 1
+    assert _slow_gcd_degree(_ipoly_add(P3, P2), QP1) == 0
+    assert_ops_match_slow_reduction(((1,), b), ((1,), d), "h = 1")
+    assert (x + y).den == _ipoly_mul(_ipoly_mul(QP1, P2), P3)
+
+
+def test_sum_with_a_common_factor_that_cancels():
+    # 1/(q - 1) - 2/(q^2 - 1): g = q - 1, t = (q + 1) - 2 = q - 1 = h
+    b, d = QM1, _q2j_minus_one(1)
+    assert _slow_gcd_degree(b, d) == 1
+    assert_ops_match_slow_reduction(((1,), b), ((-2,), d), "h != 1")
+    assert QRat((1,), b) + QRat((-2,), d) == QRat((1,), QP1)
+    # over one shared denominator: q/(q^2 - 1) - 1/(q^2 - 1) = 1/(q + 1)
+    assert QRat((0, 1), d) - QRat((1,), d) == QRat((1,), QP1)
+
+
+def test_product_cross_cancels_on_each_side():
+    x, y = QRat(QP1, P2), QRat((1,), _q2j_minus_one(1))
+    assert _slow_gcd_degree(x.num, y.den) == 1 and _slow_gcd_degree(y.num, x.den) == 0
+    want = QRat((1,), _ipoly_mul(QM1, P2))
+    assert x * y == want and y * x == want
+    assert_ops_match_slow_reduction((QP1, P2), ((1,), _q2j_minus_one(1)), "one side")
+    # both sides cancel: (q^2 - 1)/[2] * [2]/(q + 1) = q - 1
+    u, v = QRat(_q2j_minus_one(1), P2), QRat(P2, QP1)
+    assert u * v == QRat(QM1) and v * u == QRat(QM1)
+
+
+def test_sums_that_cancel_to_zero():
+    x = QRat(QP1, _q_factorial_poly(3))
+    assert not (x - x) and (x + (-x)).den == (1,)
+    # 1/(q - 1) - 1/(q + 1) = 2/(q^2 - 1), reached by a different route
+    split = QRat((1,), QM1) - QRat((1,), QP1)
+    z = split - QRat((2,), _q2j_minus_one(1))
+    assert not z and (z.num, z.den) == ((), (1,))
+
+
+def test_sum_of_single_term_denominators():
+    binom = q_binom(5, 2)
+    assert_ops_match_slow_reduction((binom.num, binom.den), ((0, 0, 0, 1), (1,)), "binom + q^3")
+    assert (binom + qp(3)) - qp(3) == binom
+    assert qp(-2) + qp(-5) == QRat((1, 0, 0, 1), (0, 0, 0, 0, 0, 1))
+    # coefficients 2 and 3 meet at their least common multiple
+    assert_ops_match_slow_reduction(((1, 1), (0, 2)), ((-1, 0, 1), (0, 0, 3)), "powers")
+    assert QRat((1,), (0, 2)) + QRat((1,), (0, 0, 3)) == QRat((2, 3), (0, 0, 6))
+    # at one power of q the sum can lose its q: (2 + q)/(2q) + (q - 3)/(3q) = 5/6
+    assert QRat((2, 1), (0, 2)) + QRat((-3, 1), (0, 3)) == QRat((5,), (6,))
+
+
+def test_cyclotomic_products_match_slow_reduction():
+    rng = random.Random(20261019)
+    for k in range(400):
+        a = (cyclotomic_product(rng), cyclotomic_product(rng))
+        b = (cyclotomic_product(rng), cyclotomic_product(rng))
+        assert_ops_match_slow_reduction(a, b, k)
 
 
 def test_adding_zero_returns_the_operand():
