@@ -82,6 +82,7 @@ from .superpbw import to_json as pbw_to_json
 GRAPH_TARGETS = ("binf", "kac", "xlambda", "oddset")
 VERIFY_SUITES = ("qfield", "pbw", "crystal-axioms", "kappa", "components", "boson", "examples")
 DEFAULT_COMPONENTS_CAP = 3
+LONG_PAIRS = 4  # long pairs in the qfield suite; their reference reductions cost about 10 ms each
 
 # fixed palette for edge colors by acting index; the odd index stands out
 EDGE_COLORS = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02")
@@ -290,31 +291,56 @@ def _first_failure(name: str, failures, **extra) -> dict:
     return _item(name, False, counterexample=first, **extra)
 
 
-def _cyclotomic_pairs(count: int, seed: int):
+def _cyclotomic_pairs(count: int, seed: int, long: bool = False):
     """Seeded pairs of values whose sides are products of q-integers, [k]!,
     q^(2j) - 1 and q + 1, q - 1, q, so that denominators share factors as
-    those of divided powers do."""
+    those of divided powers do.  Long values take up to six factors among
+    [k] (k <= 12), [k]! (k <= 4) and q^(2j) - 1 (j <= 6) on each side, and
+    keep 16 to 80 coefficients on each side once reduced, past both size
+    crossovers of the arithmetic."""
     rng = random.Random(seed)
-    factors = (
-        [QRat(q_int(k).num) for k in (2, 3, 4)]
-        + [QRat(q_factorial(k).num) for k in (2, 3)]
-        + [_QP(2 * j) - 1 for j in (1, 2, 3)]
-        + [_QP(1) + 1, _QP(1) - 1, _QP(1)]
-    )
+    if long:
+        factors = (
+            [QRat(q_int(k).num) for k in range(2, 13)]
+            + [QRat(q_factorial(k).num) for k in (2, 3, 4)]
+            + [_QP(2 * j) - 1 for j in range(1, 7)]
+        )
+        most, sizes = 6, range(16, 81)
+    else:
+        factors = (
+            [QRat(q_int(k).num) for k in (2, 3, 4)]
+            + [QRat(q_factorial(k).num) for k in (2, 3)]
+            + [_QP(2 * j) - 1 for j in (1, 2, 3)]
+            + [_QP(1) + 1, _QP(1) - 1, _QP(1)]
+        )
+        most, sizes = 3, None
 
     def side():
         out = QRat.from_int(rng.choice((1, -1, 2, 3, -6)))
-        for _ in range(rng.randint(0, 3)):
+        for _ in range(rng.randint(0, most)):
             out = out * rng.choice(factors)
         return out.num
 
+    def value():
+        while True:
+            x = QRat(side(), side())
+            if sizes is None or (len(x.num) in sizes and len(x.den) in sizes):
+                return x
+
     for _ in range(count):
-        yield QRat(side(), side()), QRat(side(), side())
+        yield value(), value()
 
 
-def _arithmetic_failures():
+def _accidental_pairs():
+    """Pairs built on a = 1 + q^2 + ... + q^8 and b = q^12 - 1, which are
+    coprime although a(2^k) and b(2^k) share the factor 5 whenever 4 | k."""
+    a, b = QRat((1, 0, 1, 0, 1, 0, 1, 0, 1)), _QP(12) - 1
+    return [(a, b), (a.inverse(), b.inverse()), (a / b, b / a)]
+
+
+def _arithmetic_failures(pairs):
     # (x + y, y) adds a pair whose sum cancels part of the shared denominator
-    for x, y in _cyclotomic_pairs(60, 20261019):
+    for x, y in pairs:
         for u, v in ((x, y), (x + y, y)):
             for op, got in (("+", u + v), ("-", u - v), ("*", u * v), ("/", u / v)):
                 want = full_product_reference(op, u, v)
@@ -336,58 +362,76 @@ def _suite_qfield(cfg: RunConfig) -> list[dict]:
         _item("telescoping sum collapse to q^(2ab) (a,b <= 15)", collapse),
         _first_failure(
             "+ - * / on 120 seeded cyclotomic-shaped pairs match full-product reduction",
-            _arithmetic_failures(),
+            _arithmetic_failures(_cyclotomic_pairs(60, 20261019)),
+        ),
+        _first_failure(
+            f"+ - * / on {2 * LONG_PAIRS} seeded long cyclotomic-shaped pairs (16-80 "
+            "coefficients) match full-product reduction",
+            _arithmetic_failures(_cyclotomic_pairs(LONG_PAIRS, 20261020, long=True)),
+        ),
+        _first_failure(
+            "+ - * / on the coprime pair 1 + q^2 + ... + q^8, q^12 - 1, whose values at "
+            "q = 2^(4j) share the factor 5, match full-product reduction",
+            _arithmetic_failures(_accidental_pairs()),
         ),
     ]
 
 
-def _suite_pbw(cfg: RunConfig) -> list[dict]:
-    items = []
-    rds = [RootData(1, 1), RootData(2, 1), RootData(1, 2)]
-    agree = True
+def _strategy_failures(rds):
     rng = random.Random(20240821)
     for rd in rds:
         ell = rd.m + rd.n
         words = [[rng.randint(1, ell - 1) for _ in range(k)] for k in range(5) for _ in range(6)]
         for word in words:
             u = normal_form(rd, word)
-            if u != normal_form(rd, word, strategy="leftmost") or u != normal_form(
-                rd, word, strategy="rightmost"
-            ):
-                agree = False
-    items.append(_item("straightening strategies agree on sampled words", agree))
+            for strategy in ("leftmost", "rightmost"):
+                if normal_form(rd, word, strategy=strategy) != u:
+                    yield (
+                        f"rank ({rd.m},{rd.n}), word {word}: strategies latest and "
+                        f"{strategy} give different normal forms"
+                    )
 
-    rd13 = RootData(1, 3)
-    u = normal_form(rd13, [2, 3])
-    items.append(
-        _item(
-            "odd block involution: swap picks up -q and squares to one",
-            sigma_0n(rd13, u) == normal_form(rd13, [3, 2], -_QP(1))
-            and sigma_0n(rd13, sigma_0n(rd13, u)) == u,
-        )
-    )
 
-    ladders = True
+def _involution_failures():
+    rd = RootData(1, 3)
+    u = normal_form(rd, [2, 3])
+    if sigma_0n(rd, u) != normal_form(rd, [3, 2], -_QP(1)):
+        yield "rank (1,3), word [2, 3]: sigma_0n(f_2 f_3) = -q f_3 f_2 fails"
+    if sigma_0n(rd, sigma_0n(rd, u)) != u:
+        yield "rank (1,3), word [2, 3]: sigma_0n(sigma_0n(u)) = u fails"
+
+
+def _ladder_failures(rds):
     for rd in rds:
-        m = rd.m
+        m, where = rd.m, f"rank ({rd.m},{rd.n}), index {rd.m}"
         if crystal_f(rd, m, PBWVector.unit(rd)) != PBWVector.generator(rd, m):
-            ladders = False
+            yield f"{where}: f_i(1) = f_i fails"
         if crystal_e(rd, m, PBWVector.generator(rd, m)) != PBWVector.unit(rd):
-            ladders = False
-    rd21 = RootData(2, 1)
+            yield f"{where}: e_i(f_i) = 1 fails"
+    rd = RootData(2, 1)
     for c in range(4):
-        if crystal_f(rd21, 1, f_divided(rd21, 1, c)) != f_divided(rd21, 1, c + 1):
-            ladders = False
-    items.append(_item("crystal ladders on divided powers", ladders))
+        if crystal_f(rd, 1, f_divided(rd, 1, c)) != f_divided(rd, 1, c + 1):
+            yield f"rank (2,1), index 1: f_i(f_i^({c})) = f_i^({c + 1}) fails"
 
-    round_trip = True
+
+def _round_trip_failures(rds):
     for rd in rds:
         for word in ([1], [1, 2] if rd.m + rd.n > 2 else [1]):
             u = normal_form(rd, word)
             if pbw_from_json(rd, pbw_to_json(u)) != u:
-                round_trip = False
-    items.append(_item("serialization round trip", round_trip))
-    return items
+                yield f"rank ({rd.m},{rd.n}), word {word}: {u} does not survive the JSON round trip"
+
+
+def _suite_pbw(cfg: RunConfig) -> list[dict]:
+    rds = [RootData(1, 1), RootData(2, 1), RootData(1, 2)]
+    return [
+        _first_failure("straightening strategies agree on sampled words", _strategy_failures(rds)),
+        _first_failure(
+            "odd block involution: swap picks up -q and squares to one", _involution_failures()
+        ),
+        _first_failure("crystal ladders on divided powers", _ladder_failures(rds)),
+        _first_failure("serialization round trip", _round_trip_failures(rds)),
+    ]
 
 
 def _alpha(i: int, ell: int) -> Weight:

@@ -98,11 +98,12 @@ class BosonTensorVec:
 
 
 def _kernel_coeff(l: int, t: int, i: int) -> QRat:
-    # a(t, i) = prod over 0 <= j < i of q^(l-t+1) / (q^(2(l-j)) - 1)
-    out = _Q1
+    # a(t, i) = prod over 0 <= j < i of q^(l-t+1) / (q^(2(l-j)) - 1),
+    # taken as q^(i(l-t+1)) over the product D_i of the denominators
+    den = _Q1
     for j in range(i):
-        out = out * _qp(l - t + 1) / (_qp(2 * (l - j)) - _Q1)
-    return out
+        den = den * (_qp(2 * (l - j)) - _Q1)
+    return _qp(i * (l - t + 1)) / den
 
 
 def E_t(l: int, t: int) -> BosonTensorVec:
@@ -135,8 +136,9 @@ def act_f_pow(s: int, v: BosonTensorVec) -> BosonTensorVec:
                 continue
             nb = b + i
             # k^i scales f^(a) v1 by q^(i(l-2a)); divided powers combine
-            # with the balanced binomials on both factors
-            cc = c * _qp(i * (l - 2 * a) - i * (s - i)) * q_binom(na, a) * q_binom(nb, b)
+            # with the balanced binomials on both factors.  Their Laurent
+            # product meets c's denominator in one gcd.
+            cc = c * (_qp(i * (l - 2 * a) - i * (s - i)) * q_binom(na, a) * q_binom(nb, b))
             add_into(out, (na, nb), cc)
     return BosonTensorVec(l, out)
 
@@ -158,19 +160,27 @@ def C_sk(l: int, t: int, s: int, k: int) -> QRat:
     """Coefficient of f^(l-k) v1 (x) f^(t+s-l+k) v2 in act_f_pow(s, E_t).
 
     Computed as the closed double-sum collapse; meaningful in the deep
-    regime s > l - t where the left factor saturates.
+    regime s > l - t where the left factor saturates.  The i-th term is
+    a(t, i) q^((k-i)(i-l+s+k)) [l-k, i] [t-l+s+k, t-i], and a(t, i) is
+    q^(i(l-t+1)) over D_i = prod over j < i of (q^(2(l-j)) - 1).  The
+    numerators, Laurent polynomials times D_hi / D_i, are summed over the
+    one denominator D_hi of the last term, so the sum is reduced once
+    rather than at every term.
     """
     if not 0 <= t <= l or not 0 <= k <= l or s < 0:
         raise ValueError("C_sk arguments out of range")
-    out = _Q0
-    for i in range(max(0, l - s - k), min(t, l - k) + 1):
-        out = out + (
-            _kernel_coeff(l, t, i)
-            * _qp((k - i) * (i - l + s + k))
-            * q_binom(l - k, i)
-            * q_binom(t - l + s + k, t - i)
-        )
-    return out
+    lo, hi = max(0, l - s - k), min(t, l - k)
+    num, den = _Q0, _Q1  # den runs through D_hi / D_i as i falls to 0
+    for i in range(hi, -1, -1):
+        if i >= lo:
+            num = num + den * (
+                _qp(i * (l - t + 1) + (k - i) * (i - l + s + k))
+                * q_binom(l - k, i)
+                * q_binom(t - l + s + k, t - i)
+            )
+        if i:
+            den = den * (_qp(2 * (l - i + 1)) - _Q1)
+    return num / den
 
 
 # -- residue tests -----------------------------------------------------

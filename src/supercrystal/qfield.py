@@ -7,19 +7,37 @@ binomials, the bar substitution q -> 1/q, the order-of-vanishing tests
 at q = 0 and q = infinity that the lattice computations depend on, and the
 one sparse accumulator and one exact row reduction the other modules share.
 
+Every cancellation goes through ``_cancel``, which returns a gcd with both
+cofactors.  Long operands take a certified heuristic gcd at q = 2^k, and
+long products one big-integer multiply (Kronecker substitution); the
+primitive PRS gcd and the schoolbook product keep the short operands and
+take over whenever the certificate or the 63-bit bound fails.  The two size
+crossovers are HEU_GCD_MIN_LEN and KRONECKER_MIN_PAIRS.
+
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache, partial
 from math import gcd as _int_gcd
+from sys import byteorder as _BYTEORDER
 
 Poly = tuple[int, ...]  # coefficients by ascending degree, no trailing zeros
 
 _PZERO: Poly = ()
 _PONE: Poly = (1,)
+
+# Size crossovers, measured on the benchmark's Q(q) operands (see README,
+# "Exact arithmetic"): below them the pure-Python loops are faster.
+HEU_GCD_MIN_LEN = 12  # len(a) + len(b) at which a gcd tries the heuristic first
+KRONECKER_MIN_PAIRS = 300  # len(a) * len(b) at which a product packs into one integer
+# the evaluation points q = 2^k the heuristic gcd tries, in order, before the PRS
+_HEU_WIDTHS = (16, 32, 64)
+# signed array codes for limbs of k bits
+_LIMB_CODES = {8 * array(c).itemsize: c for c in "hilq"}
 
 
 def _trim(coeffs) -> Poly:
@@ -42,9 +60,18 @@ def _pneg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
 
-def _pmul(a: Poly, b: Poly) -> Poly:
+def _pmul(a: Poly, b: Poly, kronecker: bool = True) -> Poly:
+    """The product a*b; below the crossover, or with kronecker off, by the
+    schoolbook loop, which skips zero terms."""
     if not a or not b:
         return _PZERO
+    if kronecker and len(a) * len(b) >= KRONECKER_MIN_PAIRS:
+        # Kronecker substitution: one big-integer product at q = 2^k, where
+        # k leaves room for the largest possible product coefficient
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        if bound < 1 << 63:
+            k = 16 if bound < 1 << 15 else 32 if bound < 1 << 31 else 64
+            return _trim(_unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1))
     out = [0] * (len(a) + len(b) - 1)
     for j, x in enumerate(a):
         if x:
@@ -127,28 +154,121 @@ def _pdiv(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
-def _gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd of nonzero a and b, with positive leading coefficient.
+def _pack(a: Poly, k: int) -> int:
+    """a(2^k) for coefficients in [-2^(k-1), 2^(k-1)).
+
+    Read as one unsigned integer, the k-bit two's complement limbs of a are
+    the biased digits c + 2^(k-1) with their top bits flipped, so one xor
+    and one subtraction of the bias give the value.
+    """
+    bias = _bias(k, len(a))
+    return (int.from_bytes(array(_LIMB_CODES[k], a).tobytes(), _BYTEORDER) ^ bias) - bias
+
+
+def _unpack(v: int, k: int, n: int) -> list[int] | None:
+    """The n balanced base-2^k digits of v, each in [-2^(k-1), 2^(k-1)),
+    or None when v has no such expansion; the inverse of _pack."""
+    bias = _bias(k, n)
+    v += bias
+    if v < 0 or v.bit_length() > n * k:
+        return None
+    limbs = array(_LIMB_CODES[k])
+    limbs.frombytes((v ^ bias).to_bytes(n * k // 8, _BYTEORDER))
+    return limbs.tolist()
+
+
+@lru_cache(maxsize=1024)
+def _bias(k: int, n: int) -> int:
+    # 2^(k-1) in each of n limbs of k bits; bounded, as n grows with the operands
+    return int.from_bytes(((1 << (k - 1)).to_bytes(k // 8, "little")) * n, "little")
+
+
+def _heu_cancel(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly] | None:
+    """(g, a/g, b/g) with g the primitive gcd, certified at xi = 2^k, or
+    None when no tried xi gives a certificate.  See _cancel."""
+    top = max(max(map(abs, a)), max(map(abs, b)))
+    for k in _HEU_WIDTHS:
+        h = 1 << (k - 1)  # xi / 2
+        if top >= h:
+            continue
+        va, vb = _pack(a, k), _pack(b, k)
+        gamma = _int_gcd(va, vb)
+        g = _unpack(gamma, k, min(len(a), len(b)))
+        if g is None:
+            continue
+        while not g[-1]:
+            g.pop()
+        if len(g) == 1:
+            # gamma < xi/2 and d divides gamma, so the coprimality test holds
+            return _PONE, a, b
+        c = _int_gcd(*g)
+        if g[-1] < 0:
+            c = -c
+        if c != 1:
+            g = [x // c for x in g]
+        gv = gamma // c
+        ca = _unpack(va // gv, k, len(a) - len(g) + 1)
+        cb = _unpack(vb // gv, k, len(b) - len(g) + 1)
+        if ca is None or cb is None:
+            continue
+        ng, nca, ncb = max(map(abs, g)), max(map(abs, ca)), max(map(abs, cb))
+        if ng * nca * min(len(g), len(ca)) >= h or ng * ncb * min(len(g), len(cb)) >= h:
+            continue
+        d = _int_gcd(va // gv // _int_gcd(*ca), vb // gv // _int_gcd(*cb))
+        if 2 * h > d + 1 + min(nca, ncb):
+            return tuple(g), tuple(ca), tuple(cb)
+    return None
+
+
+def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, a/g, b/g) for nonzero a and b, with g their primitive gcd of
+    positive leading coefficient; when g = 1, a and b come back untouched.
 
     The common power of q is split off by slicing, and when either side is
-    a single term once its own power of q is gone, nothing else is common,
-    so the primitive PRS runs only on two sides with several terms each.
+    a single term once its own power of q is gone, nothing else is common.
+    Two sides with several terms and at least HEU_GCD_MIN_LEN coefficients
+    between them first try the heuristic gcd (Char, Geddes and Gonnet,
+    1989), which hands the work to big-integer gcd and division.  Take
+    xi = 2^k with every coefficient of a and b below xi/2 in absolute
+    value, gamma = gcd(a(xi), b(xi)), g the primitive part of the balanced
+    base-xi digits of gamma with positive leading coefficient, and ca, cb
+    the balanced digits of a(xi)/g(xi) and b(xi)/g(xi).  Two tests make
+    the result exact:
+
+    - Identities.  If |g|*|ca|*min(len g, len ca) < xi/2, every coefficient
+      of the product g*ca is below xi/2 in absolute value, as is every
+      coefficient of a, and both evaluate to a(xi).  Balanced base-xi
+      digits are unique, so g*ca = a; likewise g*cb = b.
+    - Coprime cofactors.  Let d = gcd(pp(ca)(xi), pp(cb)(xi)).  A
+      nonconstant common factor h of ca and cb would divide both primitive
+      parts, so h(xi) would divide d.  Every root z of h is a root of ca
+      and of cb, so by the Cauchy bound |z| < 1 + min(|ca|, |cb|).  If
+      xi > d + 1 + min(|ca|, |cb|), then each |xi - z| > d >= 1 and
+      |h(xi)| >= prod |xi - z| > d, which cannot be.  So g is the gcd.
+
+    Here |p| is the largest absolute value of a coefficient.  When either
+    test fails, the next larger k in _HEU_WIDTHS is tried, and after the
+    last one the primitive PRS decides; it also takes the shorter sides,
+    where it is the faster of the two.
     """
     ka, kb = _order(a), _order(b)
-    if len(a) - ka == 1 or len(b) - kb == 1:
-        g = _PONE
-    else:
-        g = _pgcd(a[ka:], b[kb:])
     k = ka if ka < kb else kb
-    return (0,) * k + g if k else g
-
-
-def _exquo(a: Poly, g: Poly) -> Poly:
-    """Exact quotient of a by a divisor g from _gcd; a bare q^k is a slice."""
-    k = _order(g)
-    if len(g) - k == 1:
-        return a[k:]
-    return _pdiv(a[k:], g[k:])
+    if len(a) - ka > 1 and len(b) - kb > 1:
+        a1, b1 = a[ka:], b[kb:]
+        found = _heu_cancel(a1, b1) if len(a1) + len(b1) >= HEU_GCD_MIN_LEN else None
+        if found is None:
+            g = _pgcd(a1, b1)
+            found = (g, a1, b1) if g == _PONE else (g, _pdiv(a1, g), _pdiv(b1, g))
+        g, a1, b1 = found
+        if g != _PONE:
+            return (
+                (0,) * k + g if k else g,
+                (0,) * (ka - k) + a1 if ka > k else a1,
+                (0,) * (kb - k) + b1 if kb > k else b1,
+            )
+    if not k:
+        return _PONE, a, b
+    return (0,) * k + _PONE, a[k:], b[k:]
 
 
 def _poly_str(p: Poly) -> str:
@@ -233,9 +353,14 @@ class QRat:
     - multiplying by a single-term value c*q^k / (d*q^j) rescales the other
       operand's normal form, and adding zero returns the other operand.
 
-    Every gcd splits off its power of q by a slice and answers at once when
-    either side is then a single term, so the primitive PRS gcd runs only on
-    two factors with several terms each.
+    Each cancellation is one ``_cancel(x, y)``, which returns the gcd and
+    both cofactors.  It splits off the power of q by a slice and answers at
+    once when either side is then a single term.  Two factors with at least
+    HEU_GCD_MIN_LEN coefficients between them take the heuristic gcd at
+    q = 2^k, accepted only with the certificate in ``_cancel``; shorter
+    ones, and any pair the certificate rejects, take the primitive PRS gcd.
+    Products of at least KRONECKER_MIN_PAIRS coefficient pairs are one
+    big-integer multiply.
     """
 
     __slots__ = ("num", "den")
@@ -248,9 +373,7 @@ class QRat:
         if not num:
             den = _PONE
         elif den != _PONE:
-            g = _gcd(num, den)
-            if g != _PONE:
-                num, den = _exquo(num, g), _exquo(den, g)
+            _, num, den = _cancel(num, den)
             r = _finish(num, den)
             num, den = r.num, r.den
         self.num: Poly = num
@@ -306,21 +429,20 @@ class QRat:
             return o
         a, b, c, d = self.num, self.den, o.num, o.den
         if b == d:
-            g, bq, t = b, _PONE, _padd(a, c)
+            g, bq, dq, t = b, _PONE, _PONE, _padd(a, c)
         elif _is_monomial(b) and _is_monomial(d):
             return _add_over_powers(a, b, c, d)
         else:
-            g = _gcd(b, d)
+            g, bq, dq = _cancel(b, d)
             if g == _PONE:
                 # coprime, and nonzero: a*d = -c*b would force b = d, a case taken above
                 return _finish(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
-            bq = _exquo(b, g)
-            t = _padd(_pmul(a, _exquo(d, g)), _pmul(c, bq))
+            t = _padd(_pmul(a, dq), _pmul(c, bq))
         if not t:
             return _Q0
-        h = _gcd(t, g)
+        h, t, gh = _cancel(t, g)
         if h != _PONE:
-            t, d = _exquo(t, h), _exquo(d, h)
+            d = gh if dq == _PONE else _pmul(dq, gh)
         return _finish(t, d if bq == _PONE else _pmul(bq, d))
 
     __radd__ = __add__
@@ -350,13 +472,8 @@ class QRat:
             return self._scaled(o)
         if _is_monomial(self.num) and _is_monomial(self.den):
             return o._scaled(self)
-        a, b, c, d = self.num, self.den, o.num, o.den
-        g = _gcd(a, d)
-        if g != _PONE:
-            a, d = _exquo(a, g), _exquo(d, g)
-        g = _gcd(c, b)
-        if g != _PONE:
-            c, b = _exquo(c, g), _exquo(b, g)
+        _, a, d = _cancel(self.num, o.den)
+        _, c, b = _cancel(o.num, self.den)
         return _finish(_pmul(a, c), _pmul(b, d))
 
     __rmul__ = __mul__
@@ -537,17 +654,27 @@ _Q1 = QRat.one()
 
 
 def full_product_reference(op: str, x: QRat, y: QRat) -> QRat:
-    """x op y for op in "+-*/", from the full cross products reduced by the
-    constructor's one gcd: the slow route the arithmetic must agree with."""
+    """x op y for op in "+-*/", from the full cross products reduced by one
+    primitive PRS gcd: the slow route the arithmetic must agree with.  It
+    uses neither the heuristic gcd nor the Kronecker product, so it checks
+    them rather than sharing them."""
     (a, b), (c, d) = (x.num, x.den), (y.num, y.den)
+    mul = partial(_pmul, kronecker=False)
     if op in "+-":
-        cb = _pmul(c, b)
-        return QRat(_padd(_pmul(a, d), cb if op == "+" else _pneg(cb)), _pmul(b, d))
-    if op == "*":
-        return QRat(_pmul(a, c), _pmul(b, d))
-    if op == "/":
-        return QRat(_pmul(a, d), _pmul(b, c))
-    raise ValueError(f"unknown operation {op!r}")
+        cb = mul(c, b)
+        num, den = _padd(mul(a, d), cb if op == "+" else _pneg(cb)), mul(b, d)
+    elif op == "*":
+        num, den = mul(a, c), mul(b, d)
+    elif op == "/":
+        num, den = mul(a, d), mul(b, c)
+    else:
+        raise ValueError(f"unknown operation {op!r}")
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return _Q0
+    g = _pgcd(num, den)
+    return _finish(_pdiv(num, g), _pdiv(den, g))
 
 
 # -- sparse accumulation and exact row reduction ---------------------------

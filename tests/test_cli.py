@@ -288,6 +288,90 @@ def test_verify_qfield_checks_arithmetic_against_full_products(capsys, monkeypat
     assert " * (" in item["counterexample"] and ": expected " in item["counterexample"]
 
 
+def test_verify_qfield_covers_long_and_accidental_factor_pairs(capsys, monkeypatch):
+    rc, out, _ = run(capsys, ["verify", "--suite", "qfield", "--format", "json"])
+    items = json.loads(out)["suites"]["qfield"]
+    assert rc == 0 and [item["ok"] for item in items] == [True] * 5
+    assert "long cyclotomic-shaped pairs (16-80 coefficients)" in items[3]["name"]
+    assert "1 + q^2 + ... + q^8, q^12 - 1" in items[4]["name"]
+    for x, y in cli._cyclotomic_pairs(cli.LONG_PAIRS, 20261020, long=True):
+        assert all(16 <= len(side) <= 80 for side in (x.num, x.den, y.num, y.den))
+
+    # a reference that disagrees on quotients of longer values fails both
+    # items and names the quotient
+    real = cli.full_product_reference
+
+    def off_by_q(op, x, y):
+        want = real(op, x, y)
+        return want * cli._QP(1) if op == "/" and len(x.num) + len(x.den) > 12 else want
+
+    monkeypatch.setattr(cli, "full_product_reference", off_by_q)
+    rc, out, _ = run(capsys, ["verify", "--suite", "qfield", "--format", "json"])
+    items = json.loads(out)["suites"]["qfield"]
+    assert rc == 1 and items[3]["ok"] is False and items[4]["ok"] is False
+    for item in items[3:]:
+        assert " / (" in item["counterexample"] and ": expected " in item["counterexample"]
+
+
+def test_verify_pbw_names_each_counterexample(capsys, monkeypatch):
+    real_nf, real_sigma = cli.normal_form, cli.sigma_0n
+    real_f, real_to_json = cli.crystal_f, cli.pbw_to_json
+    disagreed = []
+
+    def broken_nf(rd, word, coefficient=1, strategy="latest"):
+        # rightmost straightening loses every word of length two at rank (2,1)
+        u = real_nf(rd, word, coefficient, strategy)
+        if strategy == "rightmost" and (rd.m, rd.n) == (2, 1) and len(word) == 2:
+            disagreed.append(list(word))
+            return cli.PBWVector.unit(rd)
+        return u
+
+    def broken_sigma(rd, u):
+        # the swap is right, but applying it twice does not give u back
+        v = real_sigma(rd, u)
+        return v if v != real_nf(rd, [2, 3]) else cli.PBWVector.unit(rd)
+
+    def broken_f(rd, i, u):
+        if (rd.m, rd.n, i) == (2, 1, 1) and u == cli.f_divided(rd, 1, 2):
+            return cli.PBWVector.unit(rd)
+        return real_f(rd, i, u)
+
+    def broken_to_json(u):
+        data = real_to_json(u)
+        if (u.rd.m, u.rd.n) == (2, 1) and u == real_nf(u.rd, [1, 2]):
+            data[0]["coeff"] = str(cli.QRat.parse(data[0]["coeff"]) + 1)
+        return data
+
+    monkeypatch.setattr(cli, "normal_form", broken_nf)
+    monkeypatch.setattr(cli, "sigma_0n", broken_sigma)
+    monkeypatch.setattr(cli, "crystal_f", broken_f)
+    monkeypatch.setattr(cli, "pbw_to_json", broken_to_json)
+    rc, out, _ = run(capsys, ["verify", "--suite", "pbw", "--format", "json"])
+    items = json.loads(out)["suites"]["pbw"]
+    assert rc == 1 and [item["ok"] for item in items] == [False] * 4
+    assert items[0]["counterexample"] == (
+        f"rank (2,1), word {disagreed[0]}: strategies latest and rightmost give"
+        " different normal forms"
+    )
+    assert items[1]["counterexample"] == (
+        "rank (1,3), word [2, 3]: sigma_0n(sigma_0n(u)) = u fails"
+    )
+    assert items[2]["counterexample"] == "rank (2,1), index 1: f_i(f_i^(2)) = f_i^(3) fails"
+    u = real_nf(cli.RootData(2, 1), [1, 2])
+    assert items[3]["counterexample"] == (
+        f"rank (2,1), word [1, 2]: {u} does not survive the JSON round trip"
+    )
+
+    # a swap that forgets its sign breaks the first law
+    monkeypatch.setattr(cli, "sigma_0n", lambda rd, u: u)
+    rc, out, _ = run(capsys, ["verify", "--suite", "pbw"])
+    assert rc == 1
+    assert (
+        "FAIL [pbw] odd block involution: swap picks up -q and squares to one:"
+        " rank (1,3), word [2, 3]: sigma_0n(f_2 f_3) = -q f_3 f_2 fails\n"
+    ) in out
+
+
 def test_graph_kac_refuses_huge_weight(capsys):
     argv = ["graph", "--m", "2", "--n", "2", "--target", "kac", "--lambda", "100000,0,0,0"]
     rc, out, err = run(capsys, argv)

@@ -27,7 +27,7 @@ from supercrystal.qboson import (
     congruence_grid,
     min_degree,
 )
-from supercrystal.qfield import QRat, q_int
+from supercrystal.qfield import QRat, q_binom, q_int
 from supercrystal.superpbw import RootData, f_divided, eprime
 
 QP = QRat.q_power
@@ -170,6 +170,28 @@ def test_c_sk_expansion_and_valuations():
         for k in range(l + 1):
             want = 0 if k == t else (s + k - l) * (k - t) if k > t else (s + t + 1 - l) * (t - k)
             assert min_degree(C_sk(l, t, s, k)) == want, (l, t, s, k)
+
+
+def per_term_c_sk(l: int, t: int, s: int, k: int) -> QRat:
+    """C(s, k) summed term by term, each term and partial sum reduced."""
+    out = QRat.zero()
+    for i in range(max(0, l - s - k), min(t, l - k) + 1):
+        a = Q1
+        for j in range(i):
+            a = a * QP(l - t + 1) / (QP(2 * (l - j)) - Q1)
+        out = out + a * QP((k - i) * (i - l + s + k)) * q_binom(l - k, i) * q_binom(
+            t - l + s + k, t - i
+        )
+    return out
+
+
+def test_c_sk_over_one_denominator_matches_the_per_term_sum():
+    for l in range(7):
+        for t in range(l + 1):
+            for s in range(11):
+                for k in range(l + 1):
+                    got, want = C_sk(l, t, s, k), per_term_c_sk(l, t, s, k)
+                    assert (got.num, got.den) == (want.num, want.den), (l, t, s, k)
 
 
 def test_c_sk_recursion():

@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from supercrystal import qfield
 from supercrystal.qfield import (
     QRat,
     akito_sum,
@@ -459,6 +460,104 @@ def test_adding_zero_returns_the_operand():
             for z in (x + zero, zero + x, x + 0, 0 + x, x - zero):
                 assert z == x and hash(z) == hash(x)
                 assert (z.num, z.den) == (x.num, x.den)
+
+
+# -- the size-gated kernels: heuristic gcd with cofactors, Kronecker products --
+#
+# Long operands (at least qfield.HEU_GCD_MIN_LEN coefficients between the two
+# sides of a gcd, at least qfield.KRONECKER_MIN_PAIRS coefficient pairs in a
+# product) take the big-integer kernels; every result must still be the
+# normal form that the slow Fraction-coefficient reduction gives.
+
+LONG_FACTORS = (
+    [_q_int_poly(k) for k in range(2, 13)]
+    + [_q_factorial_poly(k) for k in range(2, 6)]
+    + [_q2j_minus_one(j) for j in range(1, 7)]
+)
+
+
+def long_cyclotomic_product(rng: random.Random) -> tuple[int, ...]:
+    out: tuple[int, ...] = (rng.choice([1, 1, -1, 2, 3, -6]),)
+    for _ in range(rng.randint(0, 6)):
+        out = _ipoly_mul(out, rng.choice(LONG_FACTORS))
+    return out
+
+
+def long_pairs(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield (
+            (long_cyclotomic_product(rng), long_cyclotomic_product(rng)),
+            (long_cyclotomic_product(rng), long_cyclotomic_product(rng)),
+        )
+
+
+def counting(monkeypatch, name: str) -> list:
+    """Count the calls of a qfield kernel; returns the one-slot counter."""
+    calls, real = [0], getattr(qfield, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(qfield, name, counted)
+    return calls
+
+
+def test_long_cyclotomic_pairs_match_slow_reduction(monkeypatch):
+    heuristic, packs = counting(monkeypatch, "_heu_cancel"), counting(monkeypatch, "_pack")
+    for k, (a, b) in enumerate(long_pairs(20261020, 300)):
+        assert_ops_match_slow_reduction(a, b, k)
+    # both size gates were crossed, many times over
+    assert heuristic[0] > 1000 and packs[0] > 1000
+
+
+def test_heuristic_gcd_is_not_fooled_by_an_accidental_common_factor():
+    a, b = _q_int_poly(5), _q2j_minus_one(6)  # 1 + q^2 + ... + q^8 and q^12 - 1
+    assert _slow_gcd_degree(a, b) == 0
+    for k in qfield._HEU_WIDTHS:  # every limb width is a multiple of 4
+        assert qfield._pack(a, k) % 5 == 0 and qfield._pack(b, k) % 5 == 0
+    assert len(a) + len(b) >= qfield.HEU_GCD_MIN_LEN
+    assert qfield._heu_cancel(a, b) == ((1,), a, b)
+    assert qfield._cancel(a, b) == ((1,), a, b)
+    assert_ops_match_slow_reduction((a, (1,)), (b, (1,)), "accidental factor")
+    assert_ops_match_slow_reduction(((1,), a), ((1,), b), "accidental factor, inverted")
+    # a real common factor is found exactly, with the cofactors
+    c = _q_int_poly(3)
+    assert qfield._heu_cancel(_ipoly_mul(a, c), _ipoly_mul((-2,), _ipoly_mul(b, c))) == (
+        c, a, _ipoly_mul((-2,), b)
+    )
+
+
+def test_prs_fallback_gives_the_same_normal_forms(monkeypatch):
+    pairs = list(long_pairs(4711, 40))
+    fast = [(QRat(*a), QRat(*b)) for a, b in pairs]
+    monkeypatch.setattr(qfield, "_HEU_WIDTHS", ())
+    assert qfield._heu_cancel(_q_int_poly(12), _q2j_minus_one(6)) is None
+    for k, ((a, b), (x, y)) in enumerate(zip(pairs, fast)):
+        u, v = QRat(*a), QRat(*b)
+        assert (u.num, u.den, v.num, v.den) == (x.num, x.den, y.num, y.den), k
+        assert_ops_match_slow_reduction(a, b, k)
+
+
+def test_kronecker_product_matches_schoolbook(monkeypatch):
+    rng = random.Random(8128)
+    packs = counting(monkeypatch, "_pack")
+    for bits in (4, 16, 40, 70):
+        for _ in range(40):
+            a = tuple(rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 120)))
+            b = tuple(rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 120)))
+            a, b = a[:-1] + (a[-1] or 1,), b[:-1] + (b[-1] or -1,)
+            assert qfield._pmul(a, b) == _ipoly_mul(a, b), (bits, a, b)
+    assert packs[0] > 0
+    # coefficients at the edges of a limb, and sparse operands
+    for h in (2**15 - 1, 2**31 - 1, 2**63 - 1, 2**63, 2**64 + 3):
+        a, b = (h, 0, -h) * 10, (-1,) + (0,) * 28 + (1,)
+        assert qfield._pmul(a, b) == _ipoly_mul(a, b)
+        assert qfield._pmul(b, a) == _ipoly_mul(a, b)
+    for bits in qfield._HEU_WIDTHS:
+        digits = [-(2 ** (bits - 1)), 2 ** (bits - 1) - 1, 0, -1, 1]
+        assert qfield._unpack(qfield._pack(tuple(digits), bits), bits, 5) == digits
 
 
 # -- exact row reduction ------------------------------------------------------
