@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .combicrystal import (
+    ENUMERATION_LIMIT,
     ZERO,
     HWElt,
     KacElt,
@@ -38,7 +39,6 @@ from .combicrystal import (
 )
 from .combicrystal import to_json as combi_json
 from .limitcrystal import (
-    ENUMERATION_LIMIT,
     BInfElt,
     XElt,
     _count_upto,

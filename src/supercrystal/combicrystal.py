@@ -33,6 +33,9 @@ class _ZeroType:
 
 ZERO = _ZeroType()
 
+# The most elements any enumeration builds; a larger request is refused.
+ENUMERATION_LIMIT = 200_000
+
 
 def cartan(mu: Weight, i: int, m: int) -> int:
     """Pairing of a weight with the i-th simple coroot of gl(m|n)."""
@@ -182,9 +185,27 @@ def odd_subsets(m: int, n: int, cap: int | None = None, boxes=None) -> list[OddS
 class _Block:
     """What the Lusztig data of the two even blocks share.
 
-    A subclass names its roots in convex order (``roots``) and its rank
-    fields, the ones before ``mult`` (``_rank``): (m,) or (m, n).
+    A subclass names the function giving its roots in convex order from its
+    rank (``_roots``) and its rank fields, the ones before ``mult``
+    (``_rank``): (m,) or (m, n).
     """
+
+    @classmethod
+    def zero(cls, *rank: int):
+        return cls(*rank, (0,) * len(cls._roots(*rank)))
+
+    @classmethod
+    def of(cls, *args):
+        """The data from the rank then a dict {root: multiplicity}."""
+        *rank, entries = args
+        roots = cls._roots(*rank)
+        unknown = set(entries) - set(roots)
+        if unknown:
+            raise ValueError(f"not {cls.__name__} roots: {sorted(unknown)}")
+        return cls(*rank, tuple(entries.get(r, 0) for r in roots))
+
+    def roots(self) -> tuple[tuple[int, int], ...]:
+        return self._roots(*self._rank())
 
     def entry(self, a: int, b: int) -> int:
         return self.mult[_position(self.roots())[a, b]]
@@ -215,21 +236,7 @@ class LusztigPlus(_Block):
 
     m: int
     mult: tuple[int, ...]
-
-    @classmethod
-    def zero(cls, m: int) -> "LusztigPlus":
-        return cls(m, (0,) * len(plus_roots(m)))
-
-    @classmethod
-    def of(cls, m: int, entries: dict[tuple[int, int], int]) -> "LusztigPlus":
-        roots = plus_roots(m)
-        unknown = set(entries) - set(roots)
-        if unknown:
-            raise ValueError(f"not plus-block roots: {sorted(unknown)}")
-        return cls(m, tuple(entries.get(r, 0) for r in roots))
-
-    def roots(self) -> tuple[tuple[int, int], ...]:
-        return plus_roots(self.m)
+    _roots = staticmethod(plus_roots)
 
     def _rank(self) -> tuple[int, ...]:
         return (self.m,)
@@ -242,21 +249,7 @@ class LusztigMinus(_Block):
     m: int
     n: int
     mult: tuple[int, ...]
-
-    @classmethod
-    def zero(cls, m: int, n: int) -> "LusztigMinus":
-        return cls(m, n, (0,) * len(minus_roots(m, n)))
-
-    @classmethod
-    def of(cls, m: int, n: int, entries: dict[tuple[int, int], int]) -> "LusztigMinus":
-        roots = minus_roots(m, n)
-        unknown = set(entries) - set(roots)
-        if unknown:
-            raise ValueError(f"not minus-block roots: {sorted(unknown)}")
-        return cls(m, n, tuple(entries.get(r, 0) for r in roots))
-
-    def roots(self) -> tuple[tuple[int, int], ...]:
-        return minus_roots(self.m, self.n)
+    _roots = staticmethod(minus_roots)
 
     def _rank(self) -> tuple[int, ...]:
         return self.m, self.n
@@ -494,13 +487,15 @@ def _phi_side_acts(dir: str, phi: int, eps: int) -> bool:
     return phi >= eps if dir == "e" else phi > eps
 
 
-def pair_op(rule: str, i: int, dir: str, S: OddSet, b):
+def pair_op(i: int, dir: str, S: OddSet, b):
     """Route e_i or f_i on the pair S (x) b; returns (S', b') or ZERO.
 
-    S is an odd subset and b an odd subset, Lusztig data or a truncation.
-    The odd index acts on S alone.  Otherwise the lower rule compares phi
-    of S with eps of b, and the upper rule, used with a truncation b,
-    compares phi of b with eps of S; only those two numbers are computed.
+    S is an odd subset.  The index alone picks the rule.  For i < m, b is
+    an odd subset, Lusztig data or a truncation, and the lower rule
+    compares phi of S with eps of b.  At i = m the odd index acts on S
+    alone.  For i > m, b is a truncation (an HWElt), and the upper rule
+    compares phi of b with eps of S.  Only the two compared numbers are
+    computed.
     """
     if i == S.m:
         moved = oddset_op(i, dir, S)
@@ -514,75 +509,16 @@ def pair_op(rule: str, i: int, dir: str, S: OddSet, b):
     else:
         bscan, move = _lusztig_scan(b, i, False), _lusztig_move
     eps = len(bscan[1])
-    if rule == "upper":
+    if i < S.m:
+        act_left = _phi_side_acts(dir, len(scan[0]), eps)
+    else:
         phi = eps + cartan(b.base.weight(), i, S.m) + cartan(b.shift, i, S.m)
         act_left = not _phi_side_acts(dir, phi, len(scan[1]))
-    else:
-        act_left = _phi_side_acts(dir, len(scan[0]), eps)
     if act_left:
         moved = _oddset_move(S, dir, scan)
         return ZERO if moved is ZERO else (moved, b)
     moved = move(b, dir, bscan)
     return ZERO if moved is ZERO else (S, moved)
-
-
-@dataclass(frozen=True)
-class TensorFactor:
-    """One side of a tensor pair: the element plus the data the rules read."""
-
-    value: object
-    eps: int | None = None
-    phi: int | None = None
-    apply: object = None
-
-
-def tensor_op(rule: str, i: int, dir: str, pair):
-    """Route e or f to one side of a pair per the product rules.
-
-    pair is (b1, b2) of TensorFactor.  Returns (new1, new2) with raw values,
-    or ZERO when the routed operator dies.
-    """
-    _check_dir(dir)
-    b1, b2 = pair
-    if rule in ("lower", "boson"):
-        act_left = _phi_side_acts(dir, b1.phi, b2.eps)
-    elif rule == "upper":
-        act_left = not _phi_side_acts(dir, b2.phi, b1.eps)
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
-    if act_left:
-        moved = b1.apply(dir)
-        if moved is ZERO:
-            return ZERO
-        return moved, b2.value
-    moved = b2.apply(dir)
-    if moved is ZERO:
-        return ZERO
-    return b1.value, moved
-
-
-def oddset_factor(S: OddSet, i: int) -> TensorFactor:
-    return TensorFactor(
-        value=S,
-        eps=oddset_eps(i, S),
-        phi=oddset_phi(i, S),
-        apply=lambda dir: oddset_op(i, dir, S),
-    )
-
-
-def lusztig_factor(b: LusztigPlus | LusztigMinus, i: int) -> TensorFactor:
-    return TensorFactor(
-        value=b,
-        eps=lusztig_eps(i, b),
-        phi=lusztig_phi(i, b),
-        apply=lambda dir: lusztig_op(i, dir, b),
-    )
-
-
-def hw_factor(hw: HWElt, i: int) -> TensorFactor:
-    return TensorFactor(
-        value=hw, eps=hw.eps(i), phi=hw.phi(i), apply=lambda dir: hw_op(i, dir, hw)
-    )
 
 
 # -- the Kac-module crystal -------------------------------------------------------
@@ -591,15 +527,15 @@ def hw_factor(hw: HWElt, i: int) -> TensorFactor:
 def route_triple(i: int, dir: str, S: OddSet, plus, minus):
     """Route e_i or f_i on a triple; returns (S', plus', minus') or ZERO.
 
-    Indices up to m act on S (x) plus by the lower rule.  Above m, a
-    truncated minus block (an HWElt) is coupled to S by the upper rule,
-    and a free one moves on its own.
+    Indices up to m act on the pair S (x) plus, where pair_op moves S
+    alone at i = m.  Above m, a truncated minus block (an HWElt) is paired
+    with S, and a free one moves on its own.
     """
     if i <= S.m:
-        out = pair_op("lower", i, dir, S, plus)
+        out = pair_op(i, dir, S, plus)
         return ZERO if out is ZERO else (out[0], out[1], minus)
     if isinstance(minus, HWElt):
-        out = pair_op("upper", i, dir, S, minus)
+        out = pair_op(i, dir, S, minus)
         return ZERO if out is ZERO else (out[0], plus, out[1])
     moved = lusztig_op(i, dir, minus)
     return ZERO if moved is ZERO else (S, plus, moved)
@@ -671,10 +607,11 @@ def bicrystal_decompose(m: int, n: int) -> dict[tuple[int, ...], list[OddSet]]:
 
     Every subset is raised to its bi-highest element with the even-index
     operators of both blocks; classes are keyed by the partition formed by
-    that element's row counts, bottom row first.
+    that element's row counts, bottom row first.  Refused beyond
+    ENUMERATION_LIMIT subsets.
     """
-    if m * n > 25:
-        raise ValueError("size cap exceeded")
+    if 2 ** (m * n) > ENUMERATION_LIMIT:
+        raise ValueError("odd subsets exceed the enumeration limit")
     indices = [i for i in range(1, m + n) if i != m]
     groups: dict[OddSet, list[OddSet]] = {}
     for S in odd_subsets(m, n):
@@ -699,6 +636,10 @@ def bicrystal_decompose(m: int, n: int) -> dict[tuple[int, ...], list[OddSet]]:
 
 # -- JSON ---------------------------------------------------------------------
 
+# each block's JSON kind, and the keys of its rank fields in that order
+_BLOCKS = {"lplus": (LusztigPlus, ("m",)), "lminus": (LusztigMinus, ("m", "n"))}
+_BLOCK_KIND = {cls: (kind, keys) for kind, (cls, keys) in _BLOCKS.items()}
+
 
 def to_json(elt) -> dict:
     if isinstance(elt, OddSet):
@@ -708,17 +649,11 @@ def to_json(elt) -> dict:
             "n": elt.n,
             "bits": [list(p) for p in sorted(elt.bits)],
         }
-    if isinstance(elt, LusztigPlus):
+    if isinstance(elt, _Block):
+        kind, keys = _BLOCK_KIND[type(elt)]
         return {
-            "kind": "lplus",
-            "m": elt.m,
-            "mult": {f"{a},{b}": c for (a, b), c in zip(elt.roots(), elt.mult) if c},
-        }
-    if isinstance(elt, LusztigMinus):
-        return {
-            "kind": "lminus",
-            "m": elt.m,
-            "n": elt.n,
+            "kind": kind,
+            **dict(zip(keys, elt._rank())),
             "mult": {f"{a},{b}": c for (a, b), c in zip(elt.roots(), elt.mult) if c},
         }
     if isinstance(elt, HWElt):
@@ -741,16 +676,12 @@ def from_json(data: dict):
     kind = data["kind"]
     if kind == "oddset":
         return OddSet.of(data["m"], data["n"], [tuple(p) for p in data["bits"]])
-    if kind == "lplus":
+    if kind in _BLOCKS:
+        cls, keys = _BLOCKS[kind]
         entries = {
             tuple(int(x) for x in k.split(",")): v for k, v in data["mult"].items()
         }
-        return LusztigPlus.of(data["m"], entries)
-    if kind == "lminus":
-        entries = {
-            tuple(int(x) for x in k.split(",")): v for k, v in data["mult"].items()
-        }
-        return LusztigMinus.of(data["m"], data["n"], entries)
+        return cls.of(*(data[k] for k in keys), entries)
     if kind == "hw":
         return HWElt(from_json(data["base"]), Weight(tuple(data["shift"])))
     if kind == "kac":

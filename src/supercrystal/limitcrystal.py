@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .combicrystal import (
+    ENUMERATION_LIMIT,
     ZERO,
     HWElt,
     KacElt,
@@ -48,8 +49,6 @@ from .combicrystal import (
     string_length,
 )
 from .superpbw import Weight
-
-ENUMERATION_LIMIT = 200_000
 
 
 def _pad(w: Weight, ell: int) -> Weight:
@@ -409,12 +408,15 @@ def split_map(S: OddSet) -> tuple[OddSet, OddSet]:
 
 
 def split_op(i: int, dir: str, pair: tuple[OddSet, OddSet]):
-    """The routed operator on a split pair, defined for indices up to m."""
+    """The routed operator on a split pair, defined for indices up to m.
+
+    Below m the pair is coupled by the lower tensor rule; at m the odd index
+    toggles the box (m, m+1) of the left part.
+    """
     left, right = pair
-    m = left.m
-    if not 1 <= i <= m:
+    if not 1 <= i <= left.m:
         raise ValueError(f"index {i} outside the split range")
-    return pair_op("lower", i, dir, left, right)
+    return pair_op(i, dir, left, right)
 
 
 def binf_source(b: BInfElt) -> BInfElt:

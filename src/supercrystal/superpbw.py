@@ -561,35 +561,27 @@ def f_divided(rd: RootData, i: int, k: int) -> PBWVector:
     )
 
 
-def string_decompose(rd: RootData, i: int, side: str, u: PBWVector) -> list[PBWVector]:
-    """Split a homogeneous u along divided powers of f_i.
+def string_decompose(rd: RootData, i: int, u: PBWVector) -> list[PBWVector]:
+    """Split a homogeneous u along divided powers of f_i, for i != m.
 
-    side="left" (i < m): u = sum_k f_i^(k) u_k with e'_i(u_k) = 0.
-    side="right" (i > m): u = sum_k u_k f_i^(k) likewise.
-    The returned list is indexed by k; trailing zero entries are trimmed.
+    For i < m the strings are left ones, u = sum_k f_i^(k) u_k; for i > m
+    right ones, u = sum_k u_k f_i^(k); either way e'_i(u_k) = 0.  The
+    returned list is indexed by k; trailing zero entries are trimmed.
     """
     if i == rd.m:
         raise ValueError("no string decomposition along the odd index")
-    if side == "left":
-        if not i < rd.m:
-            raise ValueError("left strings need i < m")
-    elif side == "right":
-        if not i > rd.m:
-            raise ValueError("right strings need i > m")
-    else:
-        raise ValueError(f"bad side {side!r}")
     if u.is_zero():
         return []
     wt = u.weight()  # raises if inhomogeneous
     v = eprime(rd, i, u)
-    tail = string_decompose(rd, i, side, v) if v else []
+    tail = string_decompose(rd, i, v) if v else []
     comps: list[PBWVector] = [PBWVector.zero(rd)] * (len(tail) + 1)
     acc = u
     ai = rd.alpha(i)
     for j, vj in enumerate(tail):
         if vj.is_zero():
             continue
-        if side == "left":
+        if i < rd.m:
             uk = vj.scale(QRat.q_power(j))
             acc = acc - f_divided(rd, i, j + 1) * uk
         else:
@@ -616,14 +608,13 @@ def _string_step(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
     Left strings (i < m) carry f_i^(k) on the left; right strings (i > m),
     inside the 0|n subalgebra, carry it on the right with a q-power twist.
     """
-    side = "left" if i < rd.m else "right"
     out = PBWVector.zero(rd)
     for part in u.homogeneous_parts().values():
-        for k, uk in enumerate(string_decompose(rd, i, side, part)):
+        for k, uk in enumerate(string_decompose(rd, i, part)):
             if uk.is_zero() or (k == 0 and not lower):
                 continue
             fk = f_divided(rd, i, k + 1 if lower else k - 1)
-            if side == "left":
+            if i < rd.m:
                 out = out + fk * uk
             else:
                 e = -rd.form(uk.weight(), rd.alpha(i)) - 2 * k

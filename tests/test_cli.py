@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,35 @@ def test_graph_is_deterministic(capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+# sha256 of the stdout of ``graph`` for four invocations, pinned so that any
+# change in the export encoding or in the crystals themselves shows here
+GRAPH_DIGESTS = (
+    (
+        "--m 2 --n 2 --target binf --cap 4",
+        "234c3aae1c88c40da4ae9156b727dd3b8de12547431dc16765664cad2c837bed",
+    ),
+    (
+        "--m 2 --n 2 --target xlambda --cap 3 --lambda 2,1,0,0",
+        "03bd05209df6a6bbe65320df161b6dd074f5d2bfe8e4f720478734444f568fc6",
+    ),
+    (
+        "--m 2 --n 2 --target kac --lambda 1,0,1,0 --format dot",
+        "57cc6c006763e2b5e04dd6bec0a7d08c8a97dd22481d932dd36e200ac5413de5",
+    ),
+    (
+        "--m 2 --n 3 --target oddset --cap 3",
+        "b1e5c4e0a34ceb1249c018163cbc99b2cf64073a1a4b7e0f8c1564886347801b",
+    ),
+)
+
+
+@pytest.mark.parametrize("args,digest", GRAPH_DIGESTS)
+def test_graph_output_bytes_are_pinned(capsys, args, digest):
+    rc, out, err = run(capsys, ["graph", *args.split()])
+    assert rc == 0 and err == ""
+    assert sha256(out.encode()).hexdigest() == digest
 
 
 def test_graph_out_file(tmp_path, capsys):

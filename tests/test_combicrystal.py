@@ -12,12 +12,14 @@ against an independent oracle built from the word-reversal antiautomorphism.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from supercrystal.combicrystal import (
+    ENUMERATION_LIMIT,
     ZERO,
     HWElt,
     KacElt,
@@ -28,24 +30,22 @@ from supercrystal.combicrystal import (
     cartan,
     epsilon_star,
     from_json,
-    hw_factor,
+    hw_op,
     kac_highest,
     kac_op,
     lam_minus,
     lam_plus,
     lusztig_eps,
-    lusztig_factor,
     lusztig_op,
     lusztig_phi,
     lusztig_star_op,
     minus_roots,
     odd_subsets,
     oddset_eps,
-    oddset_factor,
     oddset_op,
     oddset_phi,
+    pair_op,
     plus_roots,
-    tensor_op,
     to_json,
 )
 from supercrystal.superpbw import (
@@ -285,18 +285,15 @@ def test_worked_lower_route():
     assert oddset_phi(1, WS) == 2 and oddset_eps(1, WS) == 0
     assert lusztig_eps(1, WPLUS) == 1
 
-    def pair(S, b):
-        return (oddset_factor(S, 1), lusztig_factor(b, 1))
-
-    out1 = tensor_op("boson", 1, "f", pair(WS, WPLUS))
+    out1 = pair_op(1, "f", WS, WPLUS)
     S1 = OddSet(3, 4, WS.bits - {(2, 4)} | {(1, 4)})
     assert out1 == (S1, WPLUS)
     assert oddset_phi(1, S1) == 1
 
-    out2 = tensor_op("boson", 1, "f", pair(S1, WPLUS))
+    out2 = pair_op(1, "f", S1, WPLUS)
     assert out2 == (S1, LusztigPlus.of(3, {(2, 3): 2, (1, 3): 1, (1, 2): 3}))
 
-    back = tensor_op("boson", 1, "e", pair(S1, WPLUS))
+    back = pair_op(1, "e", S1, WPLUS)
     assert back == (WS, WPLUS)
 
 
@@ -331,13 +328,60 @@ def test_worked_upper_route_tie():
     hw_minus = HWElt(WMINUS, lam_minus(WLAM, 3))
     assert oddset_eps(5, WS) == 1 and oddset_phi(5, WS) == 1
 
-    out = tensor_op("upper", 5, "f", (oddset_factor(WS, 5), hw_factor(hw_minus, 5)))
+    out = pair_op(5, "f", WS, hw_minus)
     S_moved = OddSet(3, 4, WS.bits - {(3, 5)} | {(3, 6)})
     assert out == (S_moved, hw_minus)
     assert out[0] != lusztig_op(5, "f", WMINUS)
 
-    back = tensor_op("upper", 5, "e", (oddset_factor(WS, 5), hw_factor(hw_minus, 5)))
+    back = pair_op(5, "e", WS, hw_minus)
     assert back == (WS, HWElt(lusztig_op(5, "e", WMINUS), hw_minus.shift))
+
+
+def ref_pair_op(i: int, dir: str, S: OddSet, b):
+    """The tensor product rule on S (x) b, from each factor's public eps/phi.
+
+    Below m the lower rule compares phi of S with eps of b, above m the
+    upper rule compares phi of b with eps of S, and at m the odd index
+    moves S alone.
+    """
+    if i == S.m:
+        moved = oddset_op(i, dir, S)
+        return ZERO if moved is ZERO else (moved, b)
+    if isinstance(b, HWElt):
+        b_eps, b_phi, b_op = b.eps(i), b.phi(i), hw_op
+    else:
+        b_eps, b_phi, b_op = lusztig_eps(i, b), lusztig_phi(i, b), lusztig_op
+    if i < S.m:
+        phi, eps, compared_is_S = oddset_phi(i, S), b_eps, True
+    else:
+        phi, eps, compared_is_S = b_phi, oddset_eps(i, S), False
+    acts = phi >= eps if dir == "e" else phi > eps
+    if acts == compared_is_S:
+        moved = oddset_op(i, dir, S)
+        return ZERO if moved is ZERO else (moved, b)
+    moved = b_op(i, dir, b)
+    return ZERO if moved is ZERO else (S, moved)
+
+
+def test_pair_op_matches_product_rule():
+    minus_lams = {2: [(2, 0), (3, 1), (1, 0)], 3: [(2, 1, 0), (3, 1, 1), (1, 0, 0)]}
+    for m, n in ((2, 2), (2, 3), (3, 2)):
+        pluses = [LusztigPlus(m, mult) for mult in block_labels(plus_roots(m), 3)]
+        minuses = []
+        for coords in minus_lams[n]:
+            for mult in block_labels(minus_roots(m, n), 3):
+                hw = HWElt(LusztigMinus(m, n, mult), Weight((0,) * m + coords))
+                if hw.is_member():
+                    minuses.append(hw)
+        assert len(minuses) > len(minus_lams[n])
+        for S in odd_subsets(m, n):
+            for dir in ("e", "f"):
+                for i in range(1, m + 1):
+                    for b in pluses:
+                        assert pair_op(i, dir, S, b) == ref_pair_op(i, dir, S, b)
+                for i in range(m + 1, m + n):
+                    for hw in minuses:
+                        assert pair_op(i, dir, S, hw) == ref_pair_op(i, dir, S, hw)
 
 
 def test_worked_kac():
@@ -517,7 +561,7 @@ def test_hw_string_lengths():
 def hw_string(hw: HWElt, i: int, dir: str) -> int:
     k = 0
     while True:
-        moved = hw_factor(hw, i).apply(dir)
+        moved = hw_op(i, dir, hw)
         if moved is ZERO:
             if dir == "e":
                 base_up = lusztig_op(i, "e", hw.base)
@@ -676,9 +720,16 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         epsilon_star(3, WPLUS)
     with pytest.raises(ValueError):
-        tensor_op("sideways", 1, "f", (None, None))
-    with pytest.raises(ValueError):
         bicrystal_decompose(6, 5)
+
+
+def test_bicrystal_refuses_past_the_enumeration_limit():
+    # 2^18 subsets: refused from the count, before any subset is built
+    assert 2 ** 18 > ENUMERATION_LIMIT >= 2 ** 16
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        bicrystal_decompose(3, 6)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_json_round_trip():

@@ -29,7 +29,7 @@ from supercrystal.combicrystal import (
     OddSet,
     cartan,
     epsilon_star,
-    hw_factor,
+    hw_op,
     kac_highest,
     kac_op,
     lam_minus,
@@ -38,10 +38,9 @@ from supercrystal.combicrystal import (
     minus_roots,
     odd_subsets,
     oddset_eps,
-    oddset_factor,
     oddset_op,
+    pair_op,
     plus_roots,
-    tensor_op,
 )
 from supercrystal.limitcrystal import (
     ENUMERATION_LIMIT,
@@ -255,13 +254,11 @@ def test_hw_factorize_trivial_and_exhaustive():
         S0, xw, yw = hw_factorize(k)
         plus = HWElt(LusztigPlus.zero(m), lam_plus(LAM22, m))
         for i in xw:
-            plus = hw_factor(plus, i).apply("f")
+            plus = hw_op(i, "f", plus)
             assert plus is not ZERO
         pair = (S0, HWElt(LusztigMinus.zero(m, n), lam_minus(LAM22, m)))
         for j in yw:
-            pair = tensor_op(
-                "upper", j, "f", (oddset_factor(pair[0], j), hw_factor(pair[1], j))
-            )
+            pair = pair_op(j, "f", *pair)
             assert pair is not ZERO
         assert KacElt(pair[0], plus, pair[1]) == k
 
@@ -280,9 +277,7 @@ def test_hw_factorize_word_robust():
         while True:
             options = []
             for j in range(m + 1, m + n):
-                out = tensor_op(
-                    "upper", j, "e", (oddset_factor(S, j), hw_factor(minus, j))
-                )
+                out = pair_op(j, "e", S, minus)
                 if out is not ZERO:
                     options.append((j, out))
             if not options:
@@ -431,9 +426,7 @@ def test_kappa_inv_vanishing_oracle():
         for j in range(m + 1, ell):
             room, pair = 0, (b.S, HWElt(LusztigMinus.zero(m, n), lamm))
             while True:
-                out = tensor_op(
-                    "upper", j, "f", (oddset_factor(pair[0], j), hw_factor(pair[1], j))
-                )
+                out = pair_op(j, "f", *pair)
                 if out is ZERO:
                     break
                 room, pair = room + 1, out

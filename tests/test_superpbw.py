@@ -253,25 +253,21 @@ def test_eprime_divided_powers():
 def test_string_examples():
     rd = RDS[(2, 1)]
     f2 = PBWVector.generator(rd, 2)
-    assert string_decompose(rd, 1, "left", f2) == [f2]
+    assert string_decompose(rd, 1, f2) == [f2]
     f1 = PBWVector.generator(rd, 1)
-    assert string_decompose(rd, 1, "left", f1) == [
+    assert string_decompose(rd, 1, f1) == [
         PBWVector.zero(rd),
         PBWVector.unit(rd),
     ]
     u = f1 * rvec(rd, 2, 3)
-    assert string_decompose(rd, 1, "left", u) == [PBWVector.zero(rd), f2]
+    assert string_decompose(rd, 1, u) == [PBWVector.zero(rd), f2]
 
 
 def test_string_errors():
     rd = RDS[(2, 1)]
     u = PBWVector.generator(rd, 1)
     with pytest.raises(ValueError):
-        string_decompose(rd, 2, "left", u)
-    with pytest.raises(ValueError):
-        string_decompose(rd, 1, "right", u)
-    with pytest.raises(ValueError):
-        string_decompose(rd, 1, "up", u)
+        string_decompose(rd, 2, u)
 
 
 def test_string_reconstruction_and_kernel():
@@ -285,12 +281,11 @@ def test_string_reconstruction_and_kernel():
             for i in rd.index_set:
                 if i == m:
                     continue
-                side = "left" if i < m else "right"
-                comps = string_decompose(rd, i, side, u)
+                comps = string_decompose(rd, i, u)
                 acc = PBWVector.zero(rd)
                 for k, uk in enumerate(comps):
                     assert eprime(rd, i, uk).is_zero(), (m, n, word, i, k)
-                    if side == "left":
+                    if i < m:
                         acc = acc + f_divided(rd, i, k) * uk
                     else:
                         acc = acc + uk * f_divided(rd, i, k)
