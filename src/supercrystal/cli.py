@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .combicrystal import (
-    ENUMERATION_LIMIT,
     ZERO,
     HWElt,
     KacElt,
     LusztigMinus,
     LusztigPlus,
     OddSet,
+    Triple,
     cartan,
     epsilon_star,
     kac_op,
@@ -34,14 +34,12 @@ from .combicrystal import (
     oddset_eps,
     oddset_op,
     oddset_phi,
-    plus_roots,
     string_length,
 )
 from .combicrystal import to_json as combi_json
 from .limitcrystal import (
     BInfElt,
     XElt,
-    _count_upto,
     binf_eps,
     binf_op,
     binf_phi,
@@ -52,7 +50,6 @@ from .limitcrystal import (
     kac_elements,
     kappa,
     kappa_inv,
-    oddset_degree,
     theta,
     x_op,
 )
@@ -150,25 +147,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
 # -- graph export ----------------------------------------------------------
 
 
-def _encode(elt) -> dict:
-    if isinstance(elt, BInfElt):
-        return {
-            "kind": "binf",
-            "S": combi_json(elt.S),
-            "bplus": combi_json(elt.bplus),
-            "bminus": combi_json(elt.bminus),
-        }
-    if isinstance(elt, XElt):
-        return {
-            "kind": "xelt",
-            "S": combi_json(elt.S),
-            "bplus": combi_json(elt.bplus),
-            "bminus": combi_json(elt.bminus),
-            "shift": list(elt.shift.coords),
-        }
-    return combi_json(elt)
-
-
 def _node_key(encoding: dict) -> str:
     return json.dumps(encoding, sort_keys=True, separators=(",", ":"))
 
@@ -185,22 +163,9 @@ def _short(elt) -> str:
         return _mult_label(elt.roots(), elt.mult)
     if isinstance(elt, HWElt):
         return _short(elt.base)
-    if isinstance(elt, (KacElt, BInfElt, XElt)):
+    if isinstance(elt, Triple):
         return f"S={_short(elt.S)} p={_short(elt.bplus)} m={_short(elt.bminus)}"
     raise ValueError(f"no label for {type(elt).__name__}")
-
-
-def _kac_degree(k: KacElt) -> int:
-    return oddset_degree(k.S) + k.bplus.base.degree() + k.bminus.base.degree()
-
-
-def _all_oddsets(m: int, n: int, cap: int | None = None) -> list[OddSet]:
-    if 2 ** (m * n) > ENUMERATION_LIMIT:
-        # with a cap, count by degree
-        heights = [b - a for a in range(1, m + 1) for b in range(m + 1, m + n + 1)]
-        if cap is None or _count_upto(cap, heights, False) > ENUMERATION_LIMIT:
-            raise ValueError("odd subsets exceed the enumeration limit")
-    return odd_subsets(m, n, cap)
 
 
 def cmd_graph(cfg: RunConfig) -> dict:
@@ -219,15 +184,15 @@ def cmd_graph(cfg: RunConfig) -> dict:
     elif cfg.target == "kac":
         elts = [
             k for k in kac_elements(m, n, lam)
-            if cfg.cap is None or _kac_degree(k) <= cfg.cap
+            if cfg.cap is None or k.degree() <= cfg.cap
         ]
         op = kac_op
     elif cfg.target == "oddset":
-        elts, op = _all_oddsets(m, n, cfg.cap), oddset_op
+        elts, op = odd_subsets(m, n, cfg.cap), oddset_op
     else:
         raise ValueError(f"unknown graph target {cfg.target!r}")
 
-    ordered = sorted(((_encode(e), e) for e in elts), key=lambda p: _node_key(p[0]))
+    ordered = sorted(((combi_json(e), e) for e in elts), key=lambda p: _node_key(p[0]))
     pos = {e: idx for idx, (_, e) in enumerate(ordered)}
     edges = []
     for idx, (_, e) in enumerate(ordered):
@@ -473,7 +438,7 @@ def _suite_crystal_axioms(cfg: RunConfig) -> list[dict]:
     m, n = cfg.m, cfg.n
     ell = m + n
     cap = cfg.cap if cfg.cap is not None else 4
-    odds = _all_oddsets(m, n)
+    odds = odd_subsets(m, n)
     ball = enumerate_binf(m, n, cap)
     lam = cfg.lam if cfg.lam is not None else Weight(
         (1,) + (0,) * (m - 1) + (1,) + (0,) * (n - 1)

@@ -8,15 +8,17 @@ sequence from the data, cancel (+,-) pairs by a stack scan, then act at
 the leftmost surviving + (lowering) or the rightmost surviving - (raising).
 ZERO is an explicit sentinel so every operator is total.
 
- The Kac-module crystal combines one odd subset with one truncated array per
-even block; tensor routing between the factors follows the product rules,
-with the odd index acting on the subset alone.
+Every crystal on these data is a ``Triple``: one odd subset and one array
+per even block, free or truncated.  One operator, ``triple_op``, routes
+between the factors by the product rules, with the odd index acting on the
+subset alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
+from itertools import zip_longest
 
 from .superpbw import Weight
 
@@ -140,6 +142,10 @@ class OddSet:
         rows = [-(mask >> a & row).bit_count() for a in range(0, m * n, n)]
         return Weight(tuple(rows + [(mask >> c & col).bit_count() for c in range(n)]))
 
+    def degree(self) -> int:
+        # entry (a, b) has degree b - a, and its weight is -delta_a + delta_b
+        return sum(j * c for j, c in enumerate(self.weight().coords, 1))
+
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         m, n, mask = self.m, self.n, self.mask
         return tuple(tuple(mask >> (a * n + c) & 1 for c in range(n)) for a in range(m))
@@ -166,13 +172,17 @@ def odd_subsets(m: int, n: int, cap: int | None = None, boxes=None) -> list[OddS
 
     The order is that of itertools.product((0, 1), ...) over the boxes in
     the given order: the first box is the most significant bit.  The degree
-    of an entry (a, b) is b - a.
+    of an entry (a, b) is b - a.  Refused, counted by degree, when there
+    are more than ENUMERATION_LIMIT of them.
     """
     if boxes is None:
         boxes = [(a, b) for a in range(1, m + 1) for b in range(m + 1, m + n + 1)]
+    heights = [b - a for a, b in boxes]
+    if _count_upto(sum(heights) if cap is None else cap, heights, False) > ENUMERATION_LIMIT:
+        raise ValueError("odd subsets exceed the enumeration limit")
     found = [(0, 0)]
-    for a, b in boxes:
-        bit, h = 1 << ((a - 1) * n + b - m - 1), b - a
+    for (a, b), h in zip(boxes, heights):
+        bit = 1 << ((a - 1) * n + b - m - 1)
         found = [
             pair
             for mask, d in found
@@ -180,6 +190,28 @@ def odd_subsets(m: int, n: int, cap: int | None = None, boxes=None) -> list[OddS
             if cap is None or pair[1] <= cap
         ]
     return [_oddset(m, n, mask) for mask, _ in found]
+
+
+def _count_upto(cap: int, heights, free: bool) -> int:
+    """How many multisets of the given root heights have degree at most cap,
+    each height used at most once, or any number of times when free.
+
+    No list grows with a huge cap.  A 0/1 count stops at the total height.
+    A free count is at least cap // min(heights) + 1 (the powers of the
+    lowest root); once that bound passes ENUMERATION_LIMIT it is returned
+    in place of the exact count, since callers only compare with the limit.
+    """
+    if not heights:
+        return 1
+    if not free:
+        cap = min(cap, sum(heights))
+    elif cap // min(heights) >= ENUMERATION_LIMIT:
+        return cap // min(heights) + 1
+    poly = [1] + [0] * cap
+    for h in heights:
+        for d in range(h, cap + 1) if free else range(cap, h - 1, -1):
+            poly[d] += poly[d - h]
+    return sum(poly)
 
 
 class _Block:
@@ -261,6 +293,7 @@ class HWElt:
 
     base: LusztigPlus | LusztigMinus
     shift: Weight
+    kind = "hw"
 
     def block_indices(self) -> range:
         if isinstance(self.base, LusztigPlus):
@@ -275,10 +308,12 @@ class HWElt:
         )
 
     def weight(self) -> Weight:
-        bw = self.base.weight()
-        if isinstance(self.base, LusztigPlus):
-            bw = Weight(bw.coords + (0,) * (len(self.shift.coords) - len(bw.coords)))
-        return bw + self.shift
+        # the m|0 block's weight pads with 0 to the length of the shift
+        pairs = zip_longest(self.base.weight().coords, self.shift.coords, fillvalue=0)
+        return Weight(tuple([b + s for b, s in pairs]))
+
+    def degree(self) -> int:
+        return self.base.degree()
 
     def eps(self, i: int) -> int:
         return lusztig_eps(i, self.base)
@@ -287,16 +322,42 @@ class HWElt:
         return lusztig_phi(i, self.base) + cartan(self.shift, i, self.base.m)
 
 
+# the classes from_json rebuilds field by field, by their JSON kind
+_KINDS: dict[str, type] = {HWElt.kind: HWElt}
+
+
 @dataclass(frozen=True)
-class KacElt:
-    """An element of the Kac-module crystal: odd subset and two truncations."""
+class Triple:
+    """An odd subset, m|0 data and 0|n data, each block free (Lusztig
+    data) or truncated (an HWElt).  The kinds differ only in that choice,
+    and each subclass names its JSON ``kind``.  Kinds never compare equal.
+    """
 
     S: OddSet
-    bplus: HWElt
-    bminus: HWElt
+    bplus: LusztigPlus | HWElt
+    bminus: LusztigMinus | HWElt
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _KINDS[cls.kind] = cls
 
     def weight(self) -> Weight:
-        return self.S.weight() + self.bplus.weight() + self.bminus.weight()
+        # a part shorter than m+n (the m|0 block, an m x 1 subset) pads with 0
+        parts = (self.S.weight().coords, self.bplus.weight().coords, self.bminus.weight().coords)
+        return Weight(tuple([s + p + q for s, p, q in zip_longest(*parts, fillvalue=0)]))
+
+    def degree(self) -> int:
+        return self.S.degree() + self.bplus.degree() + self.bminus.degree()
+
+    def rebuild(self, S: OddSet, bplus, bminus) -> "Triple":
+        """The element of the same kind on new data."""
+        return self.__class__(S, bplus, bminus)
+
+
+class KacElt(Triple):
+    """An element of the Kac-module crystal: odd subset and two truncations."""
+
+    kind = "kac"
 
 
 # -- the signature engine ------------------------------------------------------
@@ -541,10 +602,13 @@ def route_triple(i: int, dir: str, S: OddSet, plus, minus):
     return ZERO if moved is ZERO else (S, plus, moved)
 
 
-def kac_op(i: int, dir: str, b: KacElt):
-    """Crystal operator on the Kac-module crystal; returns KacElt or ZERO."""
+def triple_op(i: int, dir: str, b: Triple):
+    """Crystal operator on a triple of any kind; the same kind, or ZERO."""
     out = route_triple(i, dir, b.S, b.bplus, b.bminus)
-    return ZERO if out is ZERO else KacElt(*out)
+    return ZERO if out is ZERO else b.rebuild(*out)
+
+
+kac_op = triple_op
 
 
 def kac_highest(m: int, n: int, lam: Weight) -> KacElt:
@@ -607,11 +671,9 @@ def bicrystal_decompose(m: int, n: int) -> dict[tuple[int, ...], list[OddSet]]:
 
     Every subset is raised to its bi-highest element with the even-index
     operators of both blocks; classes are keyed by the partition formed by
-    that element's row counts, bottom row first.  Refused beyond
-    ENUMERATION_LIMIT subsets.
+    that element's row counts, bottom row first.  Beyond ENUMERATION_LIMIT
+    subsets, odd_subsets refuses before any subset is built.
     """
-    if 2 ** (m * n) > ENUMERATION_LIMIT:
-        raise ValueError("odd subsets exceed the enumeration limit")
     indices = [i for i in range(1, m + n) if i != m]
     groups: dict[OddSet, list[OddSet]] = {}
     for S in odd_subsets(m, n):
@@ -642,6 +704,7 @@ _BLOCK_KIND = {cls: (kind, keys) for kind, (cls, keys) in _BLOCKS.items()}
 
 
 def to_json(elt) -> dict:
+    """The JSON form of any crystal element, with ``kind`` as its first key."""
     if isinstance(elt, OddSet):
         return {
             "kind": "oddset",
@@ -656,19 +719,12 @@ def to_json(elt) -> dict:
             **dict(zip(keys, elt._rank())),
             "mult": {f"{a},{b}": c for (a, b), c in zip(elt.roots(), elt.mult) if c},
         }
-    if isinstance(elt, HWElt):
-        return {
-            "kind": "hw",
-            "base": to_json(elt.base),
-            "shift": list(elt.shift.coords),
-        }
-    if isinstance(elt, KacElt):
-        return {
-            "kind": "kac",
-            "S": to_json(elt.S),
-            "bplus": to_json(elt.bplus),
-            "bminus": to_json(elt.bminus),
-        }
+    if isinstance(elt, (HWElt, Triple)):
+        out = {"kind": elt.kind}
+        for f in fields(elt):
+            value = getattr(elt, f.name)
+            out[f.name] = list(value.coords) if isinstance(value, Weight) else to_json(value)
+        return out
     raise TypeError(f"not a crystal element: {elt!r}")
 
 
@@ -682,10 +738,8 @@ def from_json(data: dict):
             tuple(int(x) for x in k.split(",")): v for k, v in data["mult"].items()
         }
         return cls.of(*(data[k] for k in keys), entries)
-    if kind == "hw":
-        return HWElt(from_json(data["base"]), Weight(tuple(data["shift"])))
-    if kind == "kac":
-        return KacElt(
-            from_json(data["S"]), from_json(data["bplus"]), from_json(data["bminus"])
-        )
+    if kind in _KINDS:
+        cls = _KINDS[kind]
+        values = (data[f.name] for f in fields(cls))
+        return cls(*(Weight(tuple(v)) if isinstance(v, list) else from_json(v) for v in values))
     raise ValueError(f"unknown kind {kind!r}")

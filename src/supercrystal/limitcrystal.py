@@ -1,7 +1,11 @@
 """Limit crystal of the negative half, assembled from finite truncations.
 
-Elements are triples: an odd subset together with Lusztig data on both even
-blocks.  The limit structure is exercised through finite data only: raising
+Elements are triples (``combicrystal.Triple``) of three kinds: the limit
+crystal (``BInfElt``, both even blocks free), the parabolic crystal
+(``XElt``, the minus block truncated) and the model product crystal
+(``ProductElt``).  ``binf_op``, ``x_op`` and ``product_op`` all name the one
+``triple_op``, and ``embed_dual`` and ``project_plus`` swap one field of a
+triple.  The limit structure is exercised through finite data only: raising
 words factor a Kac-module element through its highest-weight pieces
 (hw_factorize), replaying those words over a larger dominant weight embeds
 one Kac-module crystal into another (theta), and replaying them over a
@@ -21,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .combicrystal import (
     ENUMERATION_LIMIT,
@@ -30,6 +35,8 @@ from .combicrystal import (
     LusztigMinus,
     LusztigPlus,
     OddSet,
+    Triple,
+    _count_upto,
     cartan,
     hw_op,
     kac_op,
@@ -45,19 +52,10 @@ from .combicrystal import (
     pair_op,
     plus_roots,
     raise_to_top,
-    route_triple,
     string_length,
+    triple_op,
 )
 from .superpbw import Weight
-
-
-def _pad(w: Weight, ell: int) -> Weight:
-    return Weight(w.coords + (0,) * (ell - len(w.coords)))
-
-
-def oddset_degree(S: OddSet) -> int:
-    # entry (a, b) has degree b - a, and its weight is -delta_a + delta_b
-    return sum(j * c for j, c in enumerate(S.weight().coords, 1))
 
 
 def is_dominant(lam: Weight, m: int) -> bool:
@@ -77,30 +75,19 @@ def ample_weight(m: int, n: int, size: int) -> Weight:
 # -- the limit crystal ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BInfElt:
+class BInfElt(Triple):
     """A triple of free data: odd subset, plus block, minus block."""
 
-    S: OddSet
-    bplus: LusztigPlus
-    bminus: LusztigMinus
+    kind = "binf"
 
-    def weight(self) -> Weight:
-        ell = self.S.m + self.S.n
-        return self.S.weight() + _pad(self.bplus.weight(), ell) + self.bminus.weight()
 
-    def degree(self) -> int:
-        return oddset_degree(self.S) + self.bplus.degree() + self.bminus.degree()
+# one operator for every kind of triple; the minus block of a BInfElt moves
+# on its own, the truncated one of an XElt is coupled with the subset
+binf_op = x_op = product_op = triple_op
 
 
 def binf_highest(m: int, n: int) -> BInfElt:
     return BInfElt(OddSet.empty(m, n), LusztigPlus.zero(m), LusztigMinus.zero(m, n))
-
-
-def binf_op(i: int, dir: str, b: BInfElt):
-    """Crystal operator on triples; the minus block moves on its own."""
-    out = route_triple(i, dir, b.S, b.bplus, b.bminus)
-    return ZERO if out is ZERO else BInfElt(*out)
 
 
 def binf_eps(i: int, b: BInfElt) -> int:
@@ -118,25 +105,17 @@ def binf_phi(i: int, b: BInfElt) -> int:
 
 
 @dataclass(frozen=True)
-class XElt:
-    """A triple with free plus data and a truncated minus block."""
+class XElt(Triple):
+    """A triple with free plus data over a shift and a truncated minus block."""
 
-    S: OddSet
-    bplus: LusztigPlus
-    bminus: HWElt
     shift: Weight
+    kind = "xelt"
 
     def weight(self) -> Weight:
-        ell = self.S.m + self.S.n
-        return (
-            self.S.weight()
-            + _pad(self.bplus.weight(), ell)
-            + self.bminus.weight()
-            + self.shift
-        )
+        return super().weight() + self.shift
 
-    def degree(self) -> int:
-        return oddset_degree(self.S) + self.bplus.degree() + self.bminus.base.degree()
+    def rebuild(self, S: OddSet, bplus, bminus) -> "XElt":
+        return XElt(S, bplus, bminus, self.shift)
 
 
 def x_highest(m: int, n: int, lam: Weight) -> XElt:
@@ -146,12 +125,6 @@ def x_highest(m: int, n: int, lam: Weight) -> XElt:
         HWElt(LusztigMinus.zero(m, n), lam_minus(lam, m)),
         lam_plus(lam, m),
     )
-
-
-def x_op(i: int, dir: str, b: XElt):
-    """Crystal operator on the parabolic crystal; the minus block is coupled."""
-    out = route_triple(i, dir, b.S, b.bplus, b.bminus)
-    return ZERO if out is ZERO else XElt(*out, b.shift)
 
 
 def project_plus(b: XElt):
@@ -315,28 +288,6 @@ def _block_vectors(roots, cap: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _count_upto(cap: int, heights, free: bool) -> int:
-    """How many multisets of the given root heights have degree at most cap,
-    each height used at most once, or any number of times when free.
-
-    No list grows with a huge cap.  A 0/1 count stops at the total height.
-    A free count is at least cap // min(heights) + 1 (the powers of the
-    lowest root); once that bound passes ENUMERATION_LIMIT it is returned
-    in place of the exact count, since callers only compare with the limit.
-    """
-    if not heights:
-        return 1
-    if not free:
-        cap = min(cap, sum(heights))
-    elif cap // min(heights) >= ENUMERATION_LIMIT:
-        return cap // min(heights) + 1
-    poly = [1] + [0] * cap
-    for h in heights:
-        for d in range(h, cap + 1) if free else range(cap, h - 1, -1):
-            poly[d] += poly[d - h]
-    return sum(poly)
-
-
 def _refuse_oversized(m: int, n: int, cap: int, minus_count: int) -> None:
     """Refuse a degree ball before building it.
 
@@ -353,20 +304,22 @@ def _refuse_oversized(m: int, n: int, cap: int, minus_count: int) -> None:
 
 
 def _degree_ball(m: int, n: int, cap: int, minus, make) -> list:
-    """Every make(S, plus, minus) of degree at most cap, unsorted; minus
-    holds the (degree, element) candidates of the minus block."""
-    oddsets = [(oddset_degree(S), S) for S in odd_subsets(m, n, cap)]
+    """Every make(S, plus, minus) of degree at most cap, ordered by degree,
+    the entries of S, then the plus and minus multiplicities; minus holds
+    the (degree, multiplicities, element) candidates of the minus block."""
     plus = [LusztigPlus(m, t) for t in _block_vectors(plus_roots(m), cap)]
     plus = [(bp.degree(), bp) for bp in plus]
-    out = []
-    for ds, S in oddsets:
+    keyed = []
+    for S in odd_subsets(m, n, cap):
+        ds, bits = S.degree(), sorted(S.bits)
         for dp, bp in plus:
             if ds + dp > cap:
                 continue
-            for dm, bm in minus:
+            for dm, mult, bm in minus:
                 if ds + dp + dm <= cap:
-                    out.append(make(S, bp, bm))
-    return out
+                    keyed.append(((ds + dp + dm, bits, bp.mult, mult), S, bp, bm))
+    keyed.sort(key=itemgetter(0))
+    return [make(S, bp, bm) for _, S, bp, bm in keyed]
 
 
 def enumerate_binf(m: int, n: int, cap: int) -> list[BInfElt]:
@@ -374,11 +327,7 @@ def enumerate_binf(m: int, n: int, cap: int) -> list[BInfElt]:
     roots = minus_roots(m, n)
     _refuse_oversized(m, n, cap, _count_upto(cap, [b - a for a, b in roots], True))
     minus = [LusztigMinus(m, n, t) for t in _block_vectors(roots, cap)]
-    out = _degree_ball(m, n, cap, [(bm.degree(), bm) for bm in minus], BInfElt)
-    out.sort(
-        key=lambda b: (b.degree(), sorted(b.S.bits), b.bplus.mult, b.bminus.mult)
-    )
-    return out
+    return _degree_ball(m, n, cap, [(bm.degree(), bm.mult, bm) for bm in minus], BInfElt)
 
 
 def enumerate_x(m: int, n: int, lam: Weight, cap: int) -> list[XElt]:
@@ -388,13 +337,9 @@ def enumerate_x(m: int, n: int, lam: Weight, cap: int) -> list[XElt]:
     # the minus truncation is a gl(n) crystal of its Weyl dimension
     _refuse_oversized(m, n, cap, _weyl_dimension(lam.coords[m:]))
     top = HWElt(LusztigMinus.zero(m, n), lam_minus(lam, m))
-    minus = [(h.base.degree(), h) for h in _hw_orbit(top, range(m + 1, m + n))]
+    minus = [(h.degree(), h.base.mult, h) for h in _hw_orbit(top, range(m + 1, m + n))]
     shift = lam_plus(lam, m)
-    out = _degree_ball(m, n, cap, minus, lambda S, bp, bm: XElt(S, bp, bm, shift))
-    out.sort(
-        key=lambda b: (b.degree(), sorted(b.S.bits), b.bplus.mult, b.bminus.base.mult)
-    )
-    return out
+    return _degree_ball(m, n, cap, minus, lambda S, bp, bm: XElt(S, bp, bm, shift))
 
 
 # -- components of the limit crystal -----------------------------------------------
@@ -438,12 +383,18 @@ def component_label(b: BInfElt) -> OddSet:
     return label
 
 
-def component_census(m: int, n: int) -> dict[OddSet, BInfElt]:
-    """One raising-dead element per subset of Y, keyed by its label."""
+def _y_subsets(m: int, n: int) -> list[OddSet]:
+    """Every subset of Y; odd_subsets refuses past the enumeration limit."""
+    ybits = [(a, b) for a in range(1, m + 1) for b in range(m + 2, m + n + 1)]
+    return odd_subsets(m, n, boxes=ybits)
+
+
+def component_census(m: int, n: int, labels=None) -> dict[OddSet, BInfElt]:
+    """One raising-dead element per subset of Y, keyed by its label; labels
+    is _y_subsets(m, n) where a caller has built it already."""
     ell = m + n
-    ybits = [(a, b) for a in range(1, m + 1) for b in range(m + 2, ell + 1)]
     out: dict[OddSet, BInfElt] = {}
-    for c in odd_subsets(m, n, boxes=ybits):
+    for c in _y_subsets(m, n) if labels is None else labels:
         cur, word = raise_to_top(oddset_op, range(1, m), c)
         plus = lower_along(lusztig_star_op, reversed(word), LusztigPlus.zero(m))
         src = BInfElt(cur, plus, LusztigMinus.zero(m, n))
@@ -459,30 +410,15 @@ def component_census(m: int, n: int) -> dict[OddSet, BInfElt]:
 # -- the model product crystal, the isomorphism target ------------------------------
 
 
-@dataclass(frozen=True)
-class ProductElt:
-    """A pair: boundary-column data with free plus block, and a free minus block."""
+class ProductElt(Triple):
+    """A pair: boundary-column data (S, an m x 1 subset) with free plus
+    block, and a free minus block."""
 
-    S1: OddSet
-    bplus: LusztigPlus
-    bminus: LusztigMinus
-
-    def weight(self) -> Weight:
-        ell = self.bminus.m + self.bminus.n
-        return (
-            _pad(self.S1.weight(), ell)
-            + _pad(self.bplus.weight(), ell)
-            + self.bminus.weight()
-        )
+    kind = "product"
 
 
 def product_highest(m: int, n: int) -> ProductElt:
     return ProductElt(OddSet.empty(m, 1), LusztigPlus.zero(m), LusztigMinus.zero(m, n))
-
-
-def product_op(i: int, dir: str, b: ProductElt):
-    out = route_triple(i, dir, b.S1, b.bplus, b.bminus)
-    return ZERO if out is ZERO else ProductElt(*out)
 
 
 def _sync_bfs(a_start, a_op, b_start, b_op, ell: int, depth: int) -> None:
@@ -521,8 +457,11 @@ def components(m: int, n: int, degree_cap: int) -> dict:
     synchronized traversal, including against the model product crystal.
     """
     ell = m + n
+    # both sizes are checked before the ball is built: the labels here,
+    # the ball by degree in enumerate_binf
+    labels = _y_subsets(m, n)
     elements = enumerate_binf(m, n, degree_cap)
-    census = component_census(m, n)
+    census = component_census(m, n, labels)
     observed: dict[OddSet, set[BInfElt]] = {}
     for b in elements:
         lab = component_label(b)

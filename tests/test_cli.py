@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from hashlib import sha256
 from pathlib import Path
 
@@ -96,7 +97,7 @@ def test_graph_is_deterministic(capsys):
     assert first == second
 
 
-# sha256 of the stdout of ``graph`` for four invocations, pinned so that any
+# sha256 of the stdout of ``graph`` for five invocations, pinned so that any
 # change in the export encoding or in the crystals themselves shows here
 GRAPH_DIGESTS = (
     (
@@ -110,6 +111,10 @@ GRAPH_DIGESTS = (
     (
         "--m 2 --n 2 --target kac --lambda 1,0,1,0 --format dot",
         "57cc6c006763e2b5e04dd6bec0a7d08c8a97dd22481d932dd36e200ac5413de5",
+    ),
+    (
+        "--m 2 --n 2 --target kac --lambda 1,0,1,0",
+        "6718b8d966c8a186458218856ee369f2e6d0cda9bf939a2bf60fff91e2bbfabc",
     ),
     (
         "--m 2 --n 3 --target oddset --cap 3",
@@ -422,6 +427,15 @@ def test_graph_oddset_refusal_names_the_limit(capsys):
     rc, out, err = run(capsys, ["graph", "--m", "4", "--n", "5", "--target", "oddset"])
     assert rc == 2 and out == ""
     assert err == "error: odd subsets exceed the enumeration limit\n"
+
+
+def test_components_refuses_an_oversized_census_at_once(capsys):
+    # 2^(m(n-1)) = 2^18 component labels at rank (3,7), over the limit
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["components", "--m", "3", "--n", "7", "--cap", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_python_dash_m_entry_point():

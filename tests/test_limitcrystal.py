@@ -27,8 +27,10 @@ from supercrystal.combicrystal import (
     LusztigMinus,
     LusztigPlus,
     OddSet,
+    Triple,
     cartan,
     epsilon_star,
+    from_json,
     hw_op,
     kac_highest,
     kac_op,
@@ -41,12 +43,15 @@ from supercrystal.combicrystal import (
     oddset_op,
     pair_op,
     plus_roots,
+    to_json,
+    triple_op,
 )
 from supercrystal.limitcrystal import (
     ENUMERATION_LIMIT,
     _block_vectors,
     _count_upto,
     BInfElt,
+    ProductElt,
     XElt,
     ample_weight,
     binf_eps,
@@ -66,6 +71,8 @@ from supercrystal.limitcrystal import (
     kac_size,
     kappa,
     kappa_inv,
+    product_highest,
+    product_op,
     project_plus,
     split_map,
     split_op,
@@ -647,3 +654,114 @@ def test_binf_matches_algebra():
                         lab = full_label(rd, moved)
                         assert set(res) == {lab}
                         assert res[lab] in units
+
+
+# The per-kind weight and degree formulas each element class carried before
+# the kinds shared one Triple base, kept here as the oracle for it.
+
+
+def _pad(w: Weight, ell: int) -> Weight:
+    return Weight(w.coords + (0,) * (ell - len(w.coords)))
+
+
+def _oddset_degree(S: OddSet) -> int:
+    return sum(b - a for a, b in S.bits)
+
+
+def _hw_weight(h: HWElt) -> Weight:
+    return _pad(h.base.weight(), len(h.shift.coords)) + h.shift
+
+
+def oracle_weight(b) -> Weight:
+    if isinstance(b, KacElt):
+        return b.S.weight() + _hw_weight(b.bplus) + _hw_weight(b.bminus)
+    if isinstance(b, ProductElt):
+        ell = b.bminus.m + b.bminus.n
+        return _pad(b.S.weight(), ell) + _pad(b.bplus.weight(), ell) + b.bminus.weight()
+    ell = b.S.m + b.S.n
+    if isinstance(b, XElt):
+        return b.S.weight() + _pad(b.bplus.weight(), ell) + _hw_weight(b.bminus) + b.shift
+    return b.S.weight() + _pad(b.bplus.weight(), ell) + b.bminus.weight()
+
+
+def oracle_degree(b) -> int:
+    if isinstance(b, KacElt):
+        return _oddset_degree(b.S) + b.bplus.base.degree() + b.bminus.base.degree()
+    if isinstance(b, XElt):
+        return _oddset_degree(b.S) + b.bplus.degree() + b.bminus.base.degree()
+    return _oddset_degree(b.S) + b.bplus.degree() + b.bminus.degree()
+
+
+def product_ball(m: int, n: int, depth: int) -> set:
+    seen = frontier = {product_highest(m, n)}
+    for _ in range(depth):
+        frontier = {
+            down
+            for b in frontier
+            for i in range(1, m + n)
+            if (down := product_op(i, "f", b)) is not ZERO
+        } - seen
+        seen = seen | frontier
+    return seen
+
+
+def four_kinds() -> list:
+    kac = [
+        k
+        for lam in (LAM22, Weight((2, 1, 0, 0)), Weight((2, 0, 3, 1)))
+        for k in kac_elements(2, 2, lam)
+    ]
+    return (
+        enumerate_binf(2, 3, 4)
+        + enumerate_x(2, 2, LAM22, 4)
+        + kac
+        + sorted(product_ball(2, 2, 4), key=repr)
+    )
+
+
+def test_triple_weight_and_degree_match_the_per_kind_formulas():
+    elements = four_kinds()
+    kinds = {type(b) for b in elements}
+    assert kinds == {BInfElt, XElt, KacElt, ProductElt}
+    assert all(isinstance(b, Triple) for b in elements)
+    for b in elements:
+        assert b.weight() == oracle_weight(b), b
+        assert b.degree() == oracle_degree(b), b
+    # the product model reaches past its highest element within four steps
+    assert max(b.degree() for b in elements if isinstance(b, ProductElt)) == 4
+
+
+def test_one_operator_for_every_kind():
+    assert binf_op is x_op is kac_op is product_op is triple_op
+    for b in four_kinds()[::7]:
+        for i in range(1, len(b.weight().coords)):
+            for d in ("e", "f"):
+                moved = triple_op(i, d, b)
+                assert moved is ZERO or type(moved) is type(b)
+    # equal data, different kinds: never equal
+    plain = BInfElt(WS, WPLUS, WMINUS)
+    assert plain != ProductElt(WS, WPLUS, WMINUS)
+    assert plain == BInfElt(WS, WPLUS, WMINUS) and hash(plain) == hash(WB)
+
+
+def test_every_kind_round_trips_through_json():
+    for b in four_kinds()[::5]:
+        data = to_json(b)
+        assert list(data) == ["kind", "S", "bplus", "bminus"] + (
+            ["shift"] if isinstance(b, XElt) else []
+        )
+        assert from_json(data) == b
+
+
+def test_census_size_refused_before_the_ball():
+    # 2^(m(n-1)) = 2^18 labels at rank (3,7): refused from their count at
+    # caps the ball alone would accept
+    for cap in (0, 3):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^odd subsets exceed the enumeration limit$"):
+            components(3, 7, cap)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="^odd subsets exceed the enumeration limit$"):
+        odd_subsets(3, 6)
+    # counted by degree: 2^18 subsets in all, but few of small degree
+    assert len(odd_subsets(3, 6, 2)) == 4
