@@ -738,6 +738,9 @@ def from_json(data: dict):
             tuple(int(x) for x in k.split(",")): v for k, v in data["mult"].items()
         }
         return cls.of(*(data[k] for k in keys), entries)
+    if kind not in _KINDS:
+        # binf, xelt and product register when limitcrystal is imported
+        from . import limitcrystal  # noqa: F401
     if kind in _KINDS:
         cls = _KINDS[kind]
         values = (data[f.name] for f in fields(cls))

@@ -389,12 +389,11 @@ def _y_subsets(m: int, n: int) -> list[OddSet]:
     return odd_subsets(m, n, boxes=ybits)
 
 
-def component_census(m: int, n: int, labels=None) -> dict[OddSet, BInfElt]:
-    """One raising-dead element per subset of Y, keyed by its label; labels
-    is _y_subsets(m, n) where a caller has built it already."""
+def component_census(m: int, n: int) -> dict[OddSet, BInfElt]:
+    """One raising-dead element per subset of Y, keyed by its label."""
     ell = m + n
     out: dict[OddSet, BInfElt] = {}
-    for c in _y_subsets(m, n) if labels is None else labels:
+    for c in _y_subsets(m, n):
         cur, word = raise_to_top(oddset_op, range(1, m), c)
         plus = lower_along(lusztig_star_op, reversed(word), LusztigPlus.zero(m))
         src = BInfElt(cur, plus, LusztigMinus.zero(m, n))
@@ -457,11 +456,11 @@ def components(m: int, n: int, degree_cap: int) -> dict:
     synchronized traversal, including against the model product crystal.
     """
     ell = m + n
-    # both sizes are checked before the ball is built: the labels here,
-    # the ball by degree in enumerate_binf
-    labels = _y_subsets(m, n)
+    # both sizes are checked before the ball is built: the census labels
+    # here, the ball by degree in enumerate_binf
+    _y_subsets(m, n)
     elements = enumerate_binf(m, n, degree_cap)
-    census = component_census(m, n, labels)
+    census = component_census(m, n)
     observed: dict[OddSet, set[BInfElt]] = {}
     for b in elements:
         lab = component_label(b)

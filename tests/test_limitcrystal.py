@@ -13,10 +13,15 @@ a small ball of triples through the triangular-basis residue map.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -751,6 +756,32 @@ def test_every_kind_round_trips_through_json():
             ["shift"] if isinstance(b, XElt) else []
         )
         assert from_json(data) == b
+
+
+def test_combicrystal_alone_decodes_every_kind():
+    # the limit kinds are defined in limitcrystal; a process that imports
+    # only combicrystal still decodes them
+    elements = four_kinds()[::9]
+    samples = [to_json(b) for b in elements]
+    assert {d["kind"] for d in samples} == {"kac", "binf", "xelt", "product"}
+    script = (
+        "import json, sys\n"
+        "from supercrystal.combicrystal import from_json, to_json\n"
+        "assert 'supercrystal.limitcrystal' not in sys.modules\n"
+        "data = json.load(sys.stdin)\n"
+        "print(json.dumps([[type(e).__name__, to_json(e)] for e in map(from_json, data)]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(samples),
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    decoded = json.loads(done.stdout)
+    assert [d for _, d in decoded] == samples
+    assert [name for name, _ in decoded] == [type(b).__name__ for b in elements]
 
 
 def test_census_size_refused_before_the_ball():
