@@ -15,6 +15,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from .combicrystal import (
@@ -72,6 +73,7 @@ from .superpbw import (
     f_divided,
     normal_form,
     sigma_0n,
+    string_decompose,
 )
 from .superpbw import from_json as pbw_from_json
 from .superpbw import to_json as pbw_to_json
@@ -387,6 +389,33 @@ def _round_trip_failures(rds):
                 yield f"rank ({rd.m},{rd.n}), word {word}: {u} does not survive the JSON round trip"
 
 
+def _string_reference(rd: RootData, i: int, mono: tuple[int, ...], lower: bool) -> PBWVector:
+    """crystal_f (lower) or crystal_e along i != m of a PBW monomial, read
+    off string_decompose; right strings (i > m) act on the 0|n factor."""
+    lo, out = rd.minus_start if i > rd.m else 0, PBWVector.zero(rd)
+    head = PBWVector(rd, {mono[:lo] + (0,) * (rd.nroots - lo): QRat.one()})
+    tail = PBWVector(rd, {(0,) * lo + mono[lo:]: QRat.one()})
+    for k, uk in enumerate(string_decompose(rd, i, tail)):
+        if uk and (k or lower):
+            fk = f_divided(rd, i, k + 1 if lower else k - 1)
+            e = -rd.form(uk.weight(), rd.alpha(i)) - 2 * k
+            twist = _QP(e if lower else -e - 2)
+            out = out + head * (fk * uk if i < rd.m else (uk * fk).scale(twist))
+    return out
+
+
+def _string_recursion_failures():
+    # every PBW monomial of degree at most 3 (the operators are linear)
+    for rd in (RootData(2, 2), RootData(1, 3)):
+        for lab in product(range(4), repeat=rd.nroots):
+            if rd.monomial_height(lab) > 3 or max(lab[: rd.odd_count]) > 1:
+                continue
+            u = PBWVector(rd, {lab: QRat.one()})
+            for i, (dir, op) in product(rd.index_set, (("e", crystal_e), ("f", crystal_f))):
+                if i != rd.m and op(rd, i, u) != _string_reference(rd, i, lab, dir == "f"):
+                    yield f"rank ({rd.m},{rd.n}), label {lab}, index {i}, {dir}: off the recursion"
+
+
 def _suite_pbw(cfg: RunConfig) -> list[dict]:
     rds = [RootData(1, 1), RootData(2, 1), RootData(1, 2)]
     return [
@@ -396,6 +425,10 @@ def _suite_pbw(cfg: RunConfig) -> list[dict]:
         ),
         _first_failure("crystal ladders on divided powers", _ladder_failures(rds)),
         _first_failure("serialization round trip", _round_trip_failures(rds)),
+        _first_failure(
+            "crystal operators match the string recursion on (2,2), (1,3) up to degree 3",
+            _string_recursion_failures(),
+        ),
     ]
 
 

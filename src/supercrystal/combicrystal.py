@@ -294,6 +294,7 @@ class HWElt:
     base: LusztigPlus | LusztigMinus
     shift: Weight
     kind = "hw"
+    holds = ((LusztigPlus, LusztigMinus), Weight)
 
     def block_indices(self) -> range:
         if isinstance(self.base, LusztigPlus):
@@ -329,8 +330,9 @@ _KINDS: dict[str, type] = {HWElt.kind: HWElt}
 @dataclass(frozen=True)
 class Triple:
     """An odd subset, m|0 data and 0|n data, each block free (Lusztig
-    data) or truncated (an HWElt).  The kinds differ only in that choice,
-    and each subclass names its JSON ``kind``.  Kinds never compare equal.
+    data) or truncated (an HWElt).  The kinds differ only in that choice:
+    each subclass names its JSON ``kind`` and the types its fields ``holds``,
+    which decoding checks.  Kinds never compare equal.
     """
 
     S: OddSet
@@ -358,6 +360,7 @@ class KacElt(Triple):
     """An element of the Kac-module crystal: odd subset and two truncations."""
 
     kind = "kac"
+    holds = (OddSet, HWElt, HWElt)
 
 
 # -- the signature engine ------------------------------------------------------
@@ -743,6 +746,13 @@ def from_json(data: dict):
         from . import limitcrystal  # noqa: F401
     if kind in _KINDS:
         cls = _KINDS[kind]
-        values = (data[f.name] for f in fields(cls))
-        return cls(*(Weight(tuple(v)) if isinstance(v, list) else from_json(v) for v in values))
+        values = [data[f.name] for f in fields(cls)]
+        values = [Weight(tuple(v)) if isinstance(v, list) else from_json(v) for v in values]
+        # each field holds its kind's type, and a truncation wraps its own slot's block
+        blocks = [v.base if isinstance(v, HWElt) else v for v in values[1:3]]
+        if not all(map(isinstance, values, cls.holds)) or (
+            cls is not HWElt and not all(map(isinstance, blocks, (LusztigPlus, LusztigMinus)))
+        ):
+            raise ValueError(f"the fields of a {kind!r} element hold blocks of another kind")
+        return cls(*values)
     raise ValueError(f"unknown kind {kind!r}")

@@ -79,6 +79,7 @@ class BInfElt(Triple):
     """A triple of free data: odd subset, plus block, minus block."""
 
     kind = "binf"
+    holds = (OddSet, LusztigPlus, LusztigMinus)
 
 
 # one operator for every kind of triple; the minus block of a BInfElt moves
@@ -110,6 +111,7 @@ class XElt(Triple):
 
     shift: Weight
     kind = "xelt"
+    holds = (OddSet, LusztigPlus, HWElt, Weight)
 
     def weight(self) -> Weight:
         return super().weight() + self.shift
@@ -414,6 +416,7 @@ class ProductElt(Triple):
     block, and a free minus block."""
 
     kind = "product"
+    holds = (OddSet, LusztigPlus, LusztigMinus)
 
 
 def product_highest(m: int, n: int) -> ProductElt:

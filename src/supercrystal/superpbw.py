@@ -79,7 +79,8 @@ class RootData:
     block (by reversed column), then the 0|n block (lexicographic).  The
     instance fills its tables as they are first needed (e'_i, e''_i and the
     0|n reversal of each root vector, lattice vectors, weight spaces checked
-    triangular), so reuse one instance per (m, n).
+    triangular, and the rung scalars of the string operators per index,
+    direction and weight pairing), so reuse one instance per (m, n).
     """
 
     def __init__(self, m: int, n: int):
@@ -99,6 +100,7 @@ class RootData:
         self.odd_count = len(odd)
         self.plus_count = len(plus)
         self.minus_count = len(minus)
+        self.minus_start = self.odd_count + self.plus_count
         self.roots: tuple[Root, ...] = tuple(odd + plus + minus)
         self.root_index = {r: k for k, r in enumerate(self.roots)}
         self.nroots = len(self.roots)
@@ -110,6 +112,7 @@ class RootData:
         self._derivative: dict[tuple[int, int], list] = {}
         self._sigma: dict[int, PBWVector] | None = None
         self._lattice_vec: dict[tuple[int, ...], "PBWVector"] = {}
+        self._ladder: dict[tuple[int, bool, int], list[QRat]] = {}
         self._triangular: set[Weight] = set()
 
     # -- root/weight helpers ------------------------------------------
@@ -270,7 +273,7 @@ class RootData:
         if idx < self.odd_count:
             seq = list(range(self.m - 1, r.a - 1, -1)) + list(range(self.m + 1, r.b))
             terms = {(self.m,): _Q1}
-        elif idx < self.odd_count + self.plus_count:
+        elif idx < self.minus_start:
             seq = list(range(r.b - 2, r.a - 1, -1))
             terms = {(r.b - 1,): _Q1}
         else:
@@ -535,7 +538,7 @@ def sigma_0n(rd: RootData, u: PBWVector) -> PBWVector:
     of the two factors.  Only defined on the subalgebra spanned by 0|n-block
     roots.
     """
-    lo = rd.odd_count + rd.plus_count
+    lo = rd.minus_start
     for mono in u.terms:
         if any(e and idx < lo for idx, e in enumerate(mono)):
             raise ValueError("sigma_0n needs a vector in the 0|n subalgebra")
@@ -595,48 +598,57 @@ def string_decompose(rd: RootData, i: int, u: PBWVector) -> list[PBWVector]:
     return comps
 
 
-def _split_prefix(rd: RootData, mono: tuple[int, ...]):
-    lo = rd.odd_count + rd.plus_count
-    prefix = mono[:lo] + (0,) * (rd.nroots - lo)
-    suffix = (0,) * lo + mono[lo:]
-    return prefix, suffix
+def _ladder_coefficients(rd: RootData, i: int, lower: bool, p: int, length: int) -> list[QRat]:
+    """Rung scalars s_0 .. s_{length-1} of the string step along f_i (i != m).
 
-
-def _string_step(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
-    """Move every string component of u one step along f_i (i != m).
-
-    Left strings (i < m) carry f_i^(k) on the left; right strings (i > m),
-    inside the 0|n subalgebra, carry it on the right with a q-power twist.
+    With d = 1 to lower, -1 to raise: e'_i^M(f_i^(k) u_k) = lam(k, M)
+    f_i^(k-M) u_k, so sum_N s_N f_i^(N+d) e'_i^N(u) moves each string
+    component to tau_k f_i^(k+d) u_k once sum_{M<=k} s_M lam(k, M) [k+d]! /
+    [k-M]! = tau_k, which is triangular in s_k.  Left strings (i < m):
+    lam(k, M) = prod_{t<M} q^(1-k+t), tau_k = 1.  Right strings (i > m), where
+    p = (wt, alpha_i) for the part's weight wt, so (wt + k alpha_i, alpha_i) =
+    p - 2k = pk: lam(k, M) = prod_{t<M} q(alpha_i, wt + k alpha_i) q^(k-t-1),
+    tau_k = q^(-pk-2k) lowering and q^(pk+2k-2) raising.
     """
-    out = PBWVector.zero(rd)
-    for part in u.homogeneous_parts().values():
-        for k, uk in enumerate(string_decompose(rd, i, part)):
-            if uk.is_zero() or (k == 0 and not lower):
-                continue
-            fk = f_divided(rd, i, k + 1 if lower else k - 1)
-            if i < rd.m:
-                out = out + fk * uk
-            else:
-                e = -rd.form(uk.weight(), rd.alpha(i)) - 2 * k
-                out = out + (uk * fk).scale(QRat.q_power(e if lower else -e - 2))
-    return out
+    table, d = rd._ladder.setdefault((i, lower, p), []), 1 if lower else -1
+    while len(table) < length:
+        k = len(table)
+        pk = p - 2 * k
+        tau = _Q1 if i < rd.m else QRat.q_power(-pk - 2 * k if lower else pk + 2 * k - 2)
+        rest, lam = (tau / q_factorial(k + d) if k + d >= 0 else QRat.zero()), _Q1
+        for t in range(k):
+            rest = rest - table[t] * lam / q_factorial(k - t)
+            step = QRat.q_power(1 - k + t) if i < rd.m else _signed_q_power(pk + k - t - 1, pk)
+            lam = lam * step
+        table.append(rest / lam)
+    return table
 
 
 def _crystal(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
+    """For i != m, one product per rung of the ladder w_N = e'_i^N of each
+    homogeneous part: s_N f_i^(N+-1) w_N for left strings (i < m), and
+    w_N f_i^(N+-1) s_N for right strings (i > m), taken in the 0|n factor of
+    each group of monomials with the same odd and m|0 exponents."""
     if i == rd.m:
         return PBWVector.generator(rd, i) * u if lower else eprime(rd, i, u)
-    if i < rd.m:
-        return _string_step(rd, i, u, lower)
-    # i > m: act on the 0|n factor of each prefix group
+    lo = rd.minus_start if i > rd.m else 0
     groups: dict[tuple[int, ...], dict] = {}
     for mono, c in u.terms.items():
-        prefix, suffix = _split_prefix(rd, mono)
-        groups.setdefault(prefix, {})[suffix] = c
+        groups.setdefault(mono[:lo], {})[(0,) * lo + mono[lo:]] = c
     out: dict[tuple[int, ...], QRat] = {}
-    for prefix, sufterms in groups.items():
-        moved = _string_step(rd, i, PBWVector(rd, sufterms), lower)
-        for suffix, c in moved.terms.items():
-            add_into(out, tuple(p + s for p, s in zip(prefix, suffix)), c)
+    gen, ai, d = rd.simple_index(i), rd.alpha(i), 1 if lower else -1
+    for prefix, terms in groups.items():
+        for wt, w in PBWVector(rd, terms).homogeneous_parts().items():
+            ladder = []
+            while w:
+                ladder.append(w)
+                w = eprime(rd, i, w)
+            coeffs = _ladder_coefficients(rd, i, lower, rd.form(wt, ai), len(ladder))
+            for N, (wN, s) in enumerate(zip(ladder, coeffs)):
+                if s:
+                    f = PBWVector.root_monomial(rd, gen, N + d).scale(s)
+                    for mono, c in (f * wN if i < rd.m else wN * f).terms.items():
+                        add_into(out, prefix + mono[lo:], c)
     return PBWVector(rd, out)
 
 
@@ -671,7 +683,8 @@ def lattice_vector(rd: RootData, label: tuple[int, ...]) -> PBWVector:
     cached = rd._lattice_vec.get(label)
     if cached is not None:
         return cached
-    prefix, minus = _split_prefix(rd, label)
+    lo = rd.minus_start
+    prefix, minus = label[:lo] + (0,) * (rd.nroots - lo), (0,) * lo + label[lo:]
     head = PBWVector(rd, {prefix: _divided_scale(prefix)})
     tail = sigma_0n(rd, PBWVector(rd, {minus: _divided_scale(minus)}))
     vec = head * tail

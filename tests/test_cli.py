@@ -383,7 +383,7 @@ def test_verify_pbw_names_each_counterexample(capsys, monkeypatch):
     monkeypatch.setattr(cli, "pbw_to_json", broken_to_json)
     rc, out, _ = run(capsys, ["verify", "--suite", "pbw", "--format", "json"])
     items = json.loads(out)["suites"]["pbw"]
-    assert rc == 1 and [item["ok"] for item in items] == [False] * 4
+    assert rc == 1 and [item["ok"] for item in items] == [False] * 4 + [True]
     assert items[0]["counterexample"] == (
         f"rank (2,1), word {disagreed[0]}: strategies latest and rightmost give"
         " different normal forms"
@@ -405,6 +405,25 @@ def test_verify_pbw_names_each_counterexample(capsys, monkeypatch):
         "FAIL [pbw] odd block involution: swap picks up -q and squares to one:"
         " rank (1,3), word [2, 3]: sigma_0n(f_2 f_3) = -q f_3 f_2 fails\n"
     ) in out
+
+
+def test_verify_pbw_names_the_first_operator_off_the_string_recursion(capsys, monkeypatch):
+    real_e = cli.crystal_e
+
+    def broken_e(rd, i, u):
+        # raising along the last index at rank (1,3) doubles its result
+        v = real_e(rd, i, u)
+        return v.scale(2) if (rd.m, rd.n, i) == (1, 3, 3) else v
+
+    monkeypatch.setattr(cli, "crystal_e", broken_e)
+    rc, out, _ = run(capsys, ["verify", "--suite", "pbw", "--format", "json"])
+    items = json.loads(out)["suites"]["pbw"]
+    assert rc == 1 and [item["ok"] for item in items] == [True] * 4 + [False]
+    assert items[4]["name"].startswith("crystal operators match the string recursion")
+    # the first monomial of the ball that raises along index 3 is f_3
+    assert items[4]["counterexample"] == (
+        "rank (1,3), label (0, 0, 0, 0, 0, 1), index 3, e: off the recursion"
+    )
 
 
 def test_graph_kac_refuses_huge_weight(capsys):

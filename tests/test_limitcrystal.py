@@ -758,6 +758,34 @@ def test_every_kind_round_trips_through_json():
         assert from_json(data) == b
 
 
+def test_from_json_refuses_blocks_of_another_kind():
+    lam = Weight((2, 1, 1, 0))
+    hw_plus = to_json(HWElt(LusztigPlus.zero(2), lam_plus(lam, 2)))
+    hw_minus = to_json(HWElt(LusztigMinus.zero(2, 2), lam_minus(lam, 2)))
+    free = to_json(binf_highest(2, 2))
+    # free Lusztig data relabelled as a Kac element: it used to decode and
+    # then lower without bound
+    relabelled = dict(free, kind="kac")
+    with pytest.raises(ValueError, match="hold blocks of another kind"):
+        from_json(relabelled)
+    kac = to_json(kac_highest(2, 2, lam))
+    bad = [relabelled, dict(kac, bplus=free["bplus"]), dict(kac, bplus=hw_minus)]
+    bad += [dict(kac, bminus=hw_plus), dict(kac, bplus=hw_minus, bminus=hw_plus)]
+    for kind in ("binf", "product"):
+        data = to_json(binf_highest(2, 2) if kind == "binf" else product_highest(2, 2))
+        bad += [dict(data, bplus=hw_plus), dict(data, bminus=hw_minus)]
+    xelt = to_json(x_highest(2, 2, lam))
+    bad += [dict(xelt, bplus=hw_plus), dict(xelt, bminus=free["bminus"])]
+    bad += [dict(xelt, shift=free["S"]), dict(free, S=list(lam.coords))]
+    bad += [dict(hw_plus, base=free["S"]), dict(hw_plus, shift=free["bplus"])]
+    for data in bad:
+        with pytest.raises(ValueError, match="hold blocks of another kind"):
+            from_json(data)
+    # the well-formed originals still decode
+    for data in (free, xelt, hw_plus, kac):
+        assert to_json(from_json(data)) == data
+
+
 def test_combicrystal_alone_decodes_every_kind():
     # the limit kinds are defined in limitcrystal; a process that imports
     # only combicrystal still decodes them

@@ -193,59 +193,74 @@ def test_parse_round_trip():
 # -- normal form against an independent slow reduction -----------------------
 
 
-def _fpoly_trim(p: list) -> list:
+# a Mersenne prime far above the coefficients of every gcd met here; a gcd
+# read off modulo it is kept only once it divides both sides exactly
+_GCD_PRIME = 2**127 - 1
+
+
+def _ipoly_trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _fpoly_rem(a: list, b: list) -> list:
-    a = list(a)
+def _ipoly_exact_quo(a, b) -> list | None:
+    """a / b over the integers, or None when b does not divide a there."""
+    a, out = list(a), [0] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        off = len(a) - len(b)
-        for k, x in enumerate(b):
-            a[off + k] -= c * x
-        _fpoly_trim(a)
-    return a
-
-
-def _fpoly_quo(a: list, b: list) -> list:
-    a, out = list(a), [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
+        c, r = divmod(a[-1], b[-1])
+        if r:
+            return None
         off = len(a) - len(b)
         out[off] = c
         for k, x in enumerate(b):
             a[off + k] -= c * x
-        _fpoly_trim(a)
-    assert not a
-    return _fpoly_trim(out)
+        _ipoly_trim(a)
+    return None if a else _ipoly_trim(out)
 
 
-def _fpoly_gcd(a: list, b: list) -> list:
+def _monic_gcd_mod(a, b, p: int) -> list:
+    """The monic gcd of a and b modulo p, by Euclid over GF(p)."""
+    a, b = _ipoly_trim([x % p for x in a]), _ipoly_trim([x % p for x in b])
     while b:
-        a, b = b, _fpoly_rem(a, b)
-    return a
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, off = a[-1] * inv % p, len(a) - len(b)
+            for k, x in enumerate(b):
+                a[off + k] = (a[off + k] - c * x) % p
+            _ipoly_trim(a)
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _ipoly_gcd(a, b) -> list:
+    """The primitive gcd over the integers, leading coefficient positive.
+
+    Modulo a prime that divides neither leading coefficient, the gcd has at
+    least the true degree.  Scaled by the gcd of the leading coefficients
+    and read in symmetric residues it is a multiple of the true gcd when the
+    prime is lucky and large enough.  The candidate is certified by exact
+    division: a common divisor of a and b of at least the true degree is
+    the gcd itself."""
+    p, lead = _GCD_PRIME, gcd(a[-1], b[-1])
+    g = [x * lead % p for x in _monic_gcd_mod(a, b, p)]
+    g = [x - p if 2 * x > p else x for x in g]
+    c = gcd(*g) if g[-1] > 0 else -gcd(*g)
+    g = [x // c for x in g]
+    assert _ipoly_exact_quo(a, g) is not None and _ipoly_exact_quo(b, g) is not None, (a, b)
+    return g
 
 
 def slow_normal_form(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Euclid over Fraction coefficients, then clear denominators and content."""
-    num = _fpoly_trim([Fraction(c) for c in num])
-    den = _fpoly_trim([Fraction(c) for c in den])
+    """Divide out the modular gcd, then the integer content and the sign."""
+    num, den = _ipoly_trim(list(num)), _ipoly_trim(list(den))
     if not num:
         return (), (1,)
-    g = _fpoly_gcd(num, den)
-    num, den = _fpoly_quo(num, g), _fpoly_quo(den, g)
-    scale = 1
-    for c in num + den:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in num + den]
-    g = gcd(*ints)
-    if den[-1] < 0:
-        g = -g
-    ints = [c // g for c in ints]
-    return tuple(ints[: len(num)]), tuple(ints[len(num) :])
+    g = _ipoly_gcd(num, den)
+    num, den = _ipoly_exact_quo(num, g), _ipoly_exact_quo(den, g)
+    c = gcd(*num, *den) if den[-1] > 0 else -gcd(*num, *den)
+    return tuple(x // c for x in num), tuple(x // c for x in den)
 
 
 def _ipoly_mul(a, b):
@@ -375,7 +390,7 @@ def cyclotomic_product(rng: random.Random) -> tuple[int, ...]:
 
 
 def _slow_gcd_degree(a, b) -> int:
-    return len(_fpoly_gcd([Fraction(c) for c in a], [Fraction(c) for c in b])) - 1
+    return len(_ipoly_gcd(list(a), list(b))) - 1
 
 
 P2, P3 = _q_int_poly(2), _q_int_poly(3)  # 1 + q^2 and 1 + q^2 + q^4
@@ -467,7 +482,7 @@ def test_adding_zero_returns_the_operand():
 # Long operands (at least qfield.HEU_GCD_MIN_LEN coefficients between the two
 # sides of a gcd, at least qfield.KRONECKER_MIN_PAIRS coefficient pairs in a
 # product) take the big-integer kernels; every result must still be the
-# normal form that the slow Fraction-coefficient reduction gives.
+# normal form that the slow modular reduction gives.
 
 LONG_FACTORS = (
     [_q_int_poly(k) for k in range(2, 13)]

@@ -18,7 +18,7 @@ from free_oracle import (
     words_of_weight,
 )
 from supercrystal import superpbw
-from supercrystal.qfield import QRat
+from supercrystal.qfield import QRat, q_factorial
 from supercrystal.superpbw import (
     PBWVector,
     Root,
@@ -378,6 +378,57 @@ def test_crystal_lattice_ladders_are_exact():
         assert crystal_f(rd12, 2, lattice_vector(rd12, (0, 0, c))) == lattice_vector(
             rd12, (0, 0, c + 1)
         )
+
+
+def string_oracle(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
+    """crystal_f (lower) or crystal_e along i != m, read off the recursion of
+    string_decompose; right strings (i > m) act on the 0|n factor of each
+    group of monomials sharing their odd and m|0 exponents."""
+    lo = rd.odd_count + rd.plus_count if i > rd.m else 0
+    groups: dict[tuple[int, ...], dict] = {}
+    for mono, c in u.terms.items():
+        groups.setdefault(mono[:lo], {})[(0,) * lo + mono[lo:]] = c
+    out = PBWVector.zero(rd)
+    for prefix, terms in groups.items():
+        head = PBWVector(rd, {prefix + (0,) * (rd.nroots - lo): _Q1})
+        for part in PBWVector(rd, terms).homogeneous_parts().values():
+            for k, uk in enumerate(string_decompose(rd, i, part)):
+                if uk.is_zero() or (k == 0 and not lower):
+                    continue
+                fk = f_divided(rd, i, k + 1 if lower else k - 1)
+                if i < rd.m:
+                    out = out + fk * uk
+                else:
+                    e = -rd.form(uk.weight(), rd.alpha(i)) - 2 * k
+                    out = out + head * (uk * fk).scale(qp(e if lower else -e - 2))
+    return out
+
+
+@pytest.mark.parametrize("mn,deg", [((2, 2), 5), ((1, 3), 5), ((3, 2), 4), ((4, 1), 5)])
+def test_ladder_operators_match_the_string_recursion(mn, deg):
+    rd = RootData(*mn)
+    for lab in labels_up_to(rd, deg):
+        v = lattice_vector(rd, lab)
+        for i in rd.index_set:
+            if i == rd.m:
+                continue
+            assert crystal_f(rd, i, v) == string_oracle(rd, i, v, True), (mn, lab, i, "f")
+            assert crystal_e(rd, i, v) == string_oracle(rd, i, v, False), (mn, lab, i, "e")
+
+
+def test_left_ladder_coefficients_are_pinned_and_weight_free():
+    # Kashiwara's boson-algebra scalars: f~ = sum_N a_N f^(N+1) e'^N and
+    # e~ = sum_N b_N f^(N-1) e'^N, the same at every rank and weight
+    a = [_Q1, -(qp(2) - qp(1) + 1) / qp(1)]
+    b = [_Q1, qp(1) - 1]
+    for rd in (RDS[(2, 1)], RootData(3, 2), RootData(4, 1)):
+        for i in range(1, rd.m):
+            for p in range(-6, 7):
+                lower = superpbw._ladder_coefficients(rd, i, True, p, 2)[:2]
+                assert [s * q_factorial(N + 1) for N, s in enumerate(lower)] == a
+                raising = superpbw._ladder_coefficients(rd, i, False, p, 3)
+                assert not raising[0]
+                assert [raising[N] * q_factorial(N - 1) for N in (1, 2)] == b
 
 
 # -- lattice -----------------------------------------------------------------
