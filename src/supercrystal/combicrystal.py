@@ -588,27 +588,22 @@ def pair_op(i: int, dir: str, S: OddSet, b):
 # -- the Kac-module crystal -------------------------------------------------------
 
 
-def route_triple(i: int, dir: str, S: OddSet, plus, minus):
-    """Route e_i or f_i on a triple; returns (S', plus', minus') or ZERO.
+def triple_op(i: int, dir: str, b: Triple):
+    """Crystal operator on a triple of any kind; the same kind, or ZERO.
 
-    Indices up to m act on the pair S (x) plus, where pair_op moves S
-    alone at i = m.  Above m, a truncated minus block (an HWElt) is paired
+    Indices up to m act on the pair S (x) bplus, where pair_op moves S
+    alone at i = m.  Above m, a truncated bminus block (an HWElt) is paired
     with S, and a free one moves on its own.
     """
+    S, plus, minus = b.S, b.bplus, b.bminus
     if i <= S.m:
         out = pair_op(i, dir, S, plus)
-        return ZERO if out is ZERO else (out[0], out[1], minus)
+        return ZERO if out is ZERO else b.rebuild(out[0], out[1], minus)
     if isinstance(minus, HWElt):
         out = pair_op(i, dir, S, minus)
-        return ZERO if out is ZERO else (out[0], plus, out[1])
+        return ZERO if out is ZERO else b.rebuild(out[0], plus, out[1])
     moved = lusztig_op(i, dir, minus)
-    return ZERO if moved is ZERO else (S, plus, moved)
-
-
-def triple_op(i: int, dir: str, b: Triple):
-    """Crystal operator on a triple of any kind; the same kind, or ZERO."""
-    out = route_triple(i, dir, b.S, b.bplus, b.bminus)
-    return ZERO if out is ZERO else b.rebuild(*out)
+    return ZERO if moved is ZERO else b.rebuild(S, plus, moved)
 
 
 kac_op = triple_op

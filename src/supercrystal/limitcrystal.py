@@ -36,7 +36,9 @@ from .combicrystal import (
     LusztigPlus,
     OddSet,
     Triple,
+    _column_mask,
     _count_upto,
+    _oddset,
     cartan,
     hw_op,
     kac_op,
@@ -350,8 +352,8 @@ def enumerate_x(m: int, n: int, lam: Weight, cap: int) -> list[XElt]:
 def split_map(S: OddSet) -> tuple[OddSet, OddSet]:
     """Partition an odd subset by the column next to the block boundary."""
     m, n = S.m, S.n
-    xbits = frozenset(p for p in S.bits if p[1] == m + 1)
-    return OddSet(m, n, xbits), OddSet(m, n, S.bits - xbits)
+    xmask = S.mask & _column_mask(m, n)
+    return _oddset(m, n, xmask), _oddset(m, n, S.mask ^ xmask)
 
 
 def split_op(i: int, dir: str, pair: tuple[OddSet, OddSet]):

@@ -140,12 +140,6 @@ class RootData:
             for k, (x, y) in enumerate(zip(mu.coords, nu.coords))
         )
 
-    def cartan(self, mu: Weight, i: int) -> int:
-        """Pairing of mu with the i-th simple coroot."""
-        if i == self.m:
-            return mu.coords[i - 1] + mu.coords[i]
-        return mu.coords[i - 1] - mu.coords[i]
-
     def qform(self, mu: Weight, nu: Weight) -> QRat:
         """The bicharacter q(mu, nu): product of q^(mu_i nu_i) over i <= m
         and (-1/q)^(mu_i nu_i) over i > m."""

@@ -564,6 +564,11 @@ def test_kronecker_product_matches_schoolbook(monkeypatch):
             b = tuple(rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 120)))
             a, b = a[:-1] + (a[-1] or 1,), b[:-1] + (b[-1] or -1,)
             assert qfield._pmul(a, b) == _ipoly_mul(a, b), (bits, a, b)
+            # a single-term side c*q^k, on either side, is a shift and a scaling
+            for c in (1, -1, 3):
+                t = (0,) * rng.randint(0, 9) + (c,)
+                assert qfield._pmul(t, a) == _ipoly_mul(t, a), (bits, t, a)
+                assert qfield._pmul(b, t) == _ipoly_mul(b, t), (bits, b, t)
     assert packs[0] > 0
     # coefficients at the edges of a limb, and sparse operands
     for h in (2**15 - 1, 2**31 - 1, 2**63 - 1, 2**63, 2**64 + 3):
