@@ -68,6 +68,7 @@ from .superpbw import (
     PBWVector,
     RootData,
     Weight,
+    alpha,
     crystal_e,
     crystal_f,
     f_divided,
@@ -432,12 +433,6 @@ def _suite_pbw(cfg: RunConfig) -> list[dict]:
     ]
 
 
-def _alpha(i: int, ell: int) -> Weight:
-    coords = [0] * ell
-    coords[i - 1], coords[i] = 1, -1
-    return Weight(tuple(coords))
-
-
 def _axiom_sweep(name: str, elements, op, eps, phi, m: int, ell: int) -> dict:
     """The check item for the crystal axioms on elements.  A failed item
     names its first counterexample: the element, the index, the direction
@@ -447,7 +442,7 @@ def _axiom_sweep(name: str, elements, op, eps, phi, m: int, ell: int) -> dict:
         for b in elements:
             w = b.weight()
             for i in range(1, ell):
-                up, down, alpha = op(i, "e", b), op(i, "f", b), _alpha(i, ell)
+                up, down, root = op(i, "e", b), op(i, "f", b), alpha(i, ell)
                 laws = (
                     (
                         "e/f",
@@ -456,9 +451,9 @@ def _axiom_sweep(name: str, elements, op, eps, phi, m: int, ell: int) -> dict:
                     ),
                     ("e/f", "eps + phi in {0, 1}", i != m or eps(i, b) + phi(i, b) in (0, 1)),
                     ("e", "f(e(b)) = b", up is ZERO or op(i, "f", up) == b),
-                    ("e", "wt(e(b)) = wt(b) + alpha_i", up is ZERO or up.weight() - w == alpha),
+                    ("e", "wt(e(b)) = wt(b) + alpha_i", up is ZERO or up.weight() - w == root),
                     ("f", "e(f(b)) = b", down is ZERO or op(i, "e", down) == b),
-                    ("f", "wt(f(b)) = wt(b) - alpha_i", down is ZERO or w - down.weight() == alpha),
+                    ("f", "wt(f(b)) = wt(b) - alpha_i", down is ZERO or w - down.weight() == root),
                 )
                 for dir, law, ok in laws:
                     if not ok:

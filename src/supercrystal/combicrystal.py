@@ -9,18 +9,23 @@ the leftmost surviving + (lowering) or the rightmost surviving - (raising).
 ZERO is an explicit sentinel so every operator is total.
 
 Every crystal on these data is a ``Triple``: one odd subset and one array
-per even block, free or truncated.  One operator, ``triple_op``, routes
-between the factors by the product rules, with the odd index acting on the
-subset alone.
+per even block, free or truncated.  All four kinds are defined here, so
+``from_json`` decodes each without importing another module: ``KacElt``
+(both blocks truncated), ``BInfElt`` (both free), ``XElt`` (the minus block
+truncated, over a shift) and ``ProductElt`` (the model product, with an
+m x 1 subset).  One operator, ``triple_op``, routes between the factors by
+the product rules, with the odd index acting on the subset alone.  The
+convex orders of the even roots are those of ``superpbw``, shared with the
+algebraic route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import zip_longest
+from itertools import compress, zip_longest
 
-from .superpbw import Weight
+from .superpbw import Weight, minus_roots, plus_roots
 
 
 class _ZeroType:
@@ -56,24 +61,6 @@ def _delta(ell: int, pairs) -> Weight:
 def _check_dir(dir: str) -> None:
     if dir not in ("e", "f"):
         raise ValueError(f"bad direction {dir!r}")
-
-
-@cache
-def plus_roots(m: int) -> tuple[tuple[int, int], ...]:
-    """Positive roots of the m|0 block in convex order."""
-    return tuple(
-        sorted(
-            ((a, b) for b in range(2, m + 1) for a in range(1, b)),
-            key=lambda r: (-r[1], -r[0]),
-        )
-    )
-
-
-@cache
-def minus_roots(m: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Positive roots of the 0|n block in convex order."""
-    ell = m + n
-    return tuple((a, b) for a in range(m + 1, ell) for b in range(a + 1, ell + 1))
 
 
 @cache
@@ -178,28 +165,23 @@ def odd_subsets(m: int, n: int, cap: int | None = None, boxes=None) -> list[OddS
     if boxes is None:
         boxes = [(a, b) for a in range(1, m + 1) for b in range(m + 1, m + n + 1)]
     heights = [b - a for a, b in boxes]
-    if _count_upto(sum(heights) if cap is None else cap, heights, False) > ENUMERATION_LIMIT:
+    cap = sum(heights) if cap is None else cap
+    if _count_upto(cap, heights, False) > ENUMERATION_LIMIT:
         raise ValueError("odd subsets exceed the enumeration limit")
-    found = [(0, 0)]
-    for (a, b), h in zip(boxes, heights):
-        bit = 1 << ((a - 1) * n + b - m - 1)
-        found = [
-            pair
-            for mask, d in found
-            for pair in ((mask, d), (mask | bit, d + h))
-            if cap is None or pair[1] <= cap
-        ]
-    return [_oddset(m, n, mask) for mask, _ in found]
+    bits = [1 << ((a - 1) * n + b - m - 1) for a, b in boxes]
+    return [_oddset(m, n, sum(compress(bits, v))) for v in _exponents(heights, cap, False)]
 
 
 def _count_upto(cap: int, heights, free: bool) -> int:
     """How many multisets of the given root heights have degree at most cap,
     each height used at most once, or any number of times when free.
 
-    No list grows with a huge cap.  A 0/1 count stops at the total height.
-    A free count is at least cap // min(heights) + 1 (the powers of the
-    lowest root); once that bound passes ENUMERATION_LIMIT it is returned
-    in place of the exact count, since callers only compare with the limit.
+    Callers only compare the count with ENUMERATION_LIMIT, so once a lower
+    bound passes the limit it is returned in place of the exact count: a
+    free count is at least cap // min(heights) + 1 (the powers of the lowest
+    root), and the count over the first heights only grows with each
+    further height.  No list grows with a huge cap: a 0/1 count stops at
+    the total height.
     """
     if not heights:
         return 1
@@ -211,7 +193,21 @@ def _count_upto(cap: int, heights, free: bool) -> int:
     for h in heights:
         for d in range(h, cap + 1) if free else range(cap, h - 1, -1):
             poly[d] += poly[d - h]
-    return sum(poly)
+        count = sum(poly)
+        if count > ENUMERATION_LIMIT:
+            break
+    return count
+
+
+def _exponents(heights, cap: int, free: bool) -> list[tuple[int, ...]]:
+    """The vectors that _count_upto counts: one exponent per height, 0 or 1
+    unless free, with degree (the sum of exponent times height) at most
+    cap, in itertools.product order (the first exponent varies slowest)."""
+    out = [((), 0)]
+    for h in heights:
+        steps = [((c,), c * h) for c in range((cap // h if free else 1) + 1)]
+        out = [(v + c, d + e) for v, d in out for c, e in steps if d + e <= cap]
+    return [v for v, _ in out]
 
 
 class _Block:
@@ -323,10 +319,6 @@ class HWElt:
         return lusztig_phi(i, self.base) + cartan(self.shift, i, self.base.m)
 
 
-# the classes from_json rebuilds field by field, by their JSON kind
-_KINDS: dict[str, type] = {HWElt.kind: HWElt}
-
-
 @dataclass(frozen=True)
 class Triple:
     """An odd subset, m|0 data and 0|n data, each block free (Lusztig
@@ -338,10 +330,6 @@ class Triple:
     S: OddSet
     bplus: LusztigPlus | HWElt
     bminus: LusztigMinus | HWElt
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        _KINDS[cls.kind] = cls
 
     def weight(self) -> Weight:
         # a part shorter than m+n (the m|0 block, an m x 1 subset) pads with 0
@@ -361,6 +349,40 @@ class KacElt(Triple):
 
     kind = "kac"
     holds = (OddSet, HWElt, HWElt)
+
+
+class BInfElt(Triple):
+    """An element of the limit crystal: odd subset and two free blocks."""
+
+    kind = "binf"
+    holds = (OddSet, LusztigPlus, LusztigMinus)
+
+
+@dataclass(frozen=True)
+class XElt(Triple):
+    """A triple with free plus data over a shift and a truncated minus block."""
+
+    shift: Weight
+    kind = "xelt"
+    holds = (OddSet, LusztigPlus, HWElt, Weight)
+
+    def weight(self) -> Weight:
+        return super().weight() + self.shift
+
+    def rebuild(self, S: OddSet, bplus, bminus) -> "XElt":
+        return XElt(S, bplus, bminus, self.shift)
+
+
+class ProductElt(Triple):
+    """A pair: boundary-column data (S, an m x 1 subset) with free plus
+    block, and a free minus block."""
+
+    kind = "product"
+    holds = (OddSet, LusztigPlus, LusztigMinus)
+
+
+# the classes from_json rebuilds field by field, by their JSON kind
+_KINDS = {cls.kind: cls for cls in (HWElt, KacElt, BInfElt, XElt, ProductElt)}
 
 
 # -- the signature engine ------------------------------------------------------
@@ -736,9 +758,6 @@ def from_json(data: dict):
             tuple(int(x) for x in k.split(",")): v for k, v in data["mult"].items()
         }
         return cls.of(*(data[k] for k in keys), entries)
-    if kind not in _KINDS:
-        # binf, xelt and product register when limitcrystal is imported
-        from . import limitcrystal  # noqa: F401
     if kind in _KINDS:
         cls = _KINDS[kind]
         values = [data[f.name] for f in fields(cls)]

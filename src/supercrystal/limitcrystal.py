@@ -1,17 +1,17 @@
 """Limit crystal of the negative half, assembled from finite truncations.
 
-Elements are triples (``combicrystal.Triple``) of three kinds: the limit
-crystal (``BInfElt``, both even blocks free), the parabolic crystal
-(``XElt``, the minus block truncated) and the model product crystal
-(``ProductElt``).  ``binf_op``, ``x_op`` and ``product_op`` all name the one
-``triple_op``, and ``embed_dual`` and ``project_plus`` swap one field of a
-triple.  The limit structure is exercised through finite data only: raising
-words factor a Kac-module element through its highest-weight pieces
-(hw_factorize), replaying those words over a larger dominant weight embeds
-one Kac-module crystal into another (theta), and replaying them over a
-chosen weight cuts a triple down to that truncation or kills it (kappa_inv).
-The parabolic variant keeps the minus block truncated while the plus block
-runs free.
+Elements are triples of three kinds, defined with ``KacElt`` in
+``combicrystal`` and imported from there: the limit crystal (``BInfElt``,
+both even blocks free), the parabolic crystal (``XElt``, the minus block
+truncated) and the model product crystal (``ProductElt``).  ``binf_op``,
+``x_op`` and ``product_op`` all name the one ``triple_op``, and
+``embed_dual`` and ``project_plus`` swap one field of a triple.  The limit
+structure is exercised through finite data only: raising words factor a
+Kac-module element through its highest-weight pieces (hw_factorize),
+replaying those words over a larger dominant weight embeds one Kac-module
+crystal into another (theta), and replaying them over a chosen weight cuts
+a triple down to that truncation or kills it (kappa_inv).  The parabolic
+variant keeps the minus block truncated while the plus block runs free.
 
 The component census rests on splitting the odd roots into the column next
 to the block boundary (entries (a, m+1), called X here) and the remaining
@@ -23,21 +23,23 @@ turns the Y-part into the subset of Y that labels the component uniquely.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
 
 from .combicrystal import (
     ENUMERATION_LIMIT,
     ZERO,
+    BInfElt,
     HWElt,
     KacElt,
     LusztigMinus,
     LusztigPlus,
     OddSet,
-    Triple,
+    ProductElt,
+    XElt,
     _column_mask,
     _count_upto,
+    _exponents,
     _oddset,
     cartan,
     hw_op,
@@ -77,13 +79,6 @@ def ample_weight(m: int, n: int, size: int) -> Weight:
 # -- the limit crystal ------------------------------------------------------------
 
 
-class BInfElt(Triple):
-    """A triple of free data: odd subset, plus block, minus block."""
-
-    kind = "binf"
-    holds = (OddSet, LusztigPlus, LusztigMinus)
-
-
 # one operator for every kind of triple; the minus block of a BInfElt moves
 # on its own, the truncated one of an XElt is coupled with the subset
 binf_op = x_op = product_op = triple_op
@@ -105,21 +100,6 @@ def binf_phi(i: int, b: BInfElt) -> int:
 
 
 # -- the parabolic crystal ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class XElt(Triple):
-    """A triple with free plus data over a shift and a truncated minus block."""
-
-    shift: Weight
-    kind = "xelt"
-    holds = (OddSet, LusztigPlus, HWElt, Weight)
-
-    def weight(self) -> Weight:
-        return super().weight() + self.shift
-
-    def rebuild(self, S: OddSet, bplus, bminus) -> "XElt":
-        return XElt(S, bplus, bminus, self.shift)
 
 
 def x_highest(m: int, n: int, lam: Weight) -> XElt:
@@ -222,19 +202,24 @@ def kappa_inv(b: BInfElt, lam: Weight):
 # -- member enumeration ------------------------------------------------------------
 
 
-def _hw_orbit(start: HWElt, indices) -> list[HWElt]:
+def _reach(start, op, indices, keep) -> set:
+    """Every element reached from start by the lowering steps op(i, "f", .),
+    i in indices, through elements that satisfy keep."""
     seen = {start}
     frontier = [start]
     while frontier:
-        nxt = []
-        for h in frontier:
-            for i in indices:
-                moved = hw_op(i, "f", h)
-                if moved is not ZERO and moved not in seen:
-                    seen.add(moved)
-                    nxt.append(moved)
-        frontier = nxt
-    return sorted(seen, key=lambda h: (h.base.degree(), h.base.mult))
+        x = frontier.pop()
+        for i in indices:
+            down = op(i, "f", x)
+            if down is not ZERO and down not in seen and keep(down):
+                seen.add(down)
+                frontier.append(down)
+    return seen
+
+
+def _hw_orbit(start: HWElt, indices) -> list[HWElt]:
+    orbit = _reach(start, hw_op, indices, lambda h: True)
+    return sorted(orbit, key=lambda h: (h.base.degree(), h.base.mult))
 
 
 def _weyl_dimension(coords: tuple[int, ...]) -> int:
@@ -278,18 +263,7 @@ def kac_elements(m: int, n: int, lam: Weight) -> list[KacElt]:
 
 
 def _block_vectors(roots, cap: int) -> list[tuple[int, ...]]:
-    heights = [b - a for a, b in roots]
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, left: int, acc: list[int]) -> None:
-        if pos == len(roots):
-            out.append(tuple(acc))
-            return
-        for c in range(left // heights[pos] + 1):
-            rec(pos + 1, left - c * heights[pos], acc + [c])
-
-    rec(0, cap, [])
-    return out
+    return _exponents([b - a for a, b in roots], cap, True)
 
 
 def _refuse_oversized(m: int, n: int, cap: int, minus_count: int) -> None:
@@ -413,14 +387,6 @@ def component_census(m: int, n: int) -> dict[OddSet, BInfElt]:
 # -- the model product crystal, the isomorphism target ------------------------------
 
 
-class ProductElt(Triple):
-    """A pair: boundary-column data (S, an m x 1 subset) with free plus
-    block, and a free minus block."""
-
-    kind = "product"
-    holds = (OddSet, LusztigPlus, LusztigMinus)
-
-
 def product_highest(m: int, n: int) -> ProductElt:
     return ProductElt(OddSet.empty(m, 1), LusztigPlus.zero(m), LusztigMinus.zero(m, n))
 
@@ -477,16 +443,7 @@ def components(m: int, n: int, degree_cap: int) -> dict:
             if down is not ZERO and component_label(down) != lab:
                 raise AssertionError("label changed along an edge")
     for lab, members in observed.items():
-        src = census[lab]
-        reached = {src}
-        frontier = deque([src])
-        while frontier:
-            x = frontier.popleft()
-            for i in range(1, ell):
-                down = binf_op(i, "f", x)
-                if down is not ZERO and down.degree() <= degree_cap and down not in reached:
-                    reached.add(down)
-                    frontier.append(down)
+        reached = _reach(census[lab], binf_op, range(1, ell), lambda x: x.degree() <= degree_cap)
         if not members <= reached:
             raise AssertionError("a component member is unreachable from its source")
     srcs = sorted(observed, key=lambda lab: sorted(lab.bits))

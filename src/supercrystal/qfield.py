@@ -753,28 +753,11 @@ def akito_sum(a: int, b: int) -> QRat:
     return QRat.from_laurent(coeffs)
 
 
-# -- functional wrappers over the QRat methods ----------------------------
+# -- functional names for the QRat methods -------------------------------
 
-
-def bar(r: QRat) -> QRat:
-    return r.bar()
-
-
-def is_regular_at_zero(r: QRat) -> bool:
-    return r.is_regular_at_zero()
-
-
-def eval_at_zero(r: QRat) -> Fraction:
-    return r.eval_at_zero()
-
-
-def is_regular_at_infinity(r: QRat) -> bool:
-    return r.is_regular_at_infinity()
-
-
-def eval_at_infinity(r: QRat) -> Fraction:
-    return r.eval_at_infinity()
-
-
-def min_degree(r: QRat) -> int:
-    return r.min_degree()
+bar = QRat.bar
+is_regular_at_zero = QRat.is_regular_at_zero
+eval_at_zero = QRat.eval_at_zero
+is_regular_at_infinity = QRat.is_regular_at_infinity
+eval_at_infinity = QRat.eval_at_infinity
+min_degree = QRat.min_degree

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 from .qfield import QRat, add_into, q_factorial
 
@@ -71,6 +71,27 @@ class Root:
         return self.b - self.a
 
 
+@cache
+def plus_roots(m: int) -> tuple[tuple[int, int], ...]:
+    """Positive roots (a, b) of the m|0 block in convex order: by column
+    right to left, each column bottom row first."""
+    return tuple((a, b) for b in range(m, 1, -1) for a in range(b - 1, 0, -1))
+
+
+@cache
+def minus_roots(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Positive roots (a, b) of the 0|n block in convex order (lexicographic)."""
+    ell = m + n
+    return tuple((a, b) for a in range(m + 1, ell) for b in range(a + 1, ell + 1))
+
+
+def alpha(i: int, ell: int) -> Weight:
+    """The simple root delta_i - delta_{i+1} of gl(m|n), m + n = ell."""
+    c = [0] * ell
+    c[i - 1], c[i] = 1, -1
+    return Weight(tuple(c))
+
+
 class RootData:
     """Root system bookkeeping for gl(m|n) plus the pair-rewrite table.
 
@@ -92,11 +113,8 @@ class RootData:
         self.index_set = tuple(range(1, self.ell))
 
         odd = [Root(a, b) for b in range(m + 1, self.ell + 1) for a in range(m, 0, -1)]
-        plus = sorted(
-            (Root(a, b) for b in range(2, m + 1) for a in range(1, b)),
-            key=lambda r: (-r.b, -r.a),
-        )
-        minus = [Root(a, b) for a in range(m + 1, self.ell) for b in range(a + 1, self.ell + 1)]
+        plus = [Root(a, b) for a, b in plus_roots(m)]
+        minus = [Root(a, b) for a, b in minus_roots(m, n)]
         self.odd_count = len(odd)
         self.plus_count = len(plus)
         self.minus_count = len(minus)
@@ -124,9 +142,7 @@ class RootData:
         return self._simple_idx[i]
 
     def alpha(self, i: int) -> Weight:
-        c = [0] * self.ell
-        c[i - 1], c[i] = 1, -1
-        return Weight(tuple(c))
+        return alpha(i, self.ell)
 
     def root_weight(self, r: Root) -> Weight:
         c = [0] * self.ell

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from supercrystal.cli import main
 from supercrystal.combicrystal import (
     ZERO,
     HWElt,
@@ -512,9 +513,14 @@ def test_degree_counts_match_enumeration():
                 for roots in (plus_roots(m), minus_roots(m, n)):
                     heights = [b - a for a, b in roots]
                     assert _count_upto(cap, heights, True) == len(_block_vectors(roots, cap))
+                    brute = [
+                        v for v in product(*(range(cap // h + 1) for h in heights))
+                        if sum(c * h for c, h in zip(v, heights)) <= cap
+                    ]
+                    assert _block_vectors(roots, cap) == brute
 
 
-def test_oversized_balls_refused_before_building():
+def test_oversized_balls_refused_before_building(tmp_path, capsys):
     lam = Weight((2, 1, 0, 3, 2, 1, 0))
     requests = [
         lambda: components(3, 4, 40),
@@ -529,6 +535,22 @@ def test_oversized_balls_refused_before_building():
             request()
         # building the candidates first took seconds at this cap
         assert time.monotonic() - start < 2.0
+    # counting by degree stops once a partial count passes the limit; over
+    # every height of 780 even roots, or 1600 odd ones, it took 7-19 s on a
+    # 2-vCPU host
+    zeros = ",".join(["0"] * 41)
+    for argv in (
+        "--target binf --m 1 --n 40 --cap 199999",
+        "--target binf --m 40 --n 1 --cap 199999",
+        f"--target xlambda --m 40 --n 1 --cap 199999 --lambda {zeros}",
+        "--target oddset --m 40 --n 40",
+    ):
+        out = tmp_path / "refused.json"
+        start = time.monotonic()
+        assert main(["graph", *argv.split(), "--out", str(out)]) == 2
+        assert time.monotonic() - start < 1.0
+        assert not out.exists()
+        assert "exceed" in capsys.readouterr().err
 
 
 def test_huge_caps_are_decided_without_a_list_as_long_as_the_cap():
@@ -787,8 +809,8 @@ def test_from_json_refuses_blocks_of_another_kind():
 
 
 def test_combicrystal_alone_decodes_every_kind():
-    # the limit kinds are defined in limitcrystal; a process that imports
-    # only combicrystal still decodes them
+    # every kind is defined in combicrystal: a process that imports only
+    # combicrystal decodes them all, and limitcrystal is never imported
     elements = four_kinds()[::9]
     samples = [to_json(b) for b in elements]
     assert {d["kind"] for d in samples} == {"kac", "binf", "xelt", "product"}
@@ -798,6 +820,7 @@ def test_combicrystal_alone_decodes_every_kind():
         "assert 'supercrystal.limitcrystal' not in sys.modules\n"
         "data = json.load(sys.stdin)\n"
         "print(json.dumps([[type(e).__name__, to_json(e)] for e in map(from_json, data)]))\n"
+        "assert 'supercrystal.limitcrystal' not in sys.modules\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
