@@ -26,6 +26,7 @@ from .combicrystal import (
     LusztigPlus,
     OddSet,
     Triple,
+    _count_upto,
     cartan,
     epsilon_star,
     kac_op,
@@ -51,6 +52,7 @@ from .limitcrystal import (
     kac_elements,
     kappa,
     kappa_inv,
+    pbw_label,
     theta,
     x_op,
 )
@@ -72,6 +74,8 @@ from .superpbw import (
     crystal_e,
     crystal_f,
     f_divided,
+    lattice_residue,
+    lattice_vector,
     normal_form,
     sigma_0n,
     string_decompose,
@@ -80,8 +84,16 @@ from .superpbw import from_json as pbw_from_json
 from .superpbw import to_json as pbw_to_json
 
 GRAPH_TARGETS = ("binf", "kac", "xlambda", "oddset")
-VERIFY_SUITES = ("qfield", "pbw", "crystal-axioms", "kappa", "components", "boson", "examples")
+VERIFY_SUITES = (
+    "qfield", "pbw", "crosscheck", "crystal-axioms", "kappa", "components", "boson", "examples"
+)
 DEFAULT_COMPONENTS_CAP = 3
+DEFAULT_CROSSCHECK_CAP = 4
+# crosscheck work: checks times the cap squared, since a check's cost grows
+# with its degree.  On a 2-vCPU host, (2,3) cap 8 weighs 1,238,016 and runs
+# in 1.7 s, (1,4) cap 8 the same in 3.5 s; (2,1) cap 22, refused at
+# 2,365,792, ran 6.4 s
+CROSSCHECK_LIMIT = 2_000_000
 LONG_PAIRS = 4  # long pairs in the qfield suite; their reference reductions cost about 10 ms each
 
 # fixed palette for edge colors by acting index; the odd index stands out
@@ -390,31 +402,46 @@ def _round_trip_failures(rds):
                 yield f"rank ({rd.m},{rd.n}), word {word}: {u} does not survive the JSON round trip"
 
 
-def _string_reference(rd: RootData, i: int, mono: tuple[int, ...], lower: bool) -> PBWVector:
-    """crystal_f (lower) or crystal_e along i != m of a PBW monomial, read
-    off string_decompose; right strings (i > m) act on the 0|n factor."""
+def _string_reference(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
+    """crystal_f (lower) or crystal_e along i != m of a homogeneous u, read
+    off string_decompose; right strings (i > m) act on the 0|n factor of
+    each group of monomials sharing their odd and m|0 exponents."""
     lo, out = rd.minus_start if i > rd.m else 0, PBWVector.zero(rd)
-    head = PBWVector(rd, {mono[:lo] + (0,) * (rd.nroots - lo): QRat.one()})
-    tail = PBWVector(rd, {(0,) * lo + mono[lo:]: QRat.one()})
-    for k, uk in enumerate(string_decompose(rd, i, tail)):
-        if uk and (k or lower):
-            fk = f_divided(rd, i, k + 1 if lower else k - 1)
-            e = -rd.form(uk.weight(), rd.alpha(i)) - 2 * k
-            twist = _QP(e if lower else -e - 2)
-            out = out + head * (fk * uk if i < rd.m else (uk * fk).scale(twist))
+    groups: dict[tuple[int, ...], dict] = {}
+    for mono, c in u.terms.items():
+        groups.setdefault(mono[:lo], {})[(0,) * lo + mono[lo:]] = c
+    for prefix, terms in groups.items():
+        head = PBWVector(rd, {prefix + (0,) * (rd.nroots - lo): QRat.one()})
+        for k, uk in enumerate(string_decompose(rd, i, PBWVector(rd, terms))):
+            if uk and (k or lower):
+                fk = f_divided(rd, i, k + 1 if lower else k - 1)
+                e = -rd.form(uk.weight(), rd.alpha(i)) - 2 * k
+                twist = _QP(e if lower else -e - 2)
+                out = out + head * (fk * uk if i < rd.m else (uk * fk).scale(twist))
     return out
 
 
 def _string_recursion_failures():
-    # every PBW monomial of degree at most 3 (the operators are linear)
+    # every PBW monomial of degree at most 3, then each two neighbours of one
+    # weight summed with a q-dependent coefficient, through the operators'
+    # term by term path
+    c = _QP(1) - _QP(-2)
     for rd in (RootData(2, 2), RootData(1, 3)):
+        by_weight: dict[Weight, list] = {}
         for lab in product(range(4), repeat=rd.nroots):
-            if rd.monomial_height(lab) > 3 or max(lab[: rd.odd_count]) > 1:
-                continue
-            u = PBWVector(rd, {lab: QRat.one()})
+            if rd.monomial_height(lab) <= 3 and max(lab[: rd.odd_count]) <= 1:
+                by_weight.setdefault(rd.monomial_weight(lab), []).append(lab)
+        cases = [(f"label {lab}", {lab: QRat.one()}) for labs in by_weight.values() for lab in labs]
+        cases += [
+            (f"sum {a} + ({c}) {b}", {a: QRat.one(), b: c})
+            for labs in by_weight.values()
+            for a, b in zip(labs, labs[1:])
+        ]
+        for name, terms in cases:
+            u = PBWVector(rd, terms)
             for i, (dir, op) in product(rd.index_set, (("e", crystal_e), ("f", crystal_f))):
-                if i != rd.m and op(rd, i, u) != _string_reference(rd, i, lab, dir == "f"):
-                    yield f"rank ({rd.m},{rd.n}), label {lab}, index {i}, {dir}: off the recursion"
+                if i != rd.m and op(rd, i, u) != _string_reference(rd, i, u, dir == "f"):
+                    yield f"rank ({rd.m},{rd.n}), {name}, index {i}, {dir}: off the recursion"
 
 
 def _suite_pbw(cfg: RunConfig) -> list[dict]:
@@ -427,9 +454,64 @@ def _suite_pbw(cfg: RunConfig) -> list[dict]:
         _first_failure("crystal ladders on divided powers", _ladder_failures(rds)),
         _first_failure("serialization round trip", _round_trip_failures(rds)),
         _first_failure(
-            "crystal operators match the string recursion on (2,2), (1,3) up to degree 3",
+            "crystal operators match the string recursion on (2,2), (1,3) up to degree 3, "
+            "on monomials and on same-weight sums",
             _string_recursion_failures(),
         ),
+    ]
+
+
+def _crosscheck_work(m: int, n: int, cap: int) -> int:
+    """An upper bound on the crosscheck's checks, an e and an f per index
+    and element of the ball, times the cap squared.  The ball is counted
+    with the odd roots free, which only adds elements; roots higher than
+    the cap cannot occur, and a rank whose single element is already over
+    the limit is refused before any list of heights is built."""
+    ell = m + n
+    per_element = 2 * (ell - 1) * max(cap, 1) ** 2
+    if per_element > CROSSCHECK_LIMIT:
+        return per_element
+    heights = [h for h in range(1, min(cap, ell - 1) + 1) for _ in range(ell - h)]
+    return per_element * _count_upto(cap, heights, True)
+
+
+def _residue_text(closed: bool, res) -> str:
+    if not closed:
+        return "a coefficient with a pole at q = 0"
+    return "{" + ", ".join(f"{lab}: {x}" for lab, x in sorted(res.items())) + "}"
+
+
+def _crosscheck_failures(m: int, n: int, cap: int):
+    # the lattice residue of each PBW image is the binf_op image, up to sign
+    rd = RootData(m, n)
+    for b in enumerate_binf(m, n, cap):
+        u = lattice_vector(rd, pbw_label(rd, b))
+        for i, (dir, op) in product(rd.index_set, (("e", crystal_e), ("f", crystal_f))):
+            closed, res = lattice_residue(rd, op(rd, i, u))
+            moved = binf_op(i, dir, b)
+            want = set() if moved is ZERO else {pbw_label(rd, moved)}
+            if not closed or set(res) != want or any(x not in (1, -1) for x in res.values()):
+                expected = "no residue" if moved is ZERO else f"+-1 times {pbw_label(rd, moved)}"
+                yield (
+                    f"element {_short(b)}, index {i}, {dir}: expected {expected}, "
+                    f"found {_residue_text(closed, res)}"
+                )
+
+
+def _suite_crosscheck(cfg: RunConfig) -> list[dict]:
+    m, n = cfg.m, cfg.n
+    cap = cfg.cap if cfg.cap is not None else DEFAULT_CROSSCHECK_CAP
+    work = _crosscheck_work(m, n, cap)
+    if work > CROSSCHECK_LIMIT:
+        raise ValueError(
+            f"crosscheck at ({m},{n}) cap {cap} weighs {work} checks times cap squared, "
+            f"over the limit {CROSSCHECK_LIMIT}"
+        )
+    return [
+        _first_failure(
+            f"lattice residues of crystal_e/crystal_f match binf_op on ({m},{n}) cap {cap}",
+            _crosscheck_failures(m, n, cap),
+        )
     ]
 
 
@@ -669,6 +751,7 @@ def _suite_examples(cfg: RunConfig) -> list[dict]:
 _SUITE_RUNNERS = {
     "qfield": _suite_qfield,
     "pbw": _suite_pbw,
+    "crosscheck": _suite_crosscheck,
     "crystal-axioms": _suite_crystal_axioms,
     "kappa": _suite_kappa,
     "components": _suite_components,

@@ -59,7 +59,7 @@ from .combicrystal import (
     string_length,
     triple_op,
 )
-from .superpbw import Weight
+from .superpbw import Root, RootData, Weight
 
 
 def is_dominant(lam: Weight, m: int) -> bool:
@@ -306,6 +306,19 @@ def enumerate_binf(m: int, n: int, cap: int) -> list[BInfElt]:
     _refuse_oversized(m, n, cap, _count_upto(cap, [b - a for a, b in roots], True))
     minus = [LusztigMinus(m, n, t) for t in _block_vectors(roots, cap)]
     return _degree_ball(m, n, cap, [(bm.degree(), bm.mult, bm) for bm in minus], BInfElt)
+
+
+def pbw_label(rd: RootData, b: BInfElt) -> tuple[int, ...]:
+    """The PBW exponent label of b in the root order of rd: 1 on the roots
+    of its odd subset and the Lusztig data of its two blocks elsewhere.
+    lattice_vector(rd, pbw_label(rd, b)) is b on the algebraic route."""
+    lab = [0] * rd.nroots
+    for a, c in b.S.bits:
+        lab[rd.root_index[Root(a, c)]] = 1
+    for block in (b.bplus, b.bminus):
+        for (a, c), e in zip(block.roots(), block.mult):
+            lab[rd.root_index[Root(a, c)]] = e
+    return tuple(lab)
 
 
 def enumerate_x(m: int, n: int, lam: Weight, cap: int) -> list[XElt]:

@@ -101,7 +101,12 @@ class RootData:
     instance fills its tables as they are first needed (e'_i, e''_i and the
     0|n reversal of each root vector, lattice vectors, weight spaces checked
     triangular, and the rung scalars of the string operators per index,
-    direction and weight pairing), so reuse one instance per (m, n).
+    direction and weight pairing), so reuse one instance per (m, n).  The
+    string operators and the lattice expansion are Q(q)-linear, so three
+    more tables hold them per monomial: the e'_i ladder keyed by (i,
+    monomial), the operator image keyed by (i, lower, monomial), and the
+    lattice expansion keyed by the monomial.  For i > m the monomial is the
+    0|n factor with the odd and m|0 exponents zeroed.
     """
 
     def __init__(self, m: int, n: int):
@@ -131,6 +136,9 @@ class RootData:
         self._sigma: dict[int, PBWVector] | None = None
         self._lattice_vec: dict[tuple[int, ...], "PBWVector"] = {}
         self._ladder: dict[tuple[int, bool, int], list[QRat]] = {}
+        self._eladder: dict[tuple[int, tuple[int, ...]], tuple[PBWVector, ...]] = {}
+        self._image: dict[tuple[int, bool, tuple[int, ...]], tuple] = {}
+        self._expansion: dict[tuple[int, ...], tuple] = {}
         self._triangular: set[Weight] = set()
 
     # -- root/weight helpers ------------------------------------------
@@ -634,31 +642,45 @@ def _ladder_coefficients(rd: RootData, i: int, lower: bool, p: int, length: int)
     return table
 
 
+def _monomial_image(rd: RootData, i: int, lower: bool, mono: tuple[int, ...]) -> tuple:
+    """crystal_f (lower) or crystal_e along i != m of one monomial, as
+    (monomial, coefficient) pairs: s_N f_i^(N+-1) w_N summed over the rungs
+    w_N = e'_i^N(mono) for left strings (i < m), w_N f_i^(N+-1) s_N for
+    right strings (i > m), with the s_N of the monomial's weight."""
+    image = rd._image.get((i, lower, mono))
+    if image is None:
+        ladder = rd._eladder.get((i, mono))
+        if ladder is None:  # climbed once for both directions
+            w, rungs = PBWVector(rd, {mono: _Q1}), []
+            while w:
+                rungs.append(w)
+                w = eprime(rd, i, w)
+            ladder = rd._eladder[(i, mono)] = tuple(rungs)
+        p = rd.form(rd.monomial_weight(mono), rd.alpha(i))
+        coeffs = _ladder_coefficients(rd, i, lower, p, len(ladder))
+        gen, d, out = rd.simple_index(i), 1 if lower else -1, {}
+        for N, (wN, s) in enumerate(zip(ladder, coeffs)):
+            if s:
+                f = PBWVector.root_monomial(rd, gen, N + d)
+                for m2, c in (f * wN if i < rd.m else wN * f).terms.items():
+                    add_into(out, m2, s * c)
+        image = rd._image[(i, lower, mono)] = tuple(out.items())
+    return image
+
+
 def _crystal(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
-    """For i != m, one product per rung of the ladder w_N = e'_i^N of each
-    homogeneous part: s_N f_i^(N+-1) w_N for left strings (i < m), and
-    w_N f_i^(N+-1) s_N for right strings (i > m), taken in the 0|n factor of
-    each group of monomials with the same odd and m|0 exponents."""
+    """For i != m the operators are Q(q)-linear, so u is moved term by term.
+    A left string (i < m) moves the whole monomial; a right string (i > m)
+    moves its 0|n factor, with the odd and m|0 exponents zeroed, and the
+    image keeps the monomial's own prefix."""
     if i == rd.m:
         return PBWVector.generator(rd, i) * u if lower else eprime(rd, i, u)
     lo = rd.minus_start if i > rd.m else 0
-    groups: dict[tuple[int, ...], dict] = {}
-    for mono, c in u.terms.items():
-        groups.setdefault(mono[:lo], {})[(0,) * lo + mono[lo:]] = c
     out: dict[tuple[int, ...], QRat] = {}
-    gen, ai, d = rd.simple_index(i), rd.alpha(i), 1 if lower else -1
-    for prefix, terms in groups.items():
-        for wt, w in PBWVector(rd, terms).homogeneous_parts().items():
-            ladder = []
-            while w:
-                ladder.append(w)
-                w = eprime(rd, i, w)
-            coeffs = _ladder_coefficients(rd, i, lower, rd.form(wt, ai), len(ladder))
-            for N, (wN, s) in enumerate(zip(ladder, coeffs)):
-                if s:
-                    f = PBWVector.root_monomial(rd, gen, N + d).scale(s)
-                    for mono, c in (f * wN if i < rd.m else wN * f).terms.items():
-                        add_into(out, prefix + mono[lo:], c)
+    for mono, c in u.terms.items():
+        prefix = mono[:lo]
+        for m2, x in _monomial_image(rd, i, lower, (0,) * lo + mono[lo:]):
+            add_into(out, prefix + m2[lo:], c * x)
     return PBWVector(rd, out)
 
 
@@ -756,23 +778,34 @@ def _check_triangular(rd: RootData, wt: Weight) -> None:
     rd._triangular.add(wt)
 
 
-def lattice_coefficients(rd: RootData, u: PBWVector) -> dict[tuple[int, ...], QRat]:
-    """Exact expansion of u over the lattice basis vectors.
+def _expansion(rd: RootData, mono: tuple[int, ...]) -> tuple:
+    """One monomial over the lattice basis, as (label, coefficient) pairs.
 
     Each lattice vector's lex-largest monomial is its own label, so peeling
     the lex-largest monomial of the remainder solves the triangular system.
     """
-    out: dict[tuple[int, ...], QRat] = {}
-    for wt, part in u.homogeneous_parts().items():
-        _check_triangular(rd, wt)
-        rest = dict(part.terms)
+    exp = rd._expansion.get(mono)
+    if exp is None:
+        _check_triangular(rd, rd.monomial_weight(mono))
+        rest, peeled = {mono: _Q1}, []
         while rest:
             lab = max(rest)
             vec = lattice_vector(rd, lab)
             c = rest[lab] / vec.terms[lab]
-            out[lab] = c
-            for mono, x in vec.terms.items():
-                add_into(rest, mono, -c * x)
+            peeled.append((lab, c))
+            for m2, x in vec.terms.items():
+                add_into(rest, m2, -c * x)
+        exp = rd._expansion[mono] = tuple(peeled)
+    return exp
+
+
+def lattice_coefficients(rd: RootData, u: PBWVector) -> dict[tuple[int, ...], QRat]:
+    """Exact expansion of u over the lattice basis vectors, summed term by
+    term from the expansions of its monomials."""
+    out: dict[tuple[int, ...], QRat] = {}
+    for mono, c in u.terms.items():
+        for lab, x in _expansion(rd, mono):
+            add_into(out, lab, c * x)
     return out
 
 

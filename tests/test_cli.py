@@ -426,6 +426,100 @@ def test_verify_pbw_names_the_first_operator_off_the_string_recursion(capsys, mo
     )
 
 
+def test_verify_pbw_checks_same_weight_sums(capsys, monkeypatch):
+    real_f = cli.crystal_f
+
+    def broken_f(rd, i, u):
+        # lowering forgets the second term of every two-term vector
+        if len(u.terms) == 2:
+            first = min(u.terms)
+            u = cli.PBWVector(rd, {first: u.terms[first]})
+        return real_f(rd, i, u)
+
+    monkeypatch.setattr(cli, "crystal_f", broken_f)
+    rc, out, _ = run(capsys, ["verify", "--suite", "pbw", "--format", "json"])
+    items = json.loads(out)["suites"]["pbw"]
+    assert rc == 1 and [item["ok"] for item in items] == [True] * 4 + [False]
+    found = items[4]["counterexample"]
+    assert found.startswith("rank (2,2), sum (") and found.endswith(": off the recursion")
+    assert f" + ({cli.QRat.q_power(1) - cli.QRat.q_power(-2)}) (" in found
+
+
+def test_verify_crosscheck_passes(capsys):
+    rc, out, _ = run(capsys, ["verify", "--suite", "crosscheck"])
+    assert rc == 0
+    assert out == (
+        "PASS [crosscheck] lattice residues of crystal_e/crystal_f match binf_op on (2,2)"
+        " cap 4\nall 1 checks passed\n"
+    )
+    argv = ["verify", "--suite", "crosscheck", "--m", "1", "--n", "3", "--cap", "3"]
+    rc, out, _ = run(capsys, argv + ["--format", "json"])
+    items = json.loads(out)["suites"]["crosscheck"]
+    assert rc == 0 and items == [
+        {
+            "name": "lattice residues of crystal_e/crystal_f match binf_op on (1,3) cap 3",
+            "ok": True,
+        }
+    ]
+
+
+@pytest.mark.parametrize(
+    "m,n,cap",
+    [(2, 1, 22), (2, 3, 10), (40, 40, 4), (1000000, 1, 3), (1, 1, 10**9)],
+)
+def test_verify_crosscheck_refuses_oversized_work_at_once(capsys, monkeypatch, m, n, cap):
+    def unbuilt(*args):
+        raise AssertionError("a lattice vector was built before the refusal")
+
+    monkeypatch.setattr(cli, "lattice_vector", unbuilt)
+    monkeypatch.setattr(cli, "enumerate_binf", unbuilt)
+    argv = ["verify", "--suite", "crosscheck", "--m", str(m), "--n", str(n), "--cap", str(cap)]
+    start = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: crosscheck at ({m},{n}) cap {cap} weighs ")
+    assert err.endswith(f"checks times cap squared, over the limit {cli.CROSSCHECK_LIMIT}\n")
+
+
+def test_verify_crosscheck_names_the_first_failure(capsys, monkeypatch):
+    real_f, real_e = cli.crystal_f, cli.crystal_e
+    rd = cli.RootData(2, 2)
+    ball = enumerate_binf(2, 2, 4)
+    unit, f1 = ball[0], cli.binf_op(1, "f", ball[0])
+
+    def broken_f(rd, i, u):
+        # lowering the unit along index 1 lands in q times the lattice
+        v = real_f(rd, i, u)
+        return v.scale(cli.QRat.q_power(1)) if i == 1 and u == cli.PBWVector.unit(rd) else v
+
+    monkeypatch.setattr(cli, "crystal_f", broken_f)
+    rc, out, _ = run(capsys, ["verify", "--suite", "crosscheck", "--format", "json"])
+    item = json.loads(out)["suites"]["crosscheck"][0]
+    assert rc == 1 and item["ok"] is False
+    assert item["counterexample"] == (
+        f"element {cli._short(unit)}, index 1, f: expected +-1 times "
+        f"{cli.pbw_label(rd, f1)}, found {{}}"
+    )
+
+    def broken_e(rd, i, u):
+        # raising f_1 along index 1 picks up a pole at q = 0
+        v = real_e(rd, i, u)
+        if i == 1 and u == cli.PBWVector.generator(rd, 1):
+            return v.scale(cli.QRat.q_power(-1))
+        return v
+
+    monkeypatch.setattr(cli, "crystal_f", real_f)
+    monkeypatch.setattr(cli, "crystal_e", broken_e)
+    rc, out, _ = run(capsys, ["verify", "--suite", "crosscheck"])
+    assert rc == 1
+    assert out.startswith(
+        "FAIL [crosscheck] lattice residues of crystal_e/crystal_f match binf_op on (2,2) cap 4:"
+        f" element {cli._short(f1)}, index 1, e: expected +-1 times {cli.pbw_label(rd, unit)},"
+        " found a coefficient with a pole at q = 0\n"
+    )
+
+
 def test_graph_kac_refuses_huge_weight(capsys):
     argv = ["graph", "--m", "2", "--n", "2", "--target", "kac", "--lambda", "100000,0,0,0"]
     rc, out, err = run(capsys, argv)

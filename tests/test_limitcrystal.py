@@ -77,6 +77,7 @@ from supercrystal.limitcrystal import (
     kac_size,
     kappa,
     kappa_inv,
+    pbw_label,
     product_highest,
     product_op,
     project_plus,
@@ -661,6 +662,16 @@ def full_label(rd: RootData, b: BInfElt) -> tuple[int, ...]:
         for (a, bb), c in zip(block.roots(), block.mult):
             lab[rd.root_index[Root(a, bb)]] = c
     return tuple(lab)
+
+
+def test_pbw_label_matches_the_oracle_and_is_injective():
+    for m, n, cap in ((2, 2, 4), (1, 3, 4), (3, 2, 3)):
+        rd = RootData(m, n)
+        ball = enumerate_binf(m, n, cap)
+        labels = [pbw_label(rd, b) for b in ball]
+        assert labels == [full_label(rd, b) for b in ball]
+        assert len(set(labels)) == len(ball)
+        assert all(rd.monomial_height(lab) == b.degree() for lab, b in zip(labels, ball))
 
 
 def test_binf_matches_algebra():

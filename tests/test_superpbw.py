@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -18,7 +18,7 @@ from free_oracle import (
     words_of_weight,
 )
 from supercrystal import superpbw
-from supercrystal.qfield import QRat, q_factorial
+from supercrystal.qfield import QRat, add_into, q_factorial
 from supercrystal.superpbw import (
     PBWVector,
     Root,
@@ -516,6 +516,115 @@ def test_crystal_residue_bidirectional():
                 assert ok
                 neg = {k: -x for k, x in back.items()}
                 assert back == {lab: 1} or neg == {lab: 1}, (m, n, lab, i)
+
+
+def whole_vector_peeling(rd: RootData, u: PBWVector) -> dict:
+    """lattice_coefficients peeled over each whole homogeneous part: the
+    lex-largest monomial of the remainder first."""
+    out = {}
+    for part in u.homogeneous_parts().values():
+        rest = dict(part.terms)
+        while rest:
+            lab = max(rest)
+            vec = lattice_vector(rd, lab)
+            c = rest[lab] / vec.terms[lab]
+            out[lab] = c
+            for mono, x in vec.terms.items():
+                add_into(rest, mono, -c * x)
+    return out
+
+
+def random_coefficient(rng: random.Random) -> QRat:
+    c = qp(rng.randint(-2, 2)) * rng.choice((1, -1, 2, -3))
+    c = c + rng.choice((0, 1, qp(1), -qp(-1)))
+    return c / rng.choice((1, qp(1) + 1, qp(2) - 1, q_factorial(2))) if c else _Q1
+
+
+def lattice_combinations(rd: RootData, deg: int, seed: int) -> list[PBWVector]:
+    """Seeded Q(q) combinations of 2-4 lattice vectors: six of one weight,
+    six of mixed weights, and a pair whose f-images share a monomial that
+    cancels from the image of the combination."""
+    rng = random.Random(seed)
+    by_weight: dict = {}
+    for lab in labels_up_to(rd, deg):
+        by_weight.setdefault(rd.monomial_weight(lab), []).append(lab)
+    wide = [labs for labs in by_weight.values() if len(labs) >= 2]
+    everything = sorted(lab for labs in by_weight.values() for lab in labs)
+    combos = []
+    for pool in [rng.choice(wide) for _ in range(6)] + [everything] * 6:
+        labs = rng.sample(pool, min(len(pool), rng.randint(2, 4)))
+        u = PBWVector.zero(rd)
+        for lab in labs:
+            u = u + lattice_vector(rd, lab).scale(random_coefficient(rng))
+        combos.append(u)
+    # v - c w, with c chosen so that a monomial shared by the two f-images
+    # along some index cancels from the image of the sum
+    i, v, w, mono = next(
+        (i, v, w, mono)
+        for labs in wide
+        for v, w in combinations([lattice_vector(rd, lab) for lab in labs], 2)
+        for i in rd.index_set
+        if i != rd.m
+        for mono in sorted(set(crystal_f(rd, i, v).terms) & set(crystal_f(rd, i, w).terms))
+    )
+    fv, fw = crystal_f(rd, i, v), crystal_f(rd, i, w)
+    u = v - w.scale(fv.terms[mono] / fw.terms[mono])
+    assert u and mono not in string_oracle(rd, i, u, True).terms
+    return combos + [u]
+
+
+@pytest.mark.parametrize("mn,deg,seed", [((2, 2), 5, 1407), ((2, 3), 4, 1408)])
+def test_operators_and_expansion_are_linear(mn, deg, seed):
+    rd = RootData(*mn)
+    assert not (rd._eladder or rd._image or rd._expansion)
+    combos = lattice_combinations(rd, deg, seed)
+    assert any(len(u.homogeneous_parts()) > 1 for u in combos)
+    for u in combos:
+        for i in rd.index_set:
+            if i == rd.m:
+                continue
+            assert crystal_f(rd, i, u) == string_oracle(rd, i, u, True), (mn, u, i, "f")
+            assert crystal_e(rd, i, u) == string_oracle(rd, i, u, False), (mn, u, i, "e")
+        assert lattice_coefficients(rd, u) == whole_vector_peeling(rd, u), (mn, u)
+    # a second instance of the rank starts cold and gives the same results
+    twin = RootData(*mn)
+    assert not (twin._eladder or twin._image or twin._expansion)
+    for u in combos:
+        v = PBWVector(twin, u.terms)
+        for i in rd.index_set:
+            assert crystal_f(twin, i, v).terms == crystal_f(rd, i, u).terms
+            assert crystal_e(twin, i, v).terms == crystal_e(rd, i, u).terms
+        assert lattice_coefficients(twin, v) == lattice_coefficients(rd, u)
+
+
+def test_monomial_tables_hold_each_distinct_key_once():
+    # one sweep of the (2,3) cap 5 ball, every index and direction, with the
+    # residue of each image; the tables must hold exactly the distinct keys
+    rd = RootData(2, 3)
+
+    def sweep():
+        ladders, images, monomials = set(), set(), set()
+        for lab in labels_up_to(rd, 5):
+            v = lattice_vector(rd, lab)
+            for i, lower in product(rd.index_set, (True, False)):
+                lo = rd.minus_start if i > rd.m else 0
+                if i != rd.m:
+                    for mono in v.terms:
+                        key = (0,) * lo + mono[lo:]
+                        ladders.add((i, key))
+                        images.add((i, lower, key))
+                image = crystal_f(rd, i, v) if lower else crystal_e(rd, i, v)
+                monomials.update(image.terms)
+                lattice_coefficients(rd, image)
+        return ladders, images, monomials
+
+    ladders, images, monomials = sweep()
+    assert set(rd._eladder) == ladders
+    assert set(rd._image) == images
+    assert set(rd._expansion) == monomials
+    sizes = (len(rd._eladder), len(rd._image), len(rd._expansion))
+    sweep()
+    assert (len(rd._eladder), len(rd._image), len(rd._expansion)) == sizes
 
 
 # -- grading and serialization --------------------------------------------------
