@@ -56,7 +56,7 @@ from .limitcrystal import (
     theta,
     x_op,
 )
-from .qboson import C_sk, E_t, act_eprime, boson_crystal_check, congruence_grid
+from .qboson import C_sk, E_t, act_eprime, act_f_pow, boson_crystal_check, congruence_grid
 from .qfield import (
     QRat,
     akito_sum,
@@ -635,23 +635,27 @@ def _suite_components(cfg: RunConfig) -> list[dict]:
     ]
 
 
+# the deep-regime cells (l, t, s) with l <= 4 and l - t < s <= l - t + 3
+_DEEP_CELLS = [(l, t, s) for l in range(5) for t in range(l + 1) for s in range(l - t + 1, l - t + 4)]
+
+
 def _valuation_failures():
-    for l in range(5):
-        for t in range(l + 1):
-            for s in range(l - t + 1, l - t + 4):
-                for k in range(l + 1):
-                    want = (
-                        0
-                        if k == t
-                        else (s + k - l) * (k - t)
-                        if k > t
-                        else (s + t + 1 - l) * (t - k)
-                    )
-                    c = C_sk(l, t, s, k)
-                    found = min_degree(c) if c else "none (the coefficient is zero)"
-                    if found != want:
-                        where = f"(l, t, s, k) = ({l}, {t}, {s}, {k})"
-                        yield f"{where}: expected degree {want}, found {found}"
+    for l, t, s in _DEEP_CELLS:
+        for k in range(l + 1):
+            want = 0 if k == t else (s + k - l) * (k - t) if k > t else (s + t + 1 - l) * (t - k)
+            c = C_sk(l, t, s, k)
+            found = min_degree(c) if c else "none (the coefficient is zero)"
+            if found != want:
+                yield f"(l, t, s, k) = ({l}, {t}, {s}, {k}): expected degree {want}, found {found}"
+
+
+def _expansion_failures():
+    for l, t, s in _DEEP_CELLS:
+        v = act_f_pow(s, E_t(l, t))
+        for k in range(l + 1):
+            got, want = v.coeffs.get((l - k, t + s - l + k), QRat.zero()), C_sk(l, t, s, k)
+            if got != want:
+                yield f"(l, t, s, k) = ({l}, {t}, {s}, {k}): f^(s) E_t has {got}, C(s, k) {want}"
 
 
 def _suite_boson(cfg: RunConfig) -> list[dict]:
@@ -677,6 +681,7 @@ def _suite_boson(cfg: RunConfig) -> list[dict]:
             ),
         ),
         _first_failure("coefficient family valuations (l <= 4)", _valuation_failures()),
+        _first_failure("f^(s) E_t expands over C(s, k) (l <= 4)", _expansion_failures()),
     ]
     name = "string decomposition induces the signature rule (l=2, depth 6)"
     try:

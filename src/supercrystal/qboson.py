@@ -7,7 +7,11 @@ justification of the boson tensor rule executable: the kernel vectors
 lowering powers, the coefficient family ``C(s, k)`` with its
 order-of-vanishing pattern, and an exhaustive small-cutoff check that
 string decomposition against the kernel basis induces exactly the
-signature rule on residues.
+signature rule on residues.  Every value here is a Laurent polynomial
+over a product D_i of factors q^(2(l-j)) - 1, so ``E_t``, ``act_f_pow``
+and ``C_sk`` sum integer numerators over one denominator and reduce once
+(``QRat.from_laurent``); the crystal check solves each degree with one
+elimination.
 
 Conventions: the left generator has weight ``l`` (so ``f^(i) v1`` has
 weight ``l - 2i`` and vanishes for ``i > l``), the right generator has
@@ -16,7 +20,8 @@ weight ``0``, and divided powers multiply by balanced q-binomials.
 
 from __future__ import annotations
 
-from .qfield import QRat, add_into, min_degree, q_binom, q_int, row_reduce
+from .qfield import _PONE, Poly, QRat, _cancel, _padd, _pdiv, _pmul, _pneg, _pshift
+from .qfield import add_into, min_degree, q_binom, q_int, row_reduce
 
 _Q0 = QRat.zero()
 _Q1 = QRat.one()
@@ -97,25 +102,27 @@ class BosonTensorVec:
         return f"BosonTensorVec(l={self.l}, {body or '0'})"
 
 
-def _kernel_coeff(l: int, t: int, i: int) -> QRat:
-    # a(t, i) = prod over 0 <= j < i of q^(l-t+1) / (q^(2(l-j)) - 1),
-    # taken as q^(i(l-t+1)) over the product D_i of the denominators
-    den = _Q1
-    for j in range(i):
-        den = den * (_qp(2 * (l - j)) - _Q1)
-    return _qp(i * (l - t + 1)) / den
+def _add_term(sums: dict[int, int], poly: Poly, e: int, b1: QRat, b2: QRat) -> None:
+    # sums += poly q^e b1 b2 by power of q, for balanced q-binomials b1 and
+    # b2, which are Laurent polynomials num / q^k
+    e -= len(b1.den) + len(b2.den) - 2
+    for k, x in enumerate(_pmul(poly, _pmul(b1.num, b2.num)), e):
+        sums[k] = sums.get(k, 0) + x
 
 
 def E_t(l: int, t: int) -> BosonTensorVec:
     """The degree-``t`` kernel vector of the coupled raising action.
 
-    Returns sum over i of a(t, i) f^(i) v1 (x) f^(t-i) v2; annihilated
-    by act_eprime and congruent to v1 (x) f^(t) v2 modulo q times the
-    lattice.
+    Returns sum over i of q^(i(l-t+1)) / D_i f^(i) v1 (x) f^(t-i) v2, with D_i
+    = prod over j < i of (q^(2(l-j)) - 1) built one factor per i; annihilated
+    by act_eprime and congruent to v1 (x) f^(t) v2 modulo q times the lattice.
     """
     if not 0 <= t <= l:
         raise ValueError("t out of range")
-    coeffs = {(i, t - i): _kernel_coeff(l, t, i) for i in range(t + 1)}
+    coeffs, den = {}, _PONE  # den is D_i
+    for i in range(t + 1):
+        coeffs[(i, t - i)] = QRat.from_laurent({i * (l - t + 1): 1}, den)
+        den = _padd(_pshift(den, 2 * (l - i)), _pneg(den))
     return BosonTensorVec(l, coeffs)
 
 
@@ -123,24 +130,26 @@ def act_f_pow(s: int, v: BosonTensorVec) -> BosonTensorVec:
     """Apply the coproduct expansion of the divided power f^(s).
 
     The expansion is sum over i of q^(-i(s-i)) f^(s-i) k^i (x) f^(i);
-    left monomials past the cutoff vanish.
+    left monomials past the cutoff vanish.  The coefficients of ``v`` are
+    lifted to the running lcm of their denominators (D_t for E_t), and each
+    output coefficient is summed over it as integers and reduced once.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
     l = v.l
-    out: dict[tuple[int, int], QRat] = {}
+    den = _PONE
+    for c in v.coeffs.values():
+        den = _pmul(den, _cancel(den, c.den)[2])
+    acc: dict[tuple[int, int], dict[int, int]] = {}
     for (a, b), c in v.coeffs.items():
-        for i in range(s + 1):
-            na = a + s - i
-            if na > l:
-                continue
-            nb = b + i
+        num = _pmul(c.num, _pdiv(den, c.den))
+        for i in range(max(0, a + s - l), s + 1):
             # k^i scales f^(a) v1 by q^(i(l-2a)); divided powers combine
-            # with the balanced binomials on both factors.  Their Laurent
-            # product meets c's denominator in one gcd.
-            cc = c * (_qp(i * (l - 2 * a) - i * (s - i)) * q_binom(na, a) * q_binom(nb, b))
-            add_into(out, (na, nb), cc)
-    return BosonTensorVec(l, out)
+            # with the balanced binomials on both factors
+            na, nb = a + s - i, b + i
+            sums = acc.setdefault((na, nb), {})
+            _add_term(sums, num, i * (l - 2 * a) - i * (s - i), q_binom(na, a), q_binom(nb, b))
+    return BosonTensorVec(l, {m: QRat.from_laurent(sums, den) for m, sums in acc.items()})
 
 
 def act_eprime(v: BosonTensorVec) -> BosonTensorVec:
@@ -163,42 +172,33 @@ def C_sk(l: int, t: int, s: int, k: int) -> QRat:
     regime s > l - t where the left factor saturates.  The i-th term is
     a(t, i) q^((k-i)(i-l+s+k)) [l-k, i] [t-l+s+k, t-i], and a(t, i) is
     q^(i(l-t+1)) over D_i = prod over j < i of (q^(2(l-j)) - 1).  The
-    numerators, Laurent polynomials times D_hi / D_i, are summed over the
-    one denominator D_hi of the last term, so the sum is reduced once
-    rather than at every term.
+    integer Laurent numerators, times D_hi / D_i, are summed over the one
+    denominator D_hi of the last term and reduced once.
     """
     if not 0 <= t <= l or not 0 <= k <= l or s < 0:
         raise ValueError("C_sk arguments out of range")
     lo, hi = max(0, l - s - k), min(t, l - k)
-    num, den = _Q0, _Q1  # den runs through D_hi / D_i as i falls to 0
+    sums: dict[int, int] = {}
+    den = _PONE  # runs through D_hi / D_i as i falls to 0
     for i in range(hi, -1, -1):
         if i >= lo:
-            num = num + den * (
-                _qp(i * (l - t + 1) + (k - i) * (i - l + s + k))
-                * q_binom(l - k, i)
-                * q_binom(t - l + s + k, t - i)
-            )
+            e = i * (l - t + 1) + (k - i) * (i - l + s + k)
+            _add_term(sums, den, e, q_binom(l - k, i), q_binom(t - l + s + k, t - i))
         if i:
-            den = den * (_qp(2 * (l - i + 1)) - _Q1)
-    return num / den
+            den = _padd(_pshift(den, 2 * (l - i + 1)), _pneg(den))
+    return QRat.from_laurent(sums, den)
 
 
 # -- residue tests -----------------------------------------------------
 
 
-def _in_q_lattice(v: BosonTensorVec) -> bool:
-    return all(min_degree(c) >= 1 for c in v.coeffs.values())
-
-
-def _is_unit_residue(v: BosonTensorVec, target: tuple[int, int]) -> bool:
-    if any(min_degree(c) < 0 for c in v.coeffs.values()):
-        return False
-    lead = v.coeffs.get(target, _Q0) - _Q1
+def _residue_is(v: BosonTensorVec, target: tuple[int, int] | None) -> bool:
+    # v is the monomial target modulo q times the lattice, or lies in q times
+    # the lattice when target is None; a pole at target stays in lead
+    lead = v.coeffs.get(target, _Q0) - (_Q0 if target is None else _Q1)
     if lead and min_degree(lead) < 1:
         return False
-    return all(
-        min_degree(c) >= 1 for m, c in v.coeffs.items() if m != target
-    )
+    return all(min_degree(c) >= 1 for m, c in v.coeffs.items() if m != target)
 
 
 def congruence_grid(max_l: int, max_s: int) -> list[dict]:
@@ -218,7 +218,7 @@ def congruence_grid(max_l: int, max_s: int) -> list[dict]:
                 else:
                     case, target = 2, (l - t, 2 * t + s - l)
                 grid.append(
-                    {"l": l, "t": t, "s": s, "case": case, "ok": _is_unit_residue(v, target)}
+                    {"l": l, "t": t, "s": s, "case": case, "ok": _residue_is(v, target)}
                 )
     return grid
 
@@ -226,28 +226,24 @@ def congruence_grid(max_l: int, max_s: int) -> list[dict]:
 # -- exact linear algebra over the coefficient field -------------------
 
 
-def _decompose(v: BosonTensorVec, family: list[BosonTensorVec], monos: list[tuple[int, int]]) -> list[QRat]:
-    # solve sum_t c_t family[t] = v in the monomial coordinates
-    if any(m not in monos for m in v.coeffs):
-        raise ValueError("vector leaves the degree slice")
+def _decompose(family: list[BosonTensorVec], monos: list[tuple[int, int]]) -> list[list[QRat]]:
+    # the coefficients against family of every monomial in monos, from one
+    # elimination of [family | identity] in the monomial coordinates
+    n = len(family)
     rows = [
-        [member.coeffs.get(m, _Q0) for member in family] + [v.coeffs.get(m, _Q0)]
+        [member.coeffs.get(m, _Q0) for member in family] + [_Q1 if p == m else _Q0 for p in monos]
         for m in monos
     ]
-    # a unique solution needs a pivot in every family column and none in v's;
-    # reduced row k is then e_k next to the k-th coefficient
-    rank = row_reduce(rows)
-    assert rank == len(family) and all(rows[k][k] for k in range(rank)), (
-        "kernel family is not a basis"
-    )
-    return [row[-1] for row in rows[:rank]]
+    row_reduce(rows)
+    # [family | identity] always has full row rank, so the family is a basis
+    # exactly when it is square with a pivot in each of its own columns;
+    # reduced row k is then e_k next to row k of the inverse
+    assert n == len(monos) and all(rows[k][k] for k in range(n)), "kernel family is not a basis"
+    return [[row[n + j] for row in rows] for j in range(n)]
 
 
 def _combine(l: int, coeffs: list[QRat], family: list[BosonTensorVec]) -> BosonTensorVec:
-    out = BosonTensorVec.zero(l)
-    for c, member in zip(coeffs, family):
-        out = out + member.scale(c)
-    return out
+    return sum((member.scale(c) for c, member in zip(coeffs, family)), BosonTensorVec.zero(l))
 
 
 def _rule_target(l: int, i: int, j: int, direction: str) -> tuple[int, int] | None:
@@ -272,8 +268,11 @@ def boson_crystal_check(l: int, depth: int) -> dict:
         raise ValueError("l and depth must be nonnegative")
     if l > 6 or depth > 10:
         raise ValueError("check is sized for l <= 6 and depth <= 10")
+    gens = [E_t(l, t) for t in range(min(l, depth) + 1)]
+    # f^(s) E_t for every s the degrees meet, each lowered once: degree d
+    # decomposes against s = d - t and moves along s = d - t +- 1
+    powers = [[act_f_pow(s, g) for s in range(depth - t + 2)] for t, g in enumerate(gens)]
     nodes = 0
-    edges = 0
     for d in range(depth + 1):
         monos = [(i, d - i) for i in range(min(l, d) + 1)]
         below = [(i, d - 1 - i) for i in range(min(l, d - 1) + 1)] if d else []
@@ -282,32 +281,23 @@ def boson_crystal_check(l: int, depth: int) -> dict:
         kernel = len(monos) - (row_reduce(rows) if below else 0)
         assert kernel == (1 if d <= l else 0), (l, d, kernel)
         if d <= l:
-            assert act_eprime(E_t(l, d)).is_zero()
+            assert act_eprime(gens[d]).is_zero()
 
-        gens = [E_t(l, t) for t in range(min(l, d) + 1)]
-        lowered = [act_f_pow(d - t, g) for t, g in enumerate(gens)]
-        flow = [act_f_pow(d - t + 1, g) for t, g in enumerate(gens)]
-        fall = [
-            act_f_pow(d - t - 1, g) if d - t >= 1 else BosonTensorVec.zero(l)
-            for t, g in enumerate(gens)
-        ]
-        for i, j in monos:
-            sol = _decompose(BosonTensorVec.monomial(l, i, j), lowered, monos)
+        ts = range(min(l, d) + 1)
+        lowered = [powers[t][d - t] for t in ts]
+        flow = [powers[t][d - t + 1] for t in ts]
+        fall = [powers[t][d - t - 1] if d > t else BosonTensorVec.zero(l) for t in ts]
+        for (i, j), sol in zip(monos, _decompose(lowered, monos)):
             fvec = _combine(l, sol, flow)
-            assert _is_unit_residue(fvec, _rule_target(l, i, j, "f")), (l, d, i, j, "f")
+            assert _residue_is(fvec, _rule_target(l, i, j, "f")), (l, d, i, j, "f")
             evec = _combine(l, sol, fall)
-            target = _rule_target(l, i, j, "e")
-            if target is None:
-                assert _in_q_lattice(evec), (l, d, i, j, "e")
-            else:
-                assert _is_unit_residue(evec, target), (l, d, i, j, "e")
+            assert _residue_is(evec, _rule_target(l, i, j, "e")), (l, d, i, j, "e")
             nodes += 1
-            edges += 2
     return {
         "l": l,
         "depth": depth,
         "nodes": nodes,
-        "edges": edges,
+        "edges": 2 * nodes,
         "kernel_basis_checked": True,
         "lattice_closed": True,
         "rule_matched": True,

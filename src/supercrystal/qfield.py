@@ -409,8 +409,8 @@ class QRat:
         return _normal(_PONE, _pshift(_PONE, -e))
 
     @classmethod
-    def from_laurent(cls, coeffs: dict[int, int]) -> "QRat":
-        """Build from a sparse Laurent polynomial {exponent: coefficient}."""
+    def from_laurent(cls, coeffs: dict[int, int], den: Poly = _PONE) -> "QRat":
+        """Build {exponent: coefficient} over the polynomial ``den``, reduced once."""
         coeffs = {e: c for e, c in coeffs.items() if c}
         if not coeffs:
             return cls.zero()
@@ -419,7 +419,7 @@ class QRat:
         out = [0] * (max(coeffs) + shift + 1)
         for e, c in coeffs.items():
             out[e + shift] = c
-        return cls(tuple(out), _pshift(_PONE, shift))
+        return cls(tuple(out), _pshift(den, shift))
 
     # -- arithmetic ---------------------------------------------------
 

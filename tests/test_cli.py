@@ -244,12 +244,15 @@ def test_verify_boson_names_the_failing_cell_and_valuation(capsys, monkeypatch):
     monkeypatch.setattr(cli, "C_sk", broken_c)
     rc, out, _ = run(capsys, ["verify", "--suite", "boson", "--format", "json"])
     items = json.loads(out)["suites"]["boson"]
-    assert rc == 1 and [item["ok"] for item in items] == [False, True, False, True]
+    assert rc == 1 and [item["ok"] for item in items] == [False, True, False, False, True]
     assert items[0]["counterexample"] == (
         "cell (l, t, s) = (2, 1, 3): f^(s) E_t is not the case 2 monomial"
         " modulo q times the lattice"
     )
     assert items[2]["counterexample"] == "(l, t, s, k) = (1, 0, 2, 1): expected degree 2, found 3"
+    assert items[3]["counterexample"] == (
+        "(l, t, s, k) = (1, 0, 2, 1): f^(s) E_t has q^2, C(s, k) q^3"
+    )
 
     # a vanishing coefficient has no degree, and is reported rather than raised
     monkeypatch.setattr(cli, "C_sk", lambda l, t, s, k: cli.QRat.zero())
@@ -273,6 +276,10 @@ def test_verify_boson_names_the_failing_cell_and_valuation(capsys, monkeypatch):
     assert (
         "FAIL [boson] coefficient family valuations (l <= 4): (l, t, s, k) = (0, 0, 1, 0):"
         " expected degree 0, found none (the coefficient is zero)\n"
+    ) in out
+    assert (
+        "FAIL [boson] f^(s) E_t expands over C(s, k) (l <= 4): (l, t, s, k) = (0, 0, 1, 0):"
+        " f^(s) E_t has 1, C(s, k) 0\n"
     ) in out
     assert (
         "FAIL [boson] string decomposition induces the signature rule (l=2, depth 6):"

@@ -27,7 +27,7 @@ from supercrystal.qboson import (
     congruence_grid,
     min_degree,
 )
-from supercrystal.qfield import QRat, q_binom, q_int
+from supercrystal.qfield import QRat, add_into, q_binom, q_int, row_reduce
 from supercrystal.superpbw import RootData, f_divided, eprime
 
 QP = QRat.q_power
@@ -60,6 +60,13 @@ def test_e_t_values():
     for l in range(7):
         for t in range(l + 1):
             et = E_t(l, t)
+            # a(t, i) = prod over j < i of q^(l-t+1) / (q^(2(l-j)) - 1)
+            a = Q1
+            for i in range(t + 1):
+                if i:
+                    a = a * QP(l - t + 1) / (QP(2 * (l - i + 1)) - Q1)
+                assert et.coeffs[(i, t - i)] == a, (l, t, i)
+            assert len(et.coeffs) == t + 1
             assert et.coeffs[(0, t)] == Q1
             assert all(min_degree(c) >= 1 for m, c in et.coeffs.items() if m != (0, t))
     with pytest.raises(ValueError):
@@ -120,6 +127,46 @@ def test_act_f_pow_small_values():
         assert w.coeffs == {(l, 1): QP(-l)}
     with pytest.raises(ValueError):
         act_f_pow(-1, E_t(1, 0))
+
+
+def per_term_act_f_pow(s: int, v: BosonTensorVec) -> BosonTensorVec:
+    """f^(s) v summed term by term, each term and partial sum reduced."""
+    out: dict = {}
+    for (a, b), c in v.coeffs.items():
+        for i in range(s + 1):
+            na, nb = a + s - i, b + i
+            if na <= v.l:
+                term = QP(i * (v.l - 2 * a) - i * (s - i)) * q_binom(na, a) * q_binom(nb, b)
+                add_into(out, (na, nb), c * term)
+    return BosonTensorVec(v.l, out)
+
+
+def pairs(v: BosonTensorVec) -> dict:
+    return {m: (c.num, c.den) for m, c in v.coeffs.items()}
+
+
+def test_act_f_pow_over_one_denominator_matches_the_per_term_sum():
+    # E_t's denominators form the divisor chain D_0 | D_1 | ... | D_t
+    for l in range(7):
+        for t in range(l + 1):
+            e = E_t(l, t)
+            for s in range(13):
+                assert pairs(act_f_pow(s, e)) == pairs(per_term_act_f_pow(s, e)), (l, t, s)
+    # denominators that are no divisor chain, so the common one grows
+    rng = random.Random(20261019)
+    scalars = [Q1 / q_int(3), QP(1) / (QP(4) - Q1), QRat.from_int(2) / (QP(2) + Q1), QP(-2)]
+    for _ in range(40):
+        l = rng.randint(0, 4)
+        v = BosonTensorVec.zero(l)
+        for c in rng.sample(scalars, 3):
+            v = v + BosonTensorVec.monomial(l, rng.randint(0, l), rng.randint(0, 3)).scale(c)
+        s = rng.randint(0, 5)
+        assert pairs(act_f_pow(s, v)) == pairs(per_term_act_f_pow(s, v)), (l, s)
+    # q r f v1 (x) v2 - r v1 (x) f v2 lowers to nothing at (1, 1)
+    r = Q1 / q_int(3)
+    v = BosonTensorVec(1, {(1, 0): QP(1) * r, (0, 1): -r})
+    got = act_f_pow(1, v)
+    assert got == per_term_act_f_pow(1, v) and set(got.coeffs) == {(0, 2)}
 
 
 def test_act_f_pow_composition_law():
@@ -213,12 +260,27 @@ def test_c_sk_recursion():
 
 
 def test_decompose_refuses_a_dependent_family():
-    # E_1 twice spans a line; neither a vector on it nor one off it has
-    # unique coefficients
+    # E_1 twice spans a line, and E_1 alone does not span the degree slice
     e, monos = E_t(2, 1), [(0, 1), (1, 0)]
-    for v in (e, BosonTensorVec.monomial(2, 0, 1)):
+    for family in ([e, e], [e]):
         with pytest.raises(AssertionError, match="not a basis"):
-            _decompose(v, [e, e], monos)
+            _decompose(family, monos)
+
+
+def test_decompose_solves_each_degree_as_one_solve_per_monomial():
+    for l in range(5):
+        for d in range(7):
+            monos = [(i, d - i) for i in range(min(l, d) + 1)]
+            family = [act_f_pow(d - t, E_t(l, t)) for t in range(len(monos))]
+            got = _decompose(family, monos)
+            for mono, sol in zip(monos, got):
+                rows = [
+                    [member.coeffs.get(m, QRat.zero()) for member in family]
+                    + [Q1 if m == mono else QRat.zero()]
+                    for m in monos
+                ]
+                assert row_reduce(rows) == len(family)
+                assert sol == [row[-1] for row in rows], (l, d, mono)
 
 
 def test_boson_crystal_check_reports():
