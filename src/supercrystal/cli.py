@@ -16,6 +16,7 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import product
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .combicrystal import (
@@ -856,6 +857,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps_indented(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for the values the
+    commands report: dicts with str keys, lists, tuples, str, int, bool and
+    None.  In Python 3.11 an indent makes ``json`` take its pure-Python
+    encoder, which took as long as building a graph; this writer takes
+    about half that."""
+    chunks: list[str] = []
+    _write_indented(obj, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_indented(obj, newline: str, emit) -> None:
+    if isinstance(obj, str):
+        emit(_quote(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        if not obj:
+            emit("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = newline + "  "
+        if isinstance(obj, dict):
+            sep = "{" + inner
+            for key, value in obj.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+                emit(sep + _quote(key) + ": ")
+                _write_indented(value, inner, emit)
+                sep = "," + inner
+            emit(newline + "}")
+        else:
+            sep = "[" + inner
+            for value in obj:
+                emit(sep)
+                _write_indented(value, inner, emit)
+                sep = "," + inner
+            emit(newline + "]")
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
@@ -872,14 +920,14 @@ def main(argv=None) -> int:
             if cfg.fmt == "text":
                 raise ValueError("graph supports --format json or dot")
             graph = cmd_graph(cfg)
-            payload = _render_dot(graph) if cfg.fmt == "dot" else json.dumps(graph, indent=2) + "\n"
+            payload = _render_dot(graph) if cfg.fmt == "dot" else _dumps_indented(graph) + "\n"
         elif ns.command == "verify":
             if cfg.fmt == "dot":
                 raise ValueError("verify supports --format text or json")
             report = cmd_verify(cfg)
             ok = report["ok"]
             payload = (
-                json.dumps(report, indent=2) + "\n"
+                _dumps_indented(report) + "\n"
                 if cfg.fmt == "json"
                 else _render_verify_text(report)
             )
@@ -888,7 +936,7 @@ def main(argv=None) -> int:
                 raise ValueError("components supports --format text or json")
             report = cmd_components(cfg)
             payload = (
-                json.dumps(report, indent=2) + "\n"
+                _dumps_indented(report) + "\n"
                 if cfg.fmt == "json"
                 else _render_components_text(report)
             )

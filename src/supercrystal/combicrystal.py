@@ -22,8 +22,8 @@ algebraic route.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cache
-from itertools import compress, zip_longest
+from functools import cache, lru_cache
+from itertools import zip_longest
 
 from .superpbw import Weight, minus_roots, plus_roots
 
@@ -168,8 +168,11 @@ def odd_subsets(m: int, n: int, cap: int | None = None, boxes=None) -> list[OddS
     cap = sum(heights) if cap is None else cap
     if _count_upto(cap, heights, False) > ENUMERATION_LIMIT:
         raise ValueError("odd subsets exceed the enumeration limit")
-    bits = [1 << ((a - 1) * n + b - m - 1) for a, b in boxes]
-    return [_oddset(m, n, sum(compress(bits, v))) for v in _exponents(heights, cap, False)]
+    out = [(0, 0)]
+    for (a, b), h in zip(boxes, heights):
+        steps = ((0, 0), (1 << ((a - 1) * n + b - m - 1), h))
+        out = [(v | bit, d + e) for v, d in out for bit, e in steps if d + e <= cap]
+    return [_oddset(m, n, v) for v, _ in out]
 
 
 def _count_upto(cap: int, heights, free: bool) -> int:
@@ -197,17 +200,6 @@ def _count_upto(cap: int, heights, free: bool) -> int:
         if count > ENUMERATION_LIMIT:
             break
     return count
-
-
-def _exponents(heights, cap: int, free: bool) -> list[tuple[int, ...]]:
-    """The vectors that _count_upto counts: one exponent per height, 0 or 1
-    unless free, with degree (the sum of exponent times height) at most
-    cap, in itertools.product order (the first exponent varies slowest)."""
-    out = [((), 0)]
-    for h in heights:
-        steps = [((c,), c * h) for c in range((cap // h if free else 1) + 1)]
-        out = [(v + c, d + e) for v, d in out for c, e in steps if d + e <= cap]
-    return [v for v, _ in out]
 
 
 class _Block:
@@ -406,38 +398,47 @@ def _lanes(m: int, n: int, i: int) -> tuple[int, int, int, int]:
     return plus, minus, lane, 1 << plus | 1 << minus
 
 
-def _oddset_scan(S: OddSet, i: int):
-    """The reduced signature of S at an even index i, in one pass over the mask.
+@lru_cache(maxsize=1 << 13)
+def _reduce(up: int, down: int) -> tuple[int, int, int, int]:
+    """The reduced signature of two lane words, as (phi, eps, first, last).
 
-    Returns the surviving + and - letters in reading order, each as the
-    lane bit v it sits on, and the bit pair p of the first row or column:
-    a move at the letter on v swaps the two bits of p * v.
+    Bit k of up is a + letter and bit k of down a - letter, read from bit 0
+    up, the + before the - at one bit; each - cancels the nearest open +.
+    phi and eps count the surviving + and - letters, first is the bit of
+    the first surviving + and last that of the last surviving - (0 when
+    there is none).  The words recur across eps, phi, e and f of one
+    element and across elements, so the result is memoised; the bound
+    keeps a long sweep's table to a few MB.
     """
-    plus, minus, lane, pair = _lanes(S.m, S.n, i)
-    up, down = S.mask >> plus & lane, S.mask >> minus & lane
-    pluses: list[int] = []
-    minuses: list[int] = []
+    pluses = eps = last = 0
     both = up | down
     while both:
         low = both & -both
         both ^= low
         if up & low:
-            pluses.append(low)
+            pluses |= low
         if down & low:
             if pluses:
-                pluses.pop()
+                pluses ^= 1 << pluses.bit_length() - 1
             else:
-                minuses.append(low)
-    return pluses, minuses, pair
+                eps += 1
+                last = low
+    return pluses.bit_count(), eps, pluses & -pluses, last
+
+
+def _oddset_scan(S: OddSet, i: int) -> tuple[int, int, int, int]:
+    """The reduced signature of S at an even index i: (phi, eps, flip_f,
+    flip_e), where flip_f and flip_e are the masks f and e toggle (0: the
+    operator gives ZERO)."""
+    plus, minus, lane, pair = _lanes(S.m, S.n, i)
+    phi, eps, first, last = _reduce(S.mask >> plus & lane, S.mask >> minus & lane)
+    return phi, eps, pair * first, pair * last
 
 
 def _oddset_move(S: OddSet, dir: str, scan):
     """Act at the first surviving + (f) or the last surviving - (e) of a scan."""
-    pluses, minuses, pair = scan
-    moves = pluses[:1] if dir == "f" else minuses[-1:]
-    if not moves:
-        return ZERO
-    return _oddset(S.m, S.n, S.mask ^ pair * moves[0])
+    flip = scan[2] if dir == "f" else scan[3]
+    return _oddset(S.m, S.n, S.mask ^ flip) if flip else ZERO
 
 
 def _odd_bit(S: OddSet) -> int:
@@ -459,13 +460,13 @@ def oddset_op(i: int, dir: str, S: OddSet):
 def oddset_eps(i: int, S: OddSet) -> int:
     if i == S.m:
         return int(bool(S.mask & _odd_bit(S)))
-    return len(_oddset_scan(S, i)[1])
+    return _oddset_scan(S, i)[1]
 
 
 def oddset_phi(i: int, S: OddSet) -> int:
     if i == S.m:
         return int(not S.mask & _odd_bit(S))
-    return len(_oddset_scan(S, i)[0])
+    return _oddset_scan(S, i)[0]
 
 
 @cache
@@ -498,30 +499,57 @@ def _letters(rank: tuple[int, ...], i: int, star: bool) -> tuple:
     return tuple(letters)
 
 
+@cache
+def _pairing(rank: tuple[int, ...], i: int) -> tuple[tuple[int, int], ...]:
+    """The pairing of an even block's weight with the i-th simple coroot,
+    as (position, coefficient) pairs over ``mult``: the block at i pairs to
+    the sum of mult[position] * coefficient, without building its weight."""
+    m, ell = rank[0], sum(rank)
+    roots = plus_roots(m) if len(rank) == 1 else minus_roots(*rank)
+    pairs = ((k, cartan(_delta(ell, [(-1, a), (1, b)]), i, m)) for k, (a, b) in enumerate(roots))
+    return tuple((k, c) for k, c in pairs if c)
+
+
+def _block_pairing(b: LusztigPlus | LusztigMinus, i: int) -> int:
+    """cartan(b.weight(), i, b.m), read from the multiplicities."""
+    mult = b.mult
+    return sum(mult[k] * c for k, c in _pairing(b._rank(), i))
+
+
 def _lusztig_scan(b: LusztigPlus | LusztigMinus, i: int, star: bool):
-    """The reduced signature of b at i: the surviving + and - letters in
-    reading order, and the position of the diagonal entry (i, i+1)."""
+    """The reduced signature of b at i, as (plus, eps, first, last, diag):
+    the counts of surviving + and - letters, the first surviving + and the
+    last surviving - letter (None when there is none), and the position of
+    the diagonal entry (i, i+1).  A letter read c times counts as c copies
+    at once."""
     letters = _letters(b._rank(), i, star)
-    pluses: list[tuple] = []
-    minuses: list[tuple] = []
+    mult = b.mult
+    plus = eps = 0
+    first = last = None
     for letter in letters:
-        for _ in range(b.mult[letter[1]]):
-            if letter[0] > 0:
-                pluses.append(letter)
-            elif pluses:
-                pluses.pop()
-            else:
-                minuses.append(letter)
-    return pluses, minuses, letters[-1][1]
+        c = mult[letter[1]]
+        if not c:
+            continue
+        if letter[0] > 0:
+            if not plus:
+                first = letter
+            plus += c
+        elif c > plus:
+            eps += c - plus
+            plus = 0
+            last = letter
+        else:
+            plus -= c
+    return plus, eps, first if plus else None, last, letters[-1][1]
 
 
 def _lusztig_move(b: LusztigPlus | LusztigMinus, dir: str, scan):
     """f acts at the first surviving + or else adds to the diagonal entry;
     e acts at the last surviving - or dies."""
-    pluses, minuses, diag = scan
+    _, _, first, last, diag = scan
     if dir == "e":
-        return b._shift(*minuses[-1][1:]) if minuses else ZERO
-    return b._shift(*pluses[0][1:]) if pluses else b._shift(None, diag)
+        return ZERO if last is None else b._shift(*last[1:])
+    return b._shift(None, diag) if first is None else b._shift(*first[1:])
 
 
 def lusztig_op(i: int, dir: str, b: LusztigPlus | LusztigMinus):
@@ -531,17 +559,17 @@ def lusztig_op(i: int, dir: str, b: LusztigPlus | LusztigMinus):
 
 
 def lusztig_eps(i: int, b: LusztigPlus | LusztigMinus) -> int:
-    return len(_lusztig_scan(b, i, False)[1])
+    return _lusztig_scan(b, i, False)[1]
 
 
 def lusztig_phi(i: int, b: LusztigPlus | LusztigMinus) -> int:
     """The defined phi of the infinity crystal (may be negative)."""
-    return lusztig_eps(i, b) + cartan(b.weight(), i, b.m)
+    return lusztig_eps(i, b) + _block_pairing(b, i)
 
 
 def epsilon_star(i: int, b: LusztigPlus | LusztigMinus) -> int:
     """Starred string length, the membership bound for truncations."""
-    return len(_lusztig_scan(b, i, True)[1])
+    return _lusztig_scan(b, i, True)[1]
 
 
 def lusztig_star_op(i: int, dir: str, b: LusztigPlus | LusztigMinus):
@@ -594,12 +622,11 @@ def pair_op(i: int, dir: str, S: OddSet, b):
         bscan, move = _lusztig_scan(b.base, i, False), _hw_move
     else:
         bscan, move = _lusztig_scan(b, i, False), _lusztig_move
-    eps = len(bscan[1])
     if i < S.m:
-        act_left = _phi_side_acts(dir, len(scan[0]), eps)
+        act_left = _phi_side_acts(dir, scan[0], bscan[1])
     else:
-        phi = eps + cartan(b.base.weight(), i, S.m) + cartan(b.shift, i, S.m)
-        act_left = not _phi_side_acts(dir, phi, len(scan[1]))
+        phi = bscan[1] + _block_pairing(b.base, i) + cartan(b.shift, i, S.m)
+        act_left = not _phi_side_acts(dir, phi, scan[1])
     if act_left:
         moved = _oddset_move(S, dir, scan)
         return ZERO if moved is ZERO else (moved, b)
@@ -666,21 +693,26 @@ def lower_along(op, word, b):
     return b
 
 
+def raise_step(op, indices, b):
+    """One step of raise_to_top: (i, op(i, "e", b)) for the lowest index i
+    in indices that acts on b, or None when none does."""
+    for i in indices:
+        up = op(i, "e", b)
+        if up is not ZERO:
+            return i, up
+    return None
+
+
 def raise_to_top(op, indices, b):
     """Raise b with op until no index in indices acts, lowest index first.
 
     Returns the top element and the word of indices applied, in order.
     """
     word: list[int] = []
-    while True:
-        for i in indices:
-            up = op(i, "e", b)
-            if up is not ZERO:
-                b = up
-                word.append(i)
-                break
-        else:
-            return b, word
+    while step := raise_step(op, indices, b):
+        i, b = step
+        word.append(i)
+    return b, word
 
 
 # -- the bicrystal partition of the odd subsets -----------------------------------

@@ -39,7 +39,6 @@ from .combicrystal import (
     XElt,
     _column_mask,
     _count_upto,
-    _exponents,
     _oddset,
     cartan,
     hw_op,
@@ -55,6 +54,7 @@ from .combicrystal import (
     oddset_op,
     pair_op,
     plus_roots,
+    raise_step,
     raise_to_top,
     string_length,
     triple_op,
@@ -263,7 +263,14 @@ def kac_elements(m: int, n: int, lam: Weight) -> list[KacElt]:
 
 
 def _block_vectors(roots, cap: int) -> list[tuple[int, ...]]:
-    return _exponents([b - a for a, b in roots], cap, True)
+    """The multiplicity vectors over roots of degree at most cap, the ones
+    a free _count_upto counts, in itertools.product order (the first root
+    varies slowest)."""
+    out = [((), 0)]
+    for a, b in roots:
+        steps = [((c,), c * (b - a)) for c in range(cap // (b - a) + 1)]
+        out = [(v + c, d + e) for v, d in out for c, e in steps if d + e <= cap]
+    return [v for v, _ in out]
 
 
 def _refuse_oversized(m: int, n: int, cap: int, minus_count: int) -> None:
@@ -362,8 +369,12 @@ def binf_source(b: BInfElt) -> BInfElt:
 
 def component_label(b: BInfElt) -> OddSet:
     """The subset of Y labeling the component of b."""
-    m = b.S.m
-    src = binf_source(b)
+    return _source_label(binf_source(b))
+
+
+def _source_label(src: BInfElt) -> OddSet:
+    """The label of a raising-dead element, read off its own data."""
+    m = src.S.m
     xpart, ypart = split_map(src.S)
     if xpart.mask:
         raise AssertionError("a raising-dead element keeps no boundary-column entry")
@@ -371,6 +382,36 @@ def component_label(b: BInfElt) -> OddSet:
     label = lower_along(oddset_op, reversed(word), ypart)
     if label is ZERO:
         raise AssertionError("the label word left the Y subsets")
+    return label
+
+
+def _component_labeller():
+    """component_label for one caller, memoised along raising paths.
+
+    raise_to_top is deterministic, so every element met on the raising path
+    of b has the source of b: each is mapped to it once, and each source to
+    its label once.  Nothing is assumed about how many sources a component
+    has.
+    """
+    source: dict[BInfElt, BInfElt] = {}
+    labels: dict[BInfElt, OddSet] = {}
+
+    def label(b: BInfElt) -> OddSet:
+        indices = range(1, b.S.m + b.S.n)
+        path = []
+        while b not in source:
+            path.append(b)
+            step = raise_step(binf_op, indices, b)
+            if step is None:
+                source[b] = b
+                labels[b] = _source_label(b)
+            else:
+                b = step[1]
+        src = source[b]
+        for x in path:
+            source[x] = src
+        return labels[src]
+
     return label
 
 
@@ -445,15 +486,16 @@ def components(m: int, n: int, degree_cap: int) -> dict:
     _y_subsets(m, n)
     elements = enumerate_binf(m, n, degree_cap)
     census = component_census(m, n)
+    label = _component_labeller()
     observed: dict[OddSet, set[BInfElt]] = {}
     for b in elements:
-        lab = component_label(b)
+        lab = label(b)
         if lab not in census:
             raise AssertionError("an enumerated element labels outside the census")
         observed.setdefault(lab, set()).add(b)
         for i in range(1, ell):
             down = binf_op(i, "f", b)
-            if down is not ZERO and component_label(down) != lab:
+            if down is not ZERO and label(down) != lab:
                 raise AssertionError("label changed along an edge")
     for lab, members in observed.items():
         reached = _reach(census[lab], binf_op, range(1, ell), lambda x: x.degree() <= degree_cap)

@@ -238,7 +238,8 @@ def _decompose(family: list[BosonTensorVec], monos: list[tuple[int, int]]) -> li
     # [family | identity] always has full row rank, so the family is a basis
     # exactly when it is square with a pivot in each of its own columns;
     # reduced row k is then e_k next to row k of the inverse
-    assert n == len(monos) and all(rows[k][k] for k in range(n)), "kernel family is not a basis"
+    if n != len(monos) or not all(rows[k][k] for k in range(n)):
+        raise AssertionError("kernel family is not a basis")
     return [[row[n + j] for row in rows] for j in range(n)]
 
 
@@ -279,9 +280,10 @@ def boson_crystal_check(l: int, depth: int) -> dict:
         images = [act_eprime(BosonTensorVec.monomial(l, i, j)) for i, j in monos]
         rows = [[img.coeffs.get(m, _Q0) for m in below] for img in images]
         kernel = len(monos) - (row_reduce(rows) if below else 0)
-        assert kernel == (1 if d <= l else 0), (l, d, kernel)
-        if d <= l:
-            assert act_eprime(gens[d]).is_zero()
+        if kernel != (1 if d <= l else 0):
+            raise AssertionError((l, d, kernel))
+        if d <= l and not act_eprime(gens[d]).is_zero():
+            raise AssertionError
 
         ts = range(min(l, d) + 1)
         lowered = [powers[t][d - t] for t in ts]
@@ -289,9 +291,11 @@ def boson_crystal_check(l: int, depth: int) -> dict:
         fall = [powers[t][d - t - 1] if d > t else BosonTensorVec.zero(l) for t in ts]
         for (i, j), sol in zip(monos, _decompose(lowered, monos)):
             fvec = _combine(l, sol, flow)
-            assert _residue_is(fvec, _rule_target(l, i, j, "f")), (l, d, i, j, "f")
+            if not _residue_is(fvec, _rule_target(l, i, j, "f")):
+                raise AssertionError((l, d, i, j, "f"))
             evec = _combine(l, sol, fall)
-            assert _residue_is(evec, _rule_target(l, i, j, "e")), (l, d, i, j, "e")
+            if not _residue_is(evec, _rule_target(l, i, j, "e")):
+                raise AssertionError((l, d, i, j, "e"))
             nodes += 1
     return {
         "l": l,

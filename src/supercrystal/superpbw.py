@@ -18,6 +18,7 @@ twist formulas below assume that sign convention.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -40,10 +41,10 @@ class Weight:
     coords: tuple[int, ...]
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Weight(tuple(map(operator.add, self.coords, other.coords)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Weight(tuple(map(operator.sub, self.coords, other.coords)))
 
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.coords))
@@ -195,7 +196,8 @@ class RootData:
                 twist = self.qform(self.root_weight(hi), self.root_weight(lo)).inverse()
                 crossed = self._crossed_pair(lo, hi)
                 is_sum = lo.b == hi.a or hi.b == lo.a
-                assert not (crossed and is_sum), (lo, hi)
+                if crossed and is_sum:
+                    raise AssertionError((lo, hi))
                 extras = ()
                 if crossed:
                     coeff = QRat.q_power(-1) - QRat.q_power(1)

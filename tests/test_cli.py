@@ -130,6 +130,30 @@ def test_graph_output_bytes_are_pinned(capsys, args, digest):
     assert sha256(out.encode()).hexdigest() == digest
 
 
+def test_indented_writer_matches_json_dumps():
+    def config(**kw):
+        base = dict(m=2, n=2, cap=None, lam=None, target=None, suite=None, fmt="json", out=None)
+        return cli.RunConfig(**{**base, **kw})
+
+    values = [
+        cmd_graph(config(target="binf", cap=3)),
+        cmd_graph(config(target="xlambda", cap=3, lam=Weight((2, 1, 0, 0)))),
+        cmd_graph(config(target="kac", lam=Weight((1, 0, 1, 0)))),
+        cmd_graph(config(target="oddset", n=3, cap=3)),
+        cmd_verify(config(suite="all", fmt="text")),
+        cmd_components(config(cap=3)),
+        {"a": [], "b": {}, "c": [[], {}, [{}]], "d": None, "e": True, "f": False,
+         "g": "caf\u00e9 \u2203\"\\\n", "h": (1, -2, 10**30), "\u00e9": {"x": [None]}},
+        [], {}, "", 0, None,
+    ]
+    for value in values:
+        assert cli._dumps_indented(value) == json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        cli._dumps_indented({1: 2})
+    with pytest.raises(TypeError):
+        cli._dumps_indented([1.5])
+
+
 def test_graph_out_file(tmp_path, capsys):
     path = tmp_path / "graph.json"
     rc, out, _ = run(

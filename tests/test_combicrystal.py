@@ -26,6 +26,11 @@ from supercrystal.combicrystal import (
     LusztigMinus,
     LusztigPlus,
     OddSet,
+    _block_pairing,
+    _column_mask,
+    _letters,
+    _lusztig_scan,
+    _reduce,
     bicrystal_decompose,
     cartan,
     epsilon_star,
@@ -243,7 +248,7 @@ def test_oddset_mask_matches_frozenset_reference():
 
 
 def test_odd_subsets_product_order():
-    for m, n in ((1, 1), (2, 2), (2, 3), (3, 2)):
+    for m, n in ((1, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
         full = all_oddsets(m, n)
         assert odd_subsets(m, n) == full
         for cap in range(6):
@@ -255,6 +260,61 @@ def test_odd_subsets_product_order():
         frozenset(p for p, on in zip(boxes, mask) if on)
         for mask in product((0, 1), repeat=3)
     ]
+
+
+def ref_reduce(up: int, down: int) -> tuple[int, int, int, int]:
+    """The stack scan on lists: bit k of up is a + and of down a -, read
+    from bit 0 up with the + first; a - pops the last open +."""
+    pluses: list[int] = []
+    minuses: list[int] = []
+    for k in range(max(up.bit_length(), down.bit_length())):
+        if up >> k & 1:
+            pluses.append(1 << k)
+        if down >> k & 1:
+            if pluses:
+                pluses.pop()
+            else:
+                minuses.append(1 << k)
+    return len(pluses), len(minuses), pluses[0] if pluses else 0, minuses[-1] if minuses else 0
+
+
+def test_reduce_matches_a_list_stack_scan():
+    # every pair of row lanes up to 6 bits, then every pair of column lanes
+    # of a (6,2) subset, whose letters sit on every second bit
+    rows = range(1 << 6)
+    column = _column_mask(6, 2)
+    columns = [w for w in range(column + 1) if w & ~column == 0]
+    assert len(columns) == 1 << 6
+    for words in (rows, columns):
+        for up, down in product(words, repeat=2):
+            assert _reduce(up, down) == ref_reduce(up, down), (up, down)
+
+
+def ref_lusztig_scan(b, i: int, star: bool):
+    """The signature of a block read copy by copy: (plus, eps, first, last)."""
+    pluses: list[tuple] = []
+    minuses: list[tuple] = []
+    for letter in _letters(b._rank(), i, star):
+        for _ in range(b.mult[letter[1]]):
+            if letter[0] > 0:
+                pluses.append(letter)
+            elif pluses:
+                pluses.pop()
+            else:
+                minuses.append(letter)
+    return len(pluses), len(minuses), pluses[0] if pluses else None, minuses[-1] if minuses else None
+
+
+def test_block_scans_and_pairings_match_the_weight():
+    # every block of the degree ball (2,3) cap 5, the m|0 and the 0|n
+    m, n = 2, 3
+    blocks = [(LusztigPlus(m, t), range(1, m)) for t in block_labels(plus_roots(m), 5)]
+    blocks += [(LusztigMinus(m, n, t), range(m + 1, m + n)) for t in block_labels(minus_roots(m, n), 5)]
+    for b, indices in blocks:
+        for i in indices:
+            assert _block_pairing(b, i) == cartan(b.weight(), i, m)
+            for star in (False, True):
+                assert _lusztig_scan(b, i, star)[:4] == ref_lusztig_scan(b, i, star)
 
 
 def test_block_weights_and_degrees():

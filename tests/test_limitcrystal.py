@@ -55,6 +55,7 @@ from supercrystal.combicrystal import (
 from supercrystal.limitcrystal import (
     ENUMERATION_LIMIT,
     _block_vectors,
+    _component_labeller,
     _count_upto,
     BInfElt,
     ProductElt,
@@ -487,6 +488,17 @@ def test_component_census_counts():
             assert src.bminus == LusztigMinus.zero(m, n)
             assert split_map(src.S)[0].bits == frozenset()
             assert component_label(src) == lab
+
+
+def test_memoised_labels_match_component_label():
+    # in the order components asks: each element, then its neighbours, so
+    # later walks stop on paths the memo already holds
+    for m, n, cap in ((2, 2, 4), (3, 3, 2)):
+        label = _component_labeller()
+        for b in enumerate_binf(m, n, cap):
+            near = [binf_op(i, d, b) for i in range(1, m + n) for d in ("f", "e")]
+            for x in [b] + [x for x in near if x is not ZERO]:
+                assert label(x) == component_label(x), (m, n, x)
 
 
 def test_components_report():

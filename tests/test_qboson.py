@@ -11,8 +11,12 @@ against a hand-solved two-by-two decomposition.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +269,33 @@ def test_decompose_refuses_a_dependent_family():
     for family in ([e, e], [e]):
         with pytest.raises(AssertionError, match="not a basis"):
             _decompose(family, monos)
+
+
+def test_checks_survive_python_dash_O():
+    # python -O strips assert statements; the crystal check and the basis
+    # refusal must still fail
+    script = (
+        "import sys\n"
+        "from supercrystal import qboson\n"
+        "assert False, 'asserts are live'\n"
+        "qboson._rule_target = lambda l, i, j, d: (i, j)\n"
+        "for call in (lambda: qboson.boson_crystal_check(2, 6),\n"
+        "             lambda: qboson._decompose([qboson.E_t(2, 1)], [(0, 1), (1, 0)])):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        print('passed')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["(2, 0, 0, 0, 'f')", "kernel family is not a basis"]
 
 
 def test_decompose_solves_each_degree_as_one_solve_per_monomial():
