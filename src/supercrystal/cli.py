@@ -464,16 +464,25 @@ def _suite_pbw(cfg: RunConfig) -> list[dict]:
 
 def _crosscheck_work(m: int, n: int, cap: int) -> int:
     """An upper bound on the crosscheck's checks, an e and an f per index
-    and element of the ball, times the cap squared.  The ball is counted
-    with the odd roots free, which only adds elements; roots higher than
-    the cap cannot occur, and a rank whose single element is already over
-    the limit is refused before any list of heights is built."""
+    and element of the ball, times the cap squared, plus the set-up.  The
+    ball is counted with the odd roots free, which only adds elements; roots
+    higher than the cap cannot occur, and a rank whose single element is
+    already over the limit is refused before any list of heights is built.
+    The set-up, paid at any cap, is the first e'_i along each index, which
+    straightens the free words of every root vector: 3^(h+3) per root of
+    height h (fit to (5,5), (5,6) and (6,6) at cap 1, which took 1.9 s,
+    6.3 s and 22.5 s on a 2-vCPU host), summed until it passes the limit."""
     ell = m + n
     per_element = 2 * (ell - 1) * max(cap, 1) ** 2
     if per_element > CROSSCHECK_LIMIT:
         return per_element
+    setup = 0
+    for h in range(1, ell):  # ell - h roots of height h
+        setup += (ell - h) * 3 ** (h + 3)
+        if setup > CROSSCHECK_LIMIT:
+            return setup
     heights = [h for h in range(1, min(cap, ell - 1) + 1) for _ in range(ell - h)]
-    return per_element * _count_upto(cap, heights, True)
+    return setup + per_element * _count_upto(cap, heights, True)
 
 
 def _residue_text(closed: bool, res) -> str:
@@ -907,8 +916,11 @@ def _write_indented(obj, newline: str, emit) -> None:
 def _emit(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
-    else:
+        return
+    try:
         Path(out).write_text(payload)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -940,10 +952,10 @@ def main(argv=None) -> int:
                 if cfg.fmt == "json"
                 else _render_components_text(report)
             )
+        _emit(payload, cfg.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, cfg.out)
     return 0 if ok else 1
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 
-from .qfield import QRat, add_into, q_factorial
+from .qfield import QRat, add_into, q_factorial, q_int
 
 _Q1 = QRat.one()
 
@@ -101,8 +101,8 @@ class RootData:
     block (by reversed column), then the 0|n block (lexicographic).  The
     instance fills its tables as they are first needed (e'_i, e''_i and the
     0|n reversal of each root vector, lattice vectors, weight spaces checked
-    triangular, and the rung scalars of the string operators per index,
-    direction and weight pairing), so reuse one instance per (m, n).  The
+    triangular, and the rung scalars of the left string operators, one table
+    per direction), so reuse one instance per (m, n).  The
     string operators and the lattice expansion are Q(q)-linear, so three
     more tables hold them per monomial: the e'_i ladder keyed by (i,
     monomial), the operator image keyed by (i, lower, monomial), and the
@@ -136,7 +136,7 @@ class RootData:
         self._derivative: dict[tuple[int, int], list] = {}
         self._sigma: dict[int, PBWVector] | None = None
         self._lattice_vec: dict[tuple[int, ...], "PBWVector"] = {}
-        self._ladder: dict[tuple[int, bool, int], list[QRat]] = {}
+        self._ladder: dict[bool, list[QRat]] = {}
         self._eladder: dict[tuple[int, tuple[int, ...]], tuple[PBWVector, ...]] = {}
         self._image: dict[tuple[int, bool, tuple[int, ...]], tuple] = {}
         self._expansion: dict[tuple[int, ...], tuple] = {}
@@ -621,27 +621,26 @@ def string_decompose(rd: RootData, i: int, u: PBWVector) -> list[PBWVector]:
 def _ladder_coefficients(rd: RootData, i: int, lower: bool, p: int, length: int) -> list[QRat]:
     """Rung scalars s_0 .. s_{length-1} of the string step along f_i (i != m).
 
-    With d = 1 to lower, -1 to raise: e'_i^M(f_i^(k) u_k) = lam(k, M)
-    f_i^(k-M) u_k, so sum_N s_N f_i^(N+d) e'_i^N(u) moves each string
-    component to tau_k f_i^(k+d) u_k once sum_{M<=k} s_M lam(k, M) [k+d]! /
-    [k-M]! = tau_k, which is triangular in s_k.  Left strings (i < m):
-    lam(k, M) = prod_{t<M} q^(1-k+t), tau_k = 1.  Right strings (i > m), where
-    p = (wt, alpha_i) for the part's weight wt, so (wt + k alpha_i, alpha_i) =
-    p - 2k = pk: lam(k, M) = prod_{t<M} q(alpha_i, wt + k alpha_i) q^(k-t-1),
-    tau_k = q^(-pk-2k) lowering and q^(pk+2k-2) raising.
+    With d = 1 to lower, -1 to raise, sum_N s_N f_i^(N+d) e'_i^N(u) moves
+    each string component f_i^(k) u_k to tau_k f_i^(k+d) u_k.  On left
+    strings (i < m), tau_k = 1 and the Gaussian binomial theorem solves the
+    triangular system: s_N = q^(N(N-1)/2) (c + prod (1 - q^e)) / [N+d]!, e =
+    d, d-2, .., 2-2N-d, c = (-1)^N q^(1-N^2) lowering and 0 raising.  Hence
+    raising s_0 = 0, s_1 = 1, s_{N+1} = s_N (q^N - q^(1-N)) / [N], and for N >= 1
+    lowering s_N = (-1)^N q^(1-N(N+1)/2) / [N+1]! + (1 - q) q^(-N) s_{N+1}(raising) / [N+1].
+    On right strings (i > m), p = (wt, alpha_i), and signed q-powers rescale
+    the system by diagonals: s_N(right) = (-1)^(pN) q^((N+d)(N-p+1-d)) s_N(left).
     """
-    table, d = rd._ladder.setdefault((i, lower, p), []), 1 if lower else -1
-    while len(table) < length:
-        k = len(table)
-        pk = p - 2 * k
-        tau = _Q1 if i < rd.m else QRat.q_power(-pk - 2 * k if lower else pk + 2 * k - 2)
-        rest, lam = (tau / q_factorial(k + d) if k + d >= 0 else QRat.zero()), _Q1
-        for t in range(k):
-            rest = rest - table[t] * lam / q_factorial(k - t)
-            step = QRat.q_power(1 - k + t) if i < rd.m else _signed_q_power(pk + k - t - 1, pk)
-            lam = lam * step
-        table.append(rest / lam)
-    return table
+    up = rd._ladder.setdefault(False, [QRat.zero(), _Q1])
+    for N in range(len(up) - 1, length):
+        up.append(up[N] * QRat.from_laurent({N: 1, 1 - N: -1}) / q_int(N))
+    table = rd._ladder.setdefault(True, [_Q1]) if lower else up
+    for N in range(len(table), length):
+        last = _signed_q_power(1 - N * (N + 1) // 2, N) / q_factorial(N)
+        table.append((QRat.from_laurent({-N: 1, 1 - N: -1}) * up[N + 1] + last) / q_int(N + 1))
+    d = 1 if lower else -1
+    scale = (_signed_q_power((N + d) * (N - p + 1 - d), p * N) for N in range(length))
+    return table[:length] if i < rd.m else [s * x for s, x in zip(table, scale)]
 
 
 def _monomial_image(rd: RootData, i: int, lower: bool, mono: tuple[int, ...]) -> tuple:

@@ -164,6 +164,15 @@ def test_graph_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["count"] == 2
 
 
+@pytest.mark.parametrize("where", ["missing/graph.json", "."])
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys, where):
+    path = tmp_path / where
+    argv = ["graph", "--m", "1", "--n", "1", "--target", "oddset", "--out", str(path)]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {path}: ") and err.count("\n") == 1
+
+
 def test_graph_cap_filters_oddset(capsys):
     rc, out, _ = run(
         capsys, ["graph", "--m", "2", "--n", "2", "--target", "oddset", "--cap", "1"]
@@ -496,7 +505,7 @@ def test_verify_crosscheck_passes(capsys):
 
 @pytest.mark.parametrize(
     "m,n,cap",
-    [(2, 1, 22), (2, 3, 10), (40, 40, 4), (1000000, 1, 3), (1, 1, 10**9)],
+    [(2, 1, 22), (2, 3, 10), (40, 40, 4), (1000000, 1, 3), (1, 1, 10**9), (6, 6, 1), (7, 7, 1)],
 )
 def test_verify_crosscheck_refuses_oversized_work_at_once(capsys, monkeypatch, m, n, cap):
     def unbuilt(*args):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations, product
 
 import pytest
@@ -431,6 +432,46 @@ def test_left_ladder_coefficients_are_pinned_and_weight_free():
                 assert [raising[N] * q_factorial(N - 1) for N in (1, 2)] == b
 
 
+@cache
+def solved_rung_scalars(left: bool, lower: bool, p: int, length: int) -> tuple[QRat, ...]:
+    """The rung scalars of _ladder_coefficients solved from their triangular
+    system, the reference for its closed forms.
+
+    With d = 1 to lower, -1 to raise: e'_i^M(f_i^(k) u_k) = lam(k, M)
+    f_i^(k-M) u_k, so sum_N s_N f_i^(N+d) e'_i^N(u) moves each string
+    component to tau_k f_i^(k+d) u_k once sum_{M<=k} s_M lam(k, M) [k+d]! /
+    [k-M]! = tau_k, which is triangular in s_k.  Left strings: lam(k, M) =
+    prod_{t<M} q^(1-k+t), tau_k = 1.  Right strings, where p = (wt, alpha_i)
+    for the part's weight wt, so (wt + k alpha_i, alpha_i) = p - 2k = pk:
+    lam(k, M) = prod_{t<M} q(alpha_i, wt + k alpha_i) q^(k-t-1), tau_k =
+    q^(-pk-2k) lowering and q^(pk+2k-2) raising.
+    """
+    table, d = [], 1 if lower else -1
+    for k in range(length):
+        pk = p - 2 * k
+        tau = _Q1 if left else qp(-pk - 2 * k if lower else pk + 2 * k - 2)
+        rest, lam = (tau / q_factorial(k + d) if k + d >= 0 else QRat.zero()), _Q1
+        for t in range(k):
+            rest = rest - table[t] * lam / q_factorial(k - t)
+            lam = lam * (qp(1 - k + t) if left else superpbw._signed_q_power(pk + k - t - 1, pk))
+        table.append(rest / lam)
+    return tuple(table)
+
+
+@pytest.mark.parametrize("mn", [(2, 1), (3, 2), (4, 1), (1, 2), (1, 3), (2, 3)])
+def test_rung_scalars_match_the_solved_system(mn):
+    # left strings for N < 16; right strings for N < 14 at every p in -6..6
+    rd = RootData(*mn)
+    for i, lower in product(rd.index_set, (True, False)):
+        if i == rd.m:
+            continue
+        left = i < rd.m
+        length, pairings = (16, [0]) if left else (14, range(-6, 7))
+        for p in pairings:
+            want = solved_rung_scalars(left, lower, p, length)
+            assert superpbw._ladder_coefficients(rd, i, lower, p, length) == list(want), (i, p)
+
+
 # -- lattice -----------------------------------------------------------------
 
 
@@ -622,6 +663,8 @@ def test_monomial_tables_hold_each_distinct_key_once():
     assert set(rd._eladder) == ladders
     assert set(rd._image) == images
     assert set(rd._expansion) == monomials
+    # the rung scalars: one table per direction, free of index and weight
+    assert set(rd._ladder) == {True, False}
     sizes = (len(rd._eladder), len(rd._image), len(rd._expansion))
     sweep()
     assert (len(rd._eladder), len(rd._image), len(rd._expansion)) == sizes
