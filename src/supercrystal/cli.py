@@ -79,15 +79,11 @@ from .superpbw import (
     lattice_vector,
     normal_form,
     sigma_0n,
-    string_decompose,
+    string_reference,
 )
 from .superpbw import from_json as pbw_from_json
 from .superpbw import to_json as pbw_to_json
 
-GRAPH_TARGETS = ("binf", "kac", "xlambda", "oddset")
-VERIFY_SUITES = (
-    "qfield", "pbw", "crosscheck", "crystal-axioms", "kappa", "components", "boson", "examples"
-)
 DEFAULT_COMPONENTS_CAP = 3
 DEFAULT_CROSSCHECK_CAP = 4
 # crosscheck work: checks times the cap squared, since a check's cost grows
@@ -184,29 +180,32 @@ def _short(elt) -> str:
     raise ValueError(f"no label for {type(elt).__name__}")
 
 
+def _kac_ball(m: int, n: int, lam: Weight, cap: int | None) -> list[KacElt]:
+    return [k for k in kac_elements(m, n, lam) if cap is None or k.degree() <= cap]
+
+
+# each graph target: whether it needs --cap, whether it reports lambda, its
+# elements at (m, n, lam, cap) and its operator
+_GRAPHS = {
+    "binf": (True, False, lambda m, n, lam, cap: enumerate_binf(m, n, cap), binf_op),
+    "kac": (False, True, _kac_ball, kac_op),
+    "xlambda": (True, True, enumerate_x, x_op),
+    "oddset": (False, False, lambda m, n, lam, cap: odd_subsets(m, n, cap), oddset_op),
+}
+GRAPH_TARGETS = tuple(_GRAPHS)
+
+
 def cmd_graph(cfg: RunConfig) -> dict:
     """Enumerate the requested crystal and return the graph as a dict."""
     m, n = cfg.m, cfg.n
     ell = m + n
     lam = cfg.lam if cfg.lam is not None else Weight((0,) * ell)
-    if cfg.target == "binf":
-        if cfg.cap is None:
-            raise ValueError("binf graphs need --cap")
-        elts, op = enumerate_binf(m, n, cfg.cap), binf_op
-    elif cfg.target == "xlambda":
-        if cfg.cap is None:
-            raise ValueError("xlambda graphs need --cap")
-        elts, op = enumerate_x(m, n, lam, cfg.cap), x_op
-    elif cfg.target == "kac":
-        elts = [
-            k for k in kac_elements(m, n, lam)
-            if cfg.cap is None or k.degree() <= cfg.cap
-        ]
-        op = kac_op
-    elif cfg.target == "oddset":
-        elts, op = odd_subsets(m, n, cfg.cap), oddset_op
-    else:
+    if cfg.target not in _GRAPHS:
         raise ValueError(f"unknown graph target {cfg.target!r}")
+    needs_cap, weighted, elements, op = _GRAPHS[cfg.target]
+    if needs_cap and cfg.cap is None:
+        raise ValueError(f"{cfg.target} graphs need --cap")
+    elts = elements(m, n, lam, cfg.cap)
 
     ordered = sorted(((combi_json(e), e) for e in elts), key=lambda p: _node_key(p[0]))
     pos = {e: idx for idx, (_, e) in enumerate(ordered)}
@@ -222,7 +221,7 @@ def cmd_graph(cfg: RunConfig) -> dict:
         "m": m,
         "n": n,
         "cap": cfg.cap,
-        "lambda": list(lam.coords) if cfg.target in ("kac", "xlambda") else None,
+        "lambda": list(lam.coords) if weighted else None,
         "count": len(ordered),
         "nodes": [
             {"id": idx, "element": enc, "label": _short(e), "weight": list(e.weight().coords)}
@@ -403,25 +402,6 @@ def _round_trip_failures(rds):
                 yield f"rank ({rd.m},{rd.n}), word {word}: {u} does not survive the JSON round trip"
 
 
-def _string_reference(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
-    """crystal_f (lower) or crystal_e along i != m of a homogeneous u, read
-    off string_decompose; right strings (i > m) act on the 0|n factor of
-    each group of monomials sharing their odd and m|0 exponents."""
-    lo, out = rd.minus_start if i > rd.m else 0, PBWVector.zero(rd)
-    groups: dict[tuple[int, ...], dict] = {}
-    for mono, c in u.terms.items():
-        groups.setdefault(mono[:lo], {})[(0,) * lo + mono[lo:]] = c
-    for prefix, terms in groups.items():
-        head = PBWVector(rd, {prefix + (0,) * (rd.nroots - lo): QRat.one()})
-        for k, uk in enumerate(string_decompose(rd, i, PBWVector(rd, terms))):
-            if uk and (k or lower):
-                fk = f_divided(rd, i, k + 1 if lower else k - 1)
-                e = -rd.form(uk.weight(), rd.alpha(i)) - 2 * k
-                twist = _QP(e if lower else -e - 2)
-                out = out + head * (fk * uk if i < rd.m else (uk * fk).scale(twist))
-    return out
-
-
 def _string_recursion_failures():
     # every PBW monomial of degree at most 3, then each two neighbours of one
     # weight summed with a q-dependent coefficient, through the operators'
@@ -441,7 +421,7 @@ def _string_recursion_failures():
         for name, terms in cases:
             u = PBWVector(rd, terms)
             for i, (dir, op) in product(rd.index_set, (("e", crystal_e), ("f", crystal_f))):
-                if i != rd.m and op(rd, i, u) != _string_reference(rd, i, u, dir == "f"):
+                if i != rd.m and op(rd, i, u) != string_reference(rd, i, u, dir == "f"):
                     yield f"rank ({rd.m},{rd.n}), {name}, index {i}, {dir}: off the recursion"
 
 
@@ -525,6 +505,13 @@ def _suite_crosscheck(cfg: RunConfig) -> list[dict]:
     ]
 
 
+def _suite_weight(cfg: RunConfig) -> Weight:
+    """--lambda, or the weight (1, 0, ..., 0 | 1, 0, ..., 0) by default."""
+    if cfg.lam is not None:
+        return cfg.lam
+    return Weight((1,) + (0,) * (cfg.m - 1) + (1,) + (0,) * (cfg.n - 1))
+
+
 def _axiom_sweep(name: str, elements, op, eps, phi, m: int, ell: int) -> dict:
     """The check item for the crystal axioms on elements.  A failed item
     names its first counterexample: the element, the index, the direction
@@ -560,9 +547,7 @@ def _suite_crystal_axioms(cfg: RunConfig) -> list[dict]:
     cap = cfg.cap if cfg.cap is not None else 4
     odds = odd_subsets(m, n)
     ball = enumerate_binf(m, n, cap)
-    lam = cfg.lam if cfg.lam is not None else Weight(
-        (1,) + (0,) * (m - 1) + (1,) + (0,) * (n - 1)
-    )
+    lam = _suite_weight(cfg)
     members = kac_elements(m, n, lam)
     return [
         _axiom_sweep(
@@ -588,9 +573,7 @@ def _suite_crystal_axioms(cfg: RunConfig) -> list[dict]:
 def _suite_kappa(cfg: RunConfig) -> list[dict]:
     m, n = cfg.m, cfg.n
     ell = m + n
-    lam = cfg.lam if cfg.lam is not None else Weight(
-        (1,) + (0,) * (m - 1) + (1,) + (0,) * (n - 1)
-    )
+    lam = _suite_weight(cfg)
     members = kac_elements(m, n, lam)
     mu = lam + Weight((1,) * ell)
     nu = lam + Weight((2,) * ell)
@@ -773,6 +756,7 @@ _SUITE_RUNNERS = {
     "boson": _suite_boson,
     "examples": _suite_examples,
 }
+VERIFY_SUITES = tuple(_SUITE_RUNNERS)
 
 
 def _run_suite(name: str, cfg: RunConfig) -> list[dict]:
@@ -840,15 +824,6 @@ def _render_components_text(report: dict) -> str:
 # -- entry point -------------------------------------------------------------
 
 
-def _add_shared_flags(sub: argparse.ArgumentParser, default_format: str) -> None:
-    sub.add_argument("--m", type=int, default=2)
-    sub.add_argument("--n", type=int, default=2)
-    sub.add_argument("--cap", type=int, default=None)
-    sub.add_argument("--lambda", dest="lam", default=None, metavar="C1,C2,...")
-    sub.add_argument("--format", choices=("json", "dot", "text"), default=default_format)
-    sub.add_argument("--out", default=None)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supercrystal",
@@ -857,12 +832,17 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     graph = subs.add_parser("graph", help="export a crystal graph")
     graph.add_argument("--target", choices=GRAPH_TARGETS, required=True)
-    _add_shared_flags(graph, "json")
     verify = subs.add_parser("verify", help="run verification suites")
     verify.add_argument("--suite", choices=VERIFY_SUITES + ("all",), default="all")
-    _add_shared_flags(verify, "text")
-    comp = subs.add_parser("components", help="component census of the limit crystal")
-    _add_shared_flags(comp, "text")
+    subs.add_parser("components", help="component census of the limit crystal")
+    for name, sub in subs.choices.items():
+        default_format = next(iter(_COMMANDS[name][1]))
+        sub.add_argument("--m", type=int, default=2)
+        sub.add_argument("--n", type=int, default=2)
+        sub.add_argument("--cap", type=int, default=None)
+        sub.add_argument("--lambda", dest="lam", default=None, metavar="C1,C2,...")
+        sub.add_argument("--format", choices=("json", "dot", "text"), default=default_format)
+        sub.add_argument("--out", default=None)
     return parser
 
 
@@ -923,40 +903,32 @@ def _emit(payload: str, out: str | None) -> None:
         raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
+def _json_text(report: dict) -> str:
+    return _dumps_indented(report) + "\n"
+
+
+# each command: its runner, and its writer for each --format it supports,
+# the default first
+_COMMANDS = {
+    "graph": (cmd_graph, {"json": _json_text, "dot": _render_dot}),
+    "verify": (cmd_verify, {"text": _render_verify_text, "json": _json_text}),
+    "components": (cmd_components, {"text": _render_components_text, "json": _json_text}),
+}
+
+
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         cfg = _config(ns)
-        ok = True
-        if ns.command == "graph":
-            if cfg.fmt == "text":
-                raise ValueError("graph supports --format json or dot")
-            graph = cmd_graph(cfg)
-            payload = _render_dot(graph) if cfg.fmt == "dot" else _dumps_indented(graph) + "\n"
-        elif ns.command == "verify":
-            if cfg.fmt == "dot":
-                raise ValueError("verify supports --format text or json")
-            report = cmd_verify(cfg)
-            ok = report["ok"]
-            payload = (
-                _dumps_indented(report) + "\n"
-                if cfg.fmt == "json"
-                else _render_verify_text(report)
-            )
-        else:
-            if cfg.fmt == "dot":
-                raise ValueError("components supports --format text or json")
-            report = cmd_components(cfg)
-            payload = (
-                _dumps_indented(report) + "\n"
-                if cfg.fmt == "json"
-                else _render_components_text(report)
-            )
-        _emit(payload, cfg.out)
+        run, writers = _COMMANDS[ns.command]
+        if cfg.fmt not in writers:
+            raise ValueError(f"{ns.command} supports --format {' or '.join(writers)}")
+        report = run(cfg)
+        _emit(writers[cfg.fmt](report), cfg.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0 if ok else 1
+    return 0 if report.get("ok", True) else 1
 
 
 if __name__ == "__main__":

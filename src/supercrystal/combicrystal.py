@@ -168,11 +168,18 @@ def odd_subsets(m: int, n: int, cap: int | None = None, boxes=None) -> list[OddS
     cap = sum(heights) if cap is None else cap
     if _count_upto(cap, heights, False) > ENUMERATION_LIMIT:
         raise ValueError("odd subsets exceed the enumeration limit")
-    out = [(0, 0)]
-    for (a, b), h in zip(boxes, heights):
-        steps = ((0, 0), (1 << ((a - 1) * n + b - m - 1), h))
-        out = [(v | bit, d + e) for v, d in out for bit, e in steps if d + e <= cap]
-    return [_oddset(m, n, v) for v, _ in out]
+    # the boxes' bits are distinct, so a sum of them is their union
+    slots = (((0, 0), (1 << ((a - 1) * n + b - m - 1), h)) for (a, b), h in zip(boxes, heights))
+    return [_oddset(m, n, v) for v in _capped_sums(0, slots, cap)]
+
+
+def _capped_sums(zero, slots, cap: int) -> list:
+    """The sums zero + x_1 + x_2 + ... of one (x, degree) step per slot, of
+    degree at most cap, in itertools.product order (first slot slowest)."""
+    out = [(zero, 0)]
+    for steps in slots:
+        out = [(v + x, d + e) for v, d in out for x, e in steps if d + e <= cap]
+    return [v for v, _ in out]
 
 
 def _count_upto(cap: int, heights, free: bool) -> int:

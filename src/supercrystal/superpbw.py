@@ -618,6 +618,27 @@ def string_decompose(rd: RootData, i: int, u: PBWVector) -> list[PBWVector]:
     return comps
 
 
+def string_reference(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
+    """crystal_f (lower) or crystal_e along i != m, read off string_decompose
+    on each weight part of u: the reference the operators are checked
+    against.  Right strings (i > m) act on the 0|n factor of each group of
+    monomials sharing their odd and m|0 exponents."""
+    lo, out = rd.minus_start if i > rd.m else 0, PBWVector.zero(rd)
+    groups: dict[tuple[int, ...], dict] = {}
+    for mono, c in u.terms.items():
+        groups.setdefault(mono[:lo], {})[(0,) * lo + mono[lo:]] = c
+    for prefix, terms in groups.items():
+        head = PBWVector(rd, {prefix + (0,) * (rd.nroots - lo): _Q1})
+        for part in PBWVector(rd, terms).homogeneous_parts().values():
+            for k, uk in enumerate(string_decompose(rd, i, part)):
+                if uk and (k or lower):
+                    fk = f_divided(rd, i, k + 1 if lower else k - 1)
+                    e = -rd.form(uk.weight(), rd.alpha(i)) - 2 * k
+                    twist = QRat.q_power(e if lower else -e - 2)
+                    out = out + head * (fk * uk if i < rd.m else (uk * fk).scale(twist))
+    return out
+
+
 def _ladder_coefficients(rd: RootData, i: int, lower: bool, p: int, length: int) -> list[QRat]:
     """Rung scalars s_0 .. s_{length-1} of the string step along f_i (i != m).
 

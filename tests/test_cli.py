@@ -130,6 +130,35 @@ def test_graph_output_bytes_are_pinned(capsys, args, digest):
     assert sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of ``verify`` and ``components``, pinned in the same
+# way: the report encodings, the check names and the census labels
+REPORT_DIGESTS = (
+    (
+        "verify --suite examples --format json",
+        "d8216618198e45e143adec9a06ed4ea3c192ab2c591343312e64de2163927f43",
+    ),
+    (
+        "verify --suite kappa",
+        "40bd21a22f1a980a3dbb3d8ab4deb78eba452c0e4a5ba0039eaefa94e129ac97",
+    ),
+    (
+        "components --m 2 --n 2 --cap 3",
+        "fb7bf600ae95ba3e2941971d2e879292f3adb63a95de82a53d0a952ce73e7de2",
+    ),
+    (
+        "components --m 2 --n 2 --cap 3 --format json",
+        "87671f6c71d29dbd68c7256b9a017b424ca4865487077e36d8e5b1a67f0b1cdd",
+    ),
+)
+
+
+@pytest.mark.parametrize("args,digest", REPORT_DIGESTS)
+def test_report_output_bytes_are_pinned(capsys, args, digest):
+    rc, out, err = run(capsys, args.split())
+    assert rc == 0 and err == ""
+    assert sha256(out.encode()).hexdigest() == digest
+
+
 def test_indented_writer_matches_json_dumps():
     def config(**kw):
         base = dict(m=2, n=2, cap=None, lam=None, target=None, suite=None, fmt="json", out=None)

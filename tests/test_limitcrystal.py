@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from supercrystal import limitcrystal
 from supercrystal.cli import main
 from supercrystal.combicrystal import (
     ZERO,
@@ -488,6 +489,21 @@ def test_component_census_counts():
             assert src.bminus == LusztigMinus.zero(m, n)
             assert split_map(src.S)[0].bits == frozenset()
             assert component_label(src) == lab
+
+
+def test_component_census_refuses_a_source_that_raises(monkeypatch):
+    # a source one lowering below the constructed element, which then raises
+    monkeypatch.setattr(limitcrystal, "binf_source", lambda b: binf_op(1, "f", b))
+    with pytest.raises(AssertionError, match="constructed element fails to be raising-dead"):
+        component_census(2, 2)
+
+
+def test_component_census_refuses_a_label_off_its_subset(monkeypatch):
+    # every source labelled by the empty subset: the second subset of Y
+    # no longer round trips
+    monkeypatch.setattr(limitcrystal, "_source_label", lambda src: OddSet.empty(2, 2))
+    with pytest.raises(AssertionError, match="label round trip failed for a constructed element"):
+        component_census(2, 2)
 
 
 def test_memoised_labels_match_component_label():
