@@ -88,8 +88,8 @@ DEFAULT_COMPONENTS_CAP = 3
 DEFAULT_CROSSCHECK_CAP = 4
 # crosscheck work: checks times the cap squared, since a check's cost grows
 # with its degree.  On a 2-vCPU host, (2,3) cap 8 weighs 1,238,016 and runs
-# in 1.7 s, (1,4) cap 8 the same in 3.5 s; (2,1) cap 22, refused at
-# 2,365,792, ran 6.4 s
+# in 1.7 s, (1,4) cap 8 the same in 3.5 s (4.3 s and 10.4 s on a slower
+# one); (2,1) cap 22, refused at 2,365,792, ran 6.4 s
 CROSSCHECK_LIMIT = 2_000_000
 LONG_PAIRS = 4  # long pairs in the qfield suite; their reference reductions cost about 10 ms each
 

@@ -434,9 +434,13 @@ def _reduce(up: int, down: int) -> tuple[int, int, int, int]:
 
 
 def _oddset_scan(S: OddSet, i: int) -> tuple[int, int, int, int]:
-    """The reduced signature of S at an even index i: (phi, eps, flip_f,
-    flip_e), where flip_f and flip_e are the masks f and e toggle (0: the
-    operator gives ZERO)."""
+    """The reduced signature of S at index i: (phi, eps, flip_f, flip_e),
+    where flip_f and flip_e are the masks f and e toggle (0: the operator
+    gives ZERO).  At the odd index i = m, e empties and f fills the box
+    (m, m+1)."""
+    if i == S.m:
+        bit = 1 << (S.m - 1) * S.n
+        return (0, 1, 0, bit) if S.mask & bit else (1, 0, bit, 0)
     plus, minus, lane, pair = _lanes(S.m, S.n, i)
     phi, eps, first, last = _reduce(S.mask >> plus & lane, S.mask >> minus & lane)
     return phi, eps, pair * first, pair * last
@@ -448,31 +452,17 @@ def _oddset_move(S: OddSet, dir: str, scan):
     return _oddset(S.m, S.n, S.mask ^ flip) if flip else ZERO
 
 
-def _odd_bit(S: OddSet) -> int:
-    """The single bit of the entry (m, m+1) that the odd index toggles."""
-    return 1 << (S.m - 1) * S.n
-
-
 def oddset_op(i: int, dir: str, S: OddSet):
     """Crystal operator on an odd subset; returns an OddSet or ZERO."""
     _check_dir(dir)
-    if i == S.m:
-        bit = _odd_bit(S)
-        if bool(S.mask & bit) == (dir == "f"):
-            return ZERO
-        return _oddset(S.m, S.n, S.mask ^ bit)
     return _oddset_move(S, dir, _oddset_scan(S, i))
 
 
 def oddset_eps(i: int, S: OddSet) -> int:
-    if i == S.m:
-        return int(bool(S.mask & _odd_bit(S)))
     return _oddset_scan(S, i)[1]
 
 
 def oddset_phi(i: int, S: OddSet) -> int:
-    if i == S.m:
-        return int(not S.mask & _odd_bit(S))
     return _oddset_scan(S, i)[0]
 
 

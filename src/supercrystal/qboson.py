@@ -10,8 +10,8 @@ string decomposition against the kernel basis induces exactly the
 signature rule on residues.  Every value here is a Laurent polynomial
 over a product D_i of factors q^(2(l-j)) - 1, so ``E_t``, ``act_f_pow``
 and ``C_sk`` sum integer numerators over one denominator and reduce once
-(``QRat.from_laurent``); the crystal check solves each degree with one
-elimination.
+(``QRat.from_laurent``); the crystal check reads each degree's images
+off one elimination, with no inverse formed.
 
 Conventions: the left generator has weight ``l`` (so ``f^(i) v1`` has
 weight ``l - 2i`` and vanishes for ``i > l``), the right generator has
@@ -192,13 +192,13 @@ def C_sk(l: int, t: int, s: int, k: int) -> QRat:
 # -- residue tests -----------------------------------------------------
 
 
-def _residue_is(v: BosonTensorVec, target: tuple[int, int] | None) -> bool:
-    # v is the monomial target modulo q times the lattice, or lies in q times
-    # the lattice when target is None; a pole at target stays in lead
-    lead = v.coeffs.get(target, _Q0) - (_Q0 if target is None else _Q1)
+def _residue_is(coeffs: dict[tuple[int, int], QRat], target: tuple[int, int] | None) -> bool:
+    # coeffs is the monomial target modulo q times the lattice, or lies in q
+    # times the lattice when target is None; a pole at target stays in lead
+    lead = coeffs.get(target, _Q0) - (_Q0 if target is None else _Q1)
     if lead and min_degree(lead) < 1:
         return False
-    return all(min_degree(c) >= 1 for m, c in v.coeffs.items() if m != target)
+    return all(min_degree(c) >= 1 for m, c in coeffs.items() if m != target)
 
 
 def congruence_grid(max_l: int, max_s: int) -> list[dict]:
@@ -218,7 +218,7 @@ def congruence_grid(max_l: int, max_s: int) -> list[dict]:
                 else:
                     case, target = 2, (l - t, 2 * t + s - l)
                 grid.append(
-                    {"l": l, "t": t, "s": s, "case": case, "ok": _residue_is(v, target)}
+                    {"l": l, "t": t, "s": s, "case": case, "ok": _residue_is(v.coeffs, target)}
                 )
     return grid
 
@@ -226,25 +226,23 @@ def congruence_grid(max_l: int, max_s: int) -> list[dict]:
 # -- exact linear algebra over the coefficient field -------------------
 
 
-def _decompose(family: list[BosonTensorVec], monos: list[tuple[int, int]]) -> list[list[QRat]]:
-    # the coefficients against family of every monomial in monos, from one
-    # elimination of [family | identity] in the monomial coordinates
+def _decompose(
+    family: list[BosonTensorVec], moved: list[BosonTensorVec], monos: list[tuple[int, int]]
+) -> list[dict[tuple[int, int], QRat]]:
+    # the image of every monomial in monos under the map sending family[t] to
+    # moved[t], from one elimination of [family | moved] with one row per
+    # member; reduced row k is then e_k next to the image of monos[k]
     n = len(family)
+    cols = sorted({m for v in moved for m in v.coeffs})
     rows = [
-        [member.coeffs.get(m, _Q0) for member in family] + [_Q1 if p == m else _Q0 for p in monos]
-        for m in monos
+        [member.coeffs.get(m, _Q0) for m in monos] + [v.coeffs.get(m, _Q0) for m in cols]
+        for member, v in zip(family, moved)
     ]
     row_reduce(rows)
-    # [family | identity] always has full row rank, so the family is a basis
-    # exactly when it is square with a pivot in each of its own columns;
-    # reduced row k is then e_k next to row k of the inverse
+    # the family is a basis exactly when it is square with a pivot in each of its columns
     if n != len(monos) or not all(rows[k][k] for k in range(n)):
         raise AssertionError("kernel family is not a basis")
-    return [[row[n + j] for row in rows] for j in range(n)]
-
-
-def _combine(l: int, coeffs: list[QRat], family: list[BosonTensorVec]) -> BosonTensorVec:
-    return sum((member.scale(c) for c, member in zip(coeffs, family)), BosonTensorVec.zero(l))
+    return [{m: c for m, c in zip(cols, row[n:]) if c} for row in rows]
 
 
 def _rule_target(l: int, i: int, j: int, direction: str) -> tuple[int, int] | None:
@@ -260,9 +258,9 @@ def boson_crystal_check(l: int, depth: int) -> dict:
     """Exhaustive crystal-base check of the coupled module up to ``depth``.
 
     Degree by degree: confirms the kernel of the raising action is one
-    dimensional up to the cutoff and zero beyond, decomposes every
-    monomial against the lowered kernel basis, and checks that the
-    string-shifted operators stay in the lattice and reduce to the
+    dimensional up to the cutoff and zero beyond, reads every monomial's
+    f- and e-image off one elimination of the lowered kernel basis beside
+    its moves, and checks that they stay in the lattice and reduce to the
     signature rule on residues.  Raises AssertionError on any mismatch.
     """
     if l < 0 or depth < 0:
@@ -271,9 +269,10 @@ def boson_crystal_check(l: int, depth: int) -> dict:
         raise ValueError("check is sized for l <= 6 and depth <= 10")
     gens = [E_t(l, t) for t in range(min(l, depth) + 1)]
     # f^(s) E_t for every s the degrees meet, each lowered once: degree d
-    # decomposes against s = d - t and moves along s = d - t +- 1
+    # decomposes against s = d - t and moves to the sum over s = d - t +- 1,
+    # whose parts lie in degrees d + 1 and d - 1
     powers = [[act_f_pow(s, g) for s in range(depth - t + 2)] for t, g in enumerate(gens)]
-    nodes = 0
+    nodes, zero = 0, BosonTensorVec.zero(l)
     for d in range(depth + 1):
         monos = [(i, d - i) for i in range(min(l, d) + 1)]
         below = [(i, d - 1 - i) for i in range(min(l, d - 1) + 1)] if d else []
@@ -287,13 +286,12 @@ def boson_crystal_check(l: int, depth: int) -> dict:
 
         ts = range(min(l, d) + 1)
         lowered = [powers[t][d - t] for t in ts]
-        flow = [powers[t][d - t + 1] for t in ts]
-        fall = [powers[t][d - t - 1] if d > t else BosonTensorVec.zero(l) for t in ts]
-        for (i, j), sol in zip(monos, _decompose(lowered, monos)):
-            fvec = _combine(l, sol, flow)
+        moved = [powers[t][d - t + 1] + (powers[t][d - t - 1] if d > t else zero) for t in ts]
+        for (i, j), image in zip(monos, _decompose(lowered, moved, monos)):
+            fvec = {m: c for m, c in image.items() if sum(m) > d}
             if not _residue_is(fvec, _rule_target(l, i, j, "f")):
                 raise AssertionError((l, d, i, j, "f"))
-            evec = _combine(l, sol, fall)
+            evec = {m: c for m, c in image.items() if sum(m) < d}
             if not _residue_is(evec, _rule_target(l, i, j, "e")):
                 raise AssertionError((l, d, i, j, "e"))
             nodes += 1

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from supercrystal import qboson
 from supercrystal.qboson import (
     BosonTensorVec,
     C_sk,
@@ -268,7 +269,7 @@ def test_decompose_refuses_a_dependent_family():
     e, monos = E_t(2, 1), [(0, 1), (1, 0)]
     for family in ([e, e], [e]):
         with pytest.raises(AssertionError, match="not a basis"):
-            _decompose(family, monos)
+            _decompose(family, family, monos)
 
 
 def test_checks_survive_python_dash_O():
@@ -280,7 +281,8 @@ def test_checks_survive_python_dash_O():
         "assert False, 'asserts are live'\n"
         "qboson._rule_target = lambda l, i, j, d: (i, j)\n"
         "for call in (lambda: qboson.boson_crystal_check(2, 6),\n"
-        "             lambda: qboson._decompose([qboson.E_t(2, 1)], [(0, 1), (1, 0)])):\n"
+        "             lambda: qboson._decompose([qboson.E_t(2, 1)], [qboson.E_t(2, 1)],\n"
+        "                                       [(0, 1), (1, 0)])):\n"
         "    try:\n"
         "        call()\n"
         "    except AssertionError as exc:\n"
@@ -303,15 +305,35 @@ def test_decompose_solves_each_degree_as_one_solve_per_monomial():
         for d in range(7):
             monos = [(i, d - i) for i in range(min(l, d) + 1)]
             family = [act_f_pow(d - t, E_t(l, t)) for t in range(len(monos))]
-            got = _decompose(family, monos)
-            for mono, sol in zip(monos, got):
+            moved = [
+                act_f_pow(d - t + 1, E_t(l, t))
+                + (act_f_pow(d - t - 1, E_t(l, t)) if d > t else BosonTensorVec.zero(l))
+                for t in range(len(monos))
+            ]
+            got = _decompose(family, moved, monos)
+            for mono, image in zip(monos, got):
                 rows = [
                     [member.coeffs.get(m, QRat.zero()) for member in family]
                     + [Q1 if m == mono else QRat.zero()]
                     for m in monos
                 ]
                 assert row_reduce(rows) == len(family)
-                assert sol == [row[-1] for row in rows], (l, d, mono)
+                want = BosonTensorVec.zero(l)
+                for row, v in zip(rows, moved):
+                    want = want + v.scale(row[-1])
+                assert image == want.coeffs, (l, d, mono)
+
+
+def test_crystal_check_tests_the_e_side(monkeypatch):
+    # a wrong e target alone must fail the check: the f and e images come
+    # out of one elimination, and the e side must still be tested
+    rule = qboson._rule_target
+    monkeypatch.setattr(
+        qboson, "_rule_target", lambda l, i, j, d: rule(l, i, j, d) if d == "f" else (i, j)
+    )
+    with pytest.raises(AssertionError) as exc:
+        boson_crystal_check(2, 6)
+    assert exc.value.args == ((2, 0, 0, 0, "e"),)
 
 
 def test_boson_crystal_check_reports():
