@@ -29,6 +29,7 @@ Poly = tuple[int, ...]  # coefficients by ascending degree, no trailing zeros
 
 _PZERO: Poly = ()
 _PONE: Poly = (1,)
+_UNITS = (_PONE, (-1,))
 
 # Size crossovers, measured on the benchmark's Q(q) operands (see README,
 # "Exact arithmetic"): below them the pure-Python loops are faster.
@@ -482,6 +483,11 @@ class QRat:
             return NotImplemented
         if not (self.num and o.num):
             return _Q0
+        # a unit side passes the other through, as a zero side does in __add__
+        if o.den == _PONE and o.num in _UNITS:
+            return self if o.num[0] == 1 else -self
+        if self.den == _PONE and self.num in _UNITS:
+            return o if self.num[0] == 1 else -o
         _, a, d = _cancel(self.num, o.den)
         _, c, b = _cancel(o.num, self.den)
         return _finish(_pmul(a, c), _pmul(b, d))

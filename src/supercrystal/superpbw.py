@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 
-from .qfield import QRat, add_into, q_factorial, q_int
+from .qfield import Poly, QRat, _order, _padd, _pmul, add_into, q_factorial, q_int
 
 _Q1 = QRat.one()
 
@@ -99,7 +99,8 @@ class RootData:
     Positive roots are listed in the convex order used by the PBW basis:
     all odd roots first (by column, then bottom row first), then the m|0
     block (by reversed column), then the 0|n block (lexicographic).  The
-    instance fills its tables as they are first needed (e'_i, e''_i and the
+    instance fills its tables as they are first needed (each root word
+    straightened, keyed by (word, strategy); e'_i, e''_i and the
     0|n reversal of each root vector, lattice vectors, weight spaces checked
     triangular, and the rung scalars of the left string operators, one table
     per direction), so reuse one instance per (m, n).  The
@@ -132,6 +133,7 @@ class RootData:
         self._simple_idx = {i: self.root_index[Root(i, i + 1)] for i in self.index_set}
 
         self._pair_table = self._build_pair_table()
+        self._straightened: dict[tuple[tuple[int, ...], str], tuple] = {}
         self._free_root: dict[int, dict[tuple[int, ...], QRat]] = {}
         self._derivative: dict[tuple[int, int], list] = {}
         self._sigma: dict[int, PBWVector] | None = None
@@ -189,23 +191,24 @@ class RootData:
         return None
 
     def _build_pair_table(self):
+        # each entry: the twist q(hi, lo)^(-1) = sign q^e as (sign, e), and the
+        # extra words with their integer Laurent coefficients {exponent: int}
         table = {}
         for hi_i in range(self.nroots):
             for lo_i in range(hi_i):
                 lo, hi = self.roots[lo_i], self.roots[hi_i]
-                twist = self.qform(self.root_weight(hi), self.root_weight(lo)).inverse()
+                e, s = self._qform_exponent(self.root_weight(hi), self.root_weight(lo))
                 crossed = self._crossed_pair(lo, hi)
                 is_sum = lo.b == hi.a or hi.b == lo.a
                 if crossed and is_sum:
                     raise AssertionError((lo, hi))
                 extras = ()
                 if crossed:
-                    coeff = QRat.q_power(-1) - QRat.q_power(1)
-                    extras = ((tuple(self.root_index[r] for r in crossed), coeff),)
+                    extras = ((tuple(self.root_index[r] for r in crossed), {-1: 1, 1: -1}),)
                 elif is_sum:
                     total = Root(lo.a, hi.b) if lo.b == hi.a else Root(hi.a, lo.b)
-                    extras = (((self.root_index[total],), _Q1),)
-                table[(hi_i, lo_i)] = (twist, extras)
+                    extras = (((self.root_index[total],), {0: 1}),)
+                table[(hi_i, lo_i)] = ((-1 if s else 1, -e), extras)
         return table
 
     # -- straightening --------------------------------------------------
@@ -226,25 +229,47 @@ class RootData:
     def reduce_root_word(
         self, word: tuple[int, ...], coeff: QRat, strategy: str = "latest"
     ) -> dict[tuple[int, ...], QRat]:
-        """Straighten a word of root-vector letters into PBW monomials."""
-        out: dict[tuple[int, ...], QRat] = {}
-        stack = [(word, coeff)]
-        while stack:
-            w, c = stack.pop()
-            if not c:
-                continue
-            p = self._find_inversion(w, strategy)
-            if p is None:
-                add_into(out, self.word_monomial(w), c)
-                continue
-            a, b = w[p], w[p + 1]
-            if a == b:
-                continue  # square of an odd root vector
-            twist, extras = self._pair_table[(a, b)]
-            stack.append((w[:p] + (b, a) + w[p + 2 :], c * twist))
-            for mid, k in extras:
-                stack.append((w[:p] + mid + w[p + 2 :], c * k))
-        return out
+        """Straighten a word of root-vector letters into PBW monomials.
+
+        Every structure constant of the rewrite table is an integer Laurent
+        polynomial, so each word is straightened once per RootData and
+        strategy with {exponent: int} coefficients, and its monomials are
+        kept with their QRat coefficients; a call scales them by coeff.
+        """
+        key = (word, strategy)
+        reduced = self._straightened.get(key)
+        if reduced is None:
+            out: dict[tuple[int, ...], dict[int, int]] = {}
+            stack = [(word, {0: 1})]
+            while stack:
+                w, c = stack.pop()
+                p = self._find_inversion(w, strategy)
+                if p is None:
+                    mono = self.word_monomial(w)
+                    acc = out.setdefault(mono, {})
+                    for e, x in c.items():
+                        add_into(acc, e, x)
+                    if not acc:
+                        del out[mono]
+                    continue
+                a, b = w[p], w[p + 1]
+                if a == b:
+                    continue  # square of an odd root vector
+                (sign, shift), extras = self._pair_table[(a, b)]
+                twisted = {e + shift: sign * x for e, x in c.items()}
+                stack.append((w[:p] + (b, a) + w[p + 2 :], twisted))
+                for mid, k in extras:
+                    ck: dict[int, int] = {}
+                    for e, x in c.items():
+                        for f, y in k.items():
+                            add_into(ck, e + f, x * y)
+                    stack.append((w[:p] + mid + w[p + 2 :], ck))
+            reduced = self._straightened[key] = tuple(
+                (mono, QRat.from_laurent(d)) for mono, d in out.items()
+            )
+        if coeff == _Q1:
+            return dict(reduced)
+        return {mono: coeff * x for mono, x in reduced} if coeff else {}
 
     def word_monomial(self, sorted_word: tuple[int, ...]) -> tuple[int, ...]:
         mono = [0] * self.nroots
@@ -832,7 +857,7 @@ def lattice_coefficients(rd: RootData, u: PBWVector) -> dict[tuple[int, ...], QR
 
 
 def in_lattice(rd: RootData, u: PBWVector) -> bool:
-    return all(c.is_regular_at_zero() for c in lattice_coefficients(rd, u).values())
+    return lattice_residue(rd, u)[0]
 
 
 def lattice_residue(
@@ -841,16 +866,30 @@ def lattice_residue(
     """Residue of u in lattice/q*lattice as a combination of basis labels.
 
     Non-membership is an outcome, not an error: returns (False, None) when
-    some coefficient has a pole at q=0, else (True, residue dict).
+    some coefficient has a pole at q=0, else (True, residue dict).  Only
+    valuations at q = 0 are needed, so each label's coefficient is summed
+    as an unreduced pair (N, D) of integer polynomials, with no gcd: for any
+    representative, its order at 0 is that of N less that of D, and when
+    the two agree, at o, its value there is N[o] / D[o].
     """
-    coeffs = lattice_coefficients(rd, u)
-    if not all(c.is_regular_at_zero() for c in coeffs.values()):
-        return False, None
+    sums: dict[tuple[int, ...], tuple[Poly, Poly]] = {}
+    for mono, c in u.terms.items():
+        for lab, x in _expansion(rd, mono):
+            num, den = _pmul(c.num, x.num), _pmul(c.den, x.den)
+            if lab in sums:
+                n0, d0 = sums[lab]
+                num, den = _padd(_pmul(n0, den), _pmul(num, d0)), _pmul(d0, den)
+                if not num:
+                    del sums[lab]
+                    continue
+            sums[lab] = num, den
     out: dict[tuple[int, ...], Fraction] = {}
-    for lab, c in coeffs.items():
-        v = c.eval_at_zero()
-        if v:
-            out[lab] = v
+    for lab, (num, den) in sums.items():
+        o, od = _order(num), _order(den)
+        if o < od:
+            return False, None
+        if o == od:
+            out[lab] = Fraction(num[o], den[o])
     return True, out
 
 

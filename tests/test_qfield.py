@@ -477,6 +477,22 @@ def test_adding_zero_returns_the_operand():
                 assert (z.num, z.den) == (x.num, x.den)
 
 
+def test_multiplying_by_a_unit_passes_the_operand_through():
+    rng = random.Random(4243)
+    one, minus_one = QRat.one(), QRat.from_int(-1)
+    for shape in SHAPES:
+        for k in range(20):
+            a = raw_operand(rng, shape)
+            x = QRat(*a)
+            if x:
+                assert x * one is x and one * x is x and x * 1 is x and 1 * x is x
+            for z in (x * minus_one, minus_one * x, x * -1, -1 * x):
+                assert z == -x and (z.num, z.den) == ((-x).num, (-x).den)
+            for unit in ((1,), (-1,)):
+                assert_ops_match_slow_reduction(a, (unit, (1,)), (shape, k, unit))
+                assert_ops_match_slow_reduction((unit, (1,)), a, (shape, k, unit))
+
+
 # -- the size-gated kernels: heuristic gcd with cofactors, Kronecker products --
 #
 # Long operands (at least qfield.HEU_GCD_MIN_LEN coefficients between the two

@@ -19,7 +19,7 @@ from free_oracle import (
     words_of_weight,
 )
 from supercrystal import superpbw
-from supercrystal.qfield import QRat, add_into, q_factorial
+from supercrystal.qfield import QRat, add_into, q_factorial, q_int
 from supercrystal.superpbw import (
     PBWVector,
     Root,
@@ -162,6 +162,80 @@ def test_strategies_agree():
             assert a == b == c, (m, n, word)
     with pytest.raises(ValueError):
         normal_form(RD11, [1], strategy="fastest")
+
+
+def qrat_pair_table(rd: RootData) -> dict:
+    """The rewrite table with QRat structure constants: per out-of-order
+    pair (hi, lo), the twist q(hi, lo)^(-1) and the extra words."""
+    table = {}
+    for hi_i in range(rd.nroots):
+        for lo_i in range(hi_i):
+            lo, hi = rd.roots[lo_i], rd.roots[hi_i]
+            twist = rd.qform(rd.root_weight(hi), rd.root_weight(lo)).inverse()
+            crossed = rd._crossed_pair(lo, hi)
+            extras = ()
+            if crossed:
+                extras = ((tuple(rd.root_index[r] for r in crossed), qp(-1) - qp(1)),)
+            elif lo.b == hi.a or hi.b == lo.a:
+                total = Root(lo.a, hi.b) if lo.b == hi.a else Root(hi.a, lo.b)
+                extras = (((rd.root_index[total],), _Q1),)
+            table[(hi_i, lo_i)] = (twist, extras)
+    return table
+
+
+def qrat_straightening(rd: RootData, table: dict, word, coeff: QRat, strategy: str) -> dict:
+    """reduce_root_word as a stack of (word, QRat coefficient) pairs with no
+    table of straightened words: the reference for the Laurent straightening."""
+    out: dict = {}
+    stack = [(word, coeff)]
+    while stack:
+        w, c = stack.pop()
+        if not c:
+            continue
+        p = rd._find_inversion(w, strategy)
+        if p is None:
+            add_into(out, rd.word_monomial(w), c)
+            continue
+        a, b = w[p], w[p + 1]
+        if a == b:
+            continue  # square of an odd root vector
+        twist, extras = table[(a, b)]
+        stack.append((w[:p] + (b, a) + w[p + 2 :], c * twist))
+        for mid, k in extras:
+            stack.append((w[:p] + mid + w[p + 2 :], c * k))
+    return out
+
+
+STRATEGIES = ("latest", "leftmost", "rightmost")
+STRAIGHTENING_COEFFS = (_Q1, -qp(1), q_int(3).inverse())
+
+
+def assert_straightening_matches(rd: RootData, words) -> None:
+    # the same monomials, coefficients and order as the reference
+    table = qrat_pair_table(rd)
+    for k, word in enumerate(words):
+        c = STRAIGHTENING_COEFFS[k % len(STRAIGHTENING_COEFFS)]
+        for strategy in STRATEGIES:
+            want = qrat_straightening(rd, table, word, c, strategy)
+            got = rd.reduce_root_word(word, c, strategy)
+            assert list(got.items()) == list(want.items()), (rd.m, rd.n, word, c, strategy)
+
+
+@pytest.mark.parametrize("mn", RANKS)
+def test_straightening_matches_the_qrat_stack(mn):
+    # every word of root letters up to length 5
+    rd = RootData(*mn)
+    words = [w for k in range(1, 6) for w in product(range(rd.nroots), repeat=k)]
+    assert_straightening_matches(rd, words)
+
+
+def test_straightening_matches_the_qrat_stack_on_long_words():
+    rng = random.Random(20)
+    rd = RootData(2, 3)
+    words = [
+        tuple(rng.randrange(rd.nroots) for _ in range(rng.randint(1, 8))) for _ in range(200)
+    ]
+    assert_straightening_matches(rd, words)
 
 
 # -- bicharacter and derivations ---------------------------------------------
@@ -463,6 +537,55 @@ def test_lattice_residue_examples():
     assert not in_lattice(rd, PBWVector.generator(rd, 1).scale(qp(-1)))
 
 
+def reduced_residue(rd: RootData, u: PBWVector):
+    """lattice_residue read off the reduced lattice_coefficients."""
+    coeffs = lattice_coefficients(rd, u)
+    if not all(c.is_regular_at_zero() for c in coeffs.values()):
+        return False, None
+    return True, {lab: c.eval_at_zero() for lab, c in coeffs.items() if c.eval_at_zero()}
+
+
+@pytest.mark.parametrize("mn", [(2, 2), (1, 3)])
+def test_residue_from_valuations_matches_the_reduced_coefficients(mn):
+    # every crystal_e/crystal_f image of the cap 4 ball, and the same over q,
+    # which has a pole wherever the image has a nonzero residue
+    rd = RootData(*mn)
+    for lab in labels_up_to(rd, 4):
+        v = lattice_vector(rd, lab)
+        for i, op in product(rd.index_set, (crystal_f, crystal_e)):
+            image = op(rd, i, v)
+            for u in (image, image.scale(qp(-1))):
+                want = reduced_residue(rd, u)
+                assert lattice_residue(rd, u) == want, (mn, lab, i, op.__name__)
+                assert in_lattice(rd, u) == want[0], (mn, lab, i, op.__name__)
+
+
+def test_residue_sums_each_label_before_its_valuation():
+    # at (1,3), f_24 expands to -q^-2 b(f_24) and f_23 f_34 to b(f_23 f_34) -
+    # q^-1 b(f_24), so in each u below the q^-1 parts of the two terms for
+    # b(f_24) cancel, exactly or down to -1
+    rd = RD13
+    f24, f23_f34 = rvec(rd, 2, 4), rvec(rd, 2, 3) * rvec(rd, 3, 4)
+    b24, b23_34 = max(f24.terms), max(f23_f34.terms)
+    u = crystal_f(rd, 2, PBWVector.generator(rd, 3))
+    assert u == f24.scale(qp(1)) - f23_f34
+    assert lattice_residue(rd, u) == (True, {b23_34: -1})
+    w = f24.scale(qp(1) + qp(2)) - f23_f34
+    assert lattice_residue(rd, w) == (True, {b24: -1, b23_34: -1})
+    for x in (u, w):
+        terms = [
+            c * y
+            for mono, c in x.terms.items()
+            for lab, y in superpbw._expansion(rd, mono)
+            if lab == b24
+        ]
+        assert len(terms) == 2 and all(t.min_degree() == -1 for t in terms)
+        assert in_lattice(rd, x)
+    # and a pole: the same sum over q
+    assert lattice_residue(rd, w.scale(qp(-1))) == (False, None)
+    assert not in_lattice(rd, w.scale(qp(-1)))
+
+
 def test_weight_space_solver_refuses_dependent_vectors(monkeypatch):
     rd = RootData(2, 1)  # fresh, since each RootData caches its solvers
     both = rvec(rd, 1, 3) + rvec(rd, 2, 3) * PBWVector.generator(rd, 1)
@@ -619,6 +742,14 @@ def test_monomial_tables_hold_each_distinct_key_once():
     # one sweep of the (2,3) cap 5 ball, every index and direction, with the
     # residue of each image; the tables must hold exactly the distinct keys
     rd = RootData(2, 3)
+    words = set()
+    straighten = rd.reduce_root_word
+
+    def recording(word, coeff, strategy="latest"):
+        words.add((word, strategy))
+        return straighten(word, coeff, strategy)
+
+    rd.reduce_root_word = recording
 
     def sweep():
         ladders, images, monomials = set(), set(), set()
@@ -640,11 +771,13 @@ def test_monomial_tables_hold_each_distinct_key_once():
     assert set(rd._eladder) == ladders
     assert set(rd._image) == images
     assert set(rd._expansion) == monomials
+    assert set(rd._straightened) == words
     # the rung scalars: one table per direction, free of index and weight
     assert set(rd._ladder) == {True, False}
-    sizes = (len(rd._eladder), len(rd._image), len(rd._expansion))
+    tables = (rd._eladder, rd._image, rd._expansion, rd._straightened)
+    sizes = tuple(map(len, tables))
     sweep()
-    assert (len(rd._eladder), len(rd._image), len(rd._expansion)) == sizes
+    assert tuple(map(len, tables)) == sizes
 
 
 # -- grading and serialization --------------------------------------------------
