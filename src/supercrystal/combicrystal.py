@@ -79,10 +79,12 @@ class OddSet:
     is every n-th bit from bit b-m-1, and the first box (1, m+1) is bit 0.
     Equality and hashing read (m, n, mask); ``bits``, the same subset as a
     frozenset of entries, is derived on first use.  Instances are immutable
-    by convention.
+    by convention, so each also keeps what is read off it on first use: its
+    weight, and its reduced signature per index (``_scans``, a list indexed
+    by i, made on the first scan).
     """
 
-    __slots__ = ("m", "n", "mask", "_bits")
+    __slots__ = ("m", "n", "mask", "_bits", "_scans", "_weight")
 
     def __init__(self, m: int, n: int, bits) -> None:
         mask = 0
@@ -94,6 +96,7 @@ class OddSet:
         self.n = n
         self.mask = mask
         self._bits = bits if isinstance(bits, frozenset) else None
+        self._scans = self._weight = None
 
     @classmethod
     def empty(cls, m: int, n: int) -> "OddSet":
@@ -124,10 +127,12 @@ class OddSet:
         return f"OddSet(m={self.m}, n={self.n}, bits={self.bits!r})"
 
     def weight(self) -> Weight:
-        m, n, mask = self.m, self.n, self.mask
-        row, col = (1 << n) - 1, _column_mask(m, n)
-        rows = [-(mask >> a & row).bit_count() for a in range(0, m * n, n)]
-        return Weight(tuple(rows + [(mask >> c & col).bit_count() for c in range(n)]))
+        if self._weight is None:
+            m, n, mask = self.m, self.n, self.mask
+            row, col = (1 << n) - 1, _column_mask(m, n)
+            rows = [-(mask >> a & row).bit_count() for a in range(0, m * n, n)]
+            self._weight = Weight(tuple(rows + [(mask >> c & col).bit_count() for c in range(n)]))
+        return self._weight
 
     def degree(self) -> int:
         # entry (a, b) has degree b - a, and its weight is -delta_a + delta_b
@@ -144,7 +149,7 @@ def _oddset(m: int, n: int, mask: int) -> OddSet:
     S.m = m
     S.n = n
     S.mask = mask
-    S._bits = None
+    S._bits = S._scans = S._weight = None
     return S
 
 
@@ -257,7 +262,7 @@ class _Block:
         return sum(c * (b - a) for (a, b), c in zip(self.roots(), self.mult))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LusztigPlus(_Block):
     """Multiplicities over plus_roots(m), the Lusztig data of the m|0 block."""
 
@@ -269,7 +274,7 @@ class LusztigPlus(_Block):
         return (self.m,)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LusztigMinus(_Block):
     """Multiplicities over minus_roots(m, n), the Lusztig data of the 0|n block."""
 
@@ -282,7 +287,7 @@ class LusztigMinus(_Block):
         return self.m, self.n
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class HWElt:
     """A Lusztig element tensored with t_shift, membership per epsilon-star."""
 
@@ -318,12 +323,16 @@ class HWElt:
         return lusztig_phi(i, self.base) + cartan(self.shift, i, self.base.m)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Triple:
     """An odd subset, m|0 data and 0|n data, each block free (Lusztig
     data) or truncated (an HWElt).  The kinds differ only in that choice:
     each subclass names its JSON ``kind`` and the types its fields ``holds``,
     which decoding checks.  Kinds never compare equal.
+
+    Elements are immutable by convention, as an OddSet is, and not frozen:
+    a frozen dataclass sets each field through ``object.__setattr__``, a
+    cost paid on every element an operator builds.
     """
 
     S: OddSet
@@ -357,7 +366,7 @@ class BInfElt(Triple):
     holds = (OddSet, LusztigPlus, LusztigMinus)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class XElt(Triple):
     """A triple with free plus data over a shift and a truncated minus block."""
 
@@ -437,13 +446,22 @@ def _oddset_scan(S: OddSet, i: int) -> tuple[int, int, int, int]:
     """The reduced signature of S at index i: (phi, eps, flip_f, flip_e),
     where flip_f and flip_e are the masks f and e toggle (0: the operator
     gives ZERO).  At the odd index i = m, e empties and f fills the box
-    (m, m+1)."""
+    (m, m+1).  Kept in S._scans on first read: eps, phi, e and f of one
+    element, and the axioms on its neighbours, read it again."""
+    scans = S._scans
+    if scans is None:
+        scans = S._scans = [None] * (S.m + S.n)
+    elif 0 < i < len(scans) and scans[i] is not None:
+        return scans[i]
     if i == S.m:
         bit = 1 << (S.m - 1) * S.n
-        return (0, 1, 0, bit) if S.mask & bit else (1, 0, bit, 0)
-    plus, minus, lane, pair = _lanes(S.m, S.n, i)
-    phi, eps, first, last = _reduce(S.mask >> plus & lane, S.mask >> minus & lane)
-    return phi, eps, pair * first, pair * last
+        scan = (0, 1, 0, bit) if S.mask & bit else (1, 0, bit, 0)
+    else:
+        plus, minus, lane, pair = _lanes(S.m, S.n, i)
+        phi, eps, first, last = _reduce(S.mask >> plus & lane, S.mask >> minus & lane)
+        scan = phi, eps, pair * first, pair * last
+    scans[i] = scan
+    return scan
 
 
 def _oddset_move(S: OddSet, dir: str, scan):

@@ -34,11 +34,30 @@ def _signed_q_power(e: int, s: int) -> QRat:
     return -r if s % 2 else r
 
 
-@dataclass(frozen=True)
 class Weight:
-    """An integer weight written in the delta basis (length m+n)."""
+    """An integer weight written in the delta basis (length m+n).
 
-    coords: tuple[int, ...]
+    Immutable by convention.  Equality, hash and repr are those a frozen
+    dataclass with the one field ``coords`` would give, so set and dict
+    orders keyed by weights are unchanged; a weight is built without the
+    per-field ``object.__setattr__`` of a frozen dataclass.
+    """
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]) -> None:
+        self.coords = coords
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
+
+    def __repr__(self) -> str:
+        return f"Weight(coords={self.coords!r})"
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(map(operator.add, self.coords, other.coords)))
@@ -100,7 +119,8 @@ class RootData:
     all odd roots first (by column, then bottom row first), then the m|0
     block (by reversed column), then the 0|n block (lexicographic).  The
     instance fills its tables as they are first needed (each root word
-    straightened, keyed by (word, strategy); e'_i, e''_i and the
+    straightened, keyed by (word, strategy); the root word of each
+    monomial; e'_i, e''_i and the
     0|n reversal of each root vector, lattice vectors, weight spaces checked
     triangular, and the rung scalars of the left string operators, one table
     per direction), so reuse one instance per (m, n).  The
@@ -143,6 +163,7 @@ class RootData:
         self._image: dict[tuple[int, bool, tuple[int, ...]], tuple] = {}
         self._expansion: dict[tuple[int, ...], tuple] = {}
         self._triangular: set[Weight] = set()
+        self._words: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # -- root/weight helpers ------------------------------------------
 
@@ -278,10 +299,14 @@ class RootData:
         return tuple(mono)
 
     def monomial_word(self, mono: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for idx, c in enumerate(mono):
-            out.extend([idx] * c)
-        return tuple(out)
+        """The sorted root word of a monomial, kept per monomial: products
+        read the words of both factors' monomials again and again."""
+        word = self._words.get(mono)
+        if word is None:
+            word = self._words[mono] = tuple(
+                idx for idx, c in enumerate(mono) for _ in range(c)
+            )
+        return word
 
     def monomial_weight(self, mono: tuple[int, ...]) -> Weight:
         c = [0] * self.ell
@@ -787,17 +812,23 @@ def labels_of_weight(rd: RootData, wt: Weight) -> list[tuple[int, ...]]:
     if not cone_ok(target):
         return []
 
-    def rec(idx: int, t: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # a depth-first walk fills one exponent array, root by root, and copies
+    # it once per label; the entries past idx are 0 whenever it is copied
+    out: list[tuple[int, ...]] = []
+    expo = [0] * rd.nroots
+
+    def rec(idx: int, t: list[int]) -> None:
         if not any(t):
-            return [(0,) * (rd.nroots - idx)]
+            out.append(tuple(expo))
+            return
         if idx >= rd.nroots:
-            return []
+            return
         r = rd.roots[idx]
-        out: list[tuple[int, ...]] = []
         cur = list(t)
         e = 0
         while True:
-            out.extend((e,) + rest for rest in rec(idx + 1, tuple(cur)))
+            expo[idx] = e
+            rec(idx + 1, cur)
             e += 1
             if e > 1 and rd.is_odd_index(idx):
                 break
@@ -805,9 +836,10 @@ def labels_of_weight(rd: RootData, wt: Weight) -> list[tuple[int, ...]]:
             cur[r.b - 1] += 1
             if not cone_ok(cur):
                 break
-        return out
+        expo[idx] = 0
 
-    return sorted(rec(0, target))
+    rec(0, list(target))
+    return sorted(out)
 
 
 def _check_triangular(rd: RootData, wt: Weight) -> None:

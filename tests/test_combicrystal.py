@@ -21,15 +21,19 @@ import pytest
 from supercrystal.combicrystal import (
     ENUMERATION_LIMIT,
     ZERO,
+    BInfElt,
     HWElt,
     KacElt,
     LusztigMinus,
     LusztigPlus,
     OddSet,
+    ProductElt,
+    XElt,
     _block_pairing,
     _column_mask,
     _letters,
     _lusztig_scan,
+    _oddset,
     _reduce,
     bicrystal_decompose,
     cartan,
@@ -245,6 +249,62 @@ def test_oddset_mask_matches_frozenset_reference():
                     rebuilt = OddSet(m, n, want)
                     assert got.bits == want and got == rebuilt
                     assert hash(got) == hash(rebuilt)
+
+
+def test_oddset_memo_matches_a_memo_free_scan():
+    # every subset at (2,3) and (3,2), 300 seeded ones at (4,4) and (2,8);
+    # the readers run in a shuffled order, so each memo fills in its own order
+    rng = random.Random(20261020)
+    for m, n in ((2, 3), (3, 2), (4, 4), (2, 8)):
+        ell = m + n
+        boxes = [(a, b) for a in range(1, m + 1) for b in range(m + 1, ell + 1)]
+        if m * n <= 6:
+            subsets = all_oddsets(m, n)
+        else:
+            subsets = [
+                OddSet(m, n, frozenset(p for p in boxes if rng.random() < 0.5))
+                for _ in range(300)
+            ]
+        for S in subsets:
+            bits = S.bits
+            reads = [(i, r) for i in range(1, ell) for r in ("eps", "phi", "e", "f")]
+            rng.shuffle(reads)
+            for i, r in reads:
+                plus, minus = ref_oddset_signature(m, n, bits, i)
+                on = int((m, m + 1) in bits)
+                if r == "eps":
+                    assert oddset_eps(i, S) == (on if i == m else len(minus))
+                elif r == "phi":
+                    assert oddset_phi(i, S) == (1 - on if i == m else len(plus))
+                else:
+                    want = ref_oddset_op(m, n, bits, i, r)
+                    got = oddset_op(i, r, S)
+                    assert got is ZERO if want is None else got.bits == want
+            coords = [0] * ell
+            for a, b in bits:
+                coords[a - 1] -= 1
+                coords[b - 1] += 1
+            assert S.weight() == Weight(tuple(coords)) and S.weight() is S.weight()
+            # a filled memo never answers an index outside 1 .. m+n-1
+            for i in (-1, 0, ell):
+                with pytest.raises(ValueError):
+                    oddset_eps(i, S)
+            # a moved element starts with an empty memo, and moving back
+            # gives S again, whose scans its own memo repeats
+            for i in range(1, ell):
+                for d, back in (("f", "e"), ("e", "f")):
+                    T = oddset_op(i, d, S)
+                    if T is ZERO:
+                        continue
+                    assert T._scans is None and T._weight is None
+                    U = oddset_op(i, back, T)
+                    assert U == S and U._scans is None
+                    assert [oddset_op(j, d, U) for j in range(1, ell)] == [
+                        oddset_op(j, d, S) for j in range(1, ell)
+                    ]
+                    assert U._scans == S._scans
+    fresh = _oddset(2, 3, 0b101)
+    assert fresh._scans is None and fresh._weight is None
 
 
 def test_odd_subsets_product_order():
@@ -801,13 +861,32 @@ def test_json_round_trip():
         bp = LusztigPlus(2, (rng.randrange(4),))
         bm = LusztigMinus(2, 3, tuple(rng.randrange(4) for _ in minus_roots(2, 3)))
         lam = Weight(tuple(rng.randrange(5) for _ in range(5)))
+        column = OddSet(2, 1, frozenset(p for p in ((1, 3), (2, 3)) if rng.random() < 0.5))
+        hw_minus = HWElt(bm, lam_minus(lam, 2))
         for elt in [
             S,
             bp,
             bm,
             HWElt(bp, lam),
-            KacElt(S, HWElt(bp, lam_plus(lam, 2)), HWElt(bm, lam_minus(lam, 2))),
+            KacElt(S, HWElt(bp, lam_plus(lam, 2)), hw_minus),
+            BInfElt(S, bp, bm),
+            XElt(S, bp, hw_minus, lam_plus(lam, 2)),
+            ProductElt(column, bp, bm),
         ]:
-            assert from_json(to_json(elt)) == elt
+            back = from_json(to_json(elt))
+            assert back == elt and hash(back) == hash(elt)
     with pytest.raises(ValueError):
         from_json({"kind": "mystery"})
+
+
+def test_elements_compare_by_kind_and_fields():
+    # elements are not frozen dataclasses; equality, hashing and repr are
+    # still the generated ones, over the fields and within one kind
+    hw_plus, hw_minus = HWElt(WPLUS, lam_plus(WLAM, 3)), HWElt(WMINUS, lam_minus(WLAM, 3))
+    kac, binf = KacElt(WS, hw_plus, hw_minus), BInfElt(WS, hw_plus, hw_minus)
+    assert kac != binf and binf != kac
+    assert kac == KacElt(OddSet.of(3, 4, WS.bits), hw_plus, hw_minus)
+    assert hash(kac) == hash(KacElt(WS, HWElt(WPLUS, lam_plus(WLAM, 3)), hw_minus))
+    assert hash(WPLUS) == hash(LusztigPlus(3, WPLUS.mult)) and WPLUS != WPLUS.mult
+    assert repr(WPLUS) == f"LusztigPlus(m=3, mult={WPLUS.mult!r})"
+    assert kac != (WS, hw_plus, hw_minus)

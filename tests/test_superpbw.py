@@ -783,6 +783,35 @@ def test_monomial_tables_hold_each_distinct_key_once():
 # -- grading and serialization --------------------------------------------------
 
 
+def test_weight_equality_hash_and_repr_are_pinned():
+    # the ones a frozen dataclass over coords gave: set and dict orders keyed
+    # by weights, and so every output, depend on them
+    w = Weight((1, 2))
+    assert w == Weight((1, 2)) and w != Weight((2, 1))
+    assert w != (1, 2) and (1, 2) != w
+    for c in ((), (0,), (1, 2), (3, -1, 0, 2)):
+        assert hash(Weight(c)) == hash((c,))
+    assert repr(Weight((1, -1))) == "Weight(coords=(1, -1))"
+    assert Weight(coords=(1, 2)) == w and len({w, Weight((1, 2))}) == 1
+
+
+def test_labels_of_weight_match_a_brute_force_enumeration():
+    # every exponent tuple up to degree 4, grouped by weight, against the
+    # labels the recursion lists; each label's word rebuilds it
+    for rd in [*RDS.values(), RootData(2, 3)]:
+        heights = [r.height for r in rd.roots]
+        by_weight: dict = {}
+        caps = [range(2 if rd.is_odd_index(k) else 5) for k in range(rd.nroots)]
+        for mono in product(*caps):
+            if sum(e * h for e, h in zip(mono, heights)) <= 4:
+                by_weight.setdefault(rd.monomial_weight(mono), []).append(mono)
+        for wt, monos in by_weight.items():
+            assert labels_of_weight(rd, wt) == sorted(monos)
+            for mono in monos:
+                word = rd.monomial_word(mono)
+                assert list(word) == sorted(word) and rd.word_monomial(word) == mono
+
+
 def test_weight_grading_of_products():
     rng = random.Random(2741)
     for (m, n), rd in RDS.items():
