@@ -646,7 +646,7 @@ def _expansion_failures():
     for l, t, s in _DEEP_CELLS:
         v = act_f_pow(s, E_t(l, t))
         for k in range(l + 1):
-            got, want = v.coeffs.get((l - k, t + s - l + k), QRat.zero()), C_sk(l, t, s, k)
+            got, want = v.terms.get((l - k, t + s - l + k), QRat.zero()), C_sk(l, t, s, k)
             if got != want:
                 yield f"(l, t, s, k) = ({l}, {t}, {s}, {k}): f^(s) E_t has {got}, C(s, k) {want}"
 

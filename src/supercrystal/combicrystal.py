@@ -252,11 +252,11 @@ class _Block:
         return type(self)(*self._rank(), tuple(out))
 
     def weight(self) -> Weight:
-        pairs = []
-        for (a, b), c in zip(self.roots(), self.mult):
-            pairs.append((-c, a))
-            pairs.append((c, b))
-        return _delta(sum(self._rank()), pairs)
+        c = [0] * sum(self._rank())
+        for (a, b), e in zip(self.roots(), self.mult):
+            c[a - 1] -= e
+            c[b - 1] += e
+        return Weight(tuple(c))
 
     def degree(self) -> int:
         return sum(c * (b - a) for (a, b), c in zip(self.roots(), self.mult))

@@ -21,84 +21,49 @@ weight ``0``, and divided powers multiply by balanced q-binomials.
 from __future__ import annotations
 
 from .qfield import _PONE, Poly, QRat, _cancel, _padd, _pdiv, _pmul, _pneg, _pshift
-from .qfield import add_into, min_degree, q_binom, q_int, row_reduce
+from .qfield import QVec, add_into, min_degree, q_binom, q_int, row_reduce
 
 _Q0 = QRat.zero()
 _Q1 = QRat.one()
 _qp = QRat.q_power
 
 
-class BosonTensorVec:
+class BosonTensorVec(QVec):
     """An element of the coupled tensor module with left cutoff ``l``.
 
-    ``coeffs`` maps pairs ``(i, j)`` to nonzero QRat coefficients of the
+    ``terms`` maps pairs ``(i, j)`` to nonzero QRat coefficients of the
     monomials ``f^(i) v1 (x) f^(j) v2`` with ``0 <= i <= l`` and
-    ``j >= 0``.
+    ``j >= 0``; ``coeffs`` is a read-only alias of it.
     """
 
-    __slots__ = ("l", "coeffs")
+    __slots__ = ("l", "terms")
 
-    def __init__(self, l: int, coeffs: dict[tuple[int, int], QRat] | None = None):
+    def __init__(self, l: int, terms: dict[tuple[int, int], QRat] | None = None):
         if l < 0:
             raise ValueError("cutoff must be nonnegative")
         self.l = l
         clean: dict[tuple[int, int], QRat] = {}
-        for (i, j), c in (coeffs or {}).items():
+        for (i, j), c in (terms or {}).items():
             if not 0 <= i <= l or j < 0:
                 raise ValueError("monomial outside the module")
             if c:
                 clean[(i, j)] = c
-        self.coeffs = clean
+        self.terms = clean
 
-    # -- constructors ----------------------------------------------------
+    def space(self) -> int:
+        return self.l
 
-    @classmethod
-    def zero(cls, l: int) -> "BosonTensorVec":
-        return cls(l)
+    @property
+    def coeffs(self) -> dict[tuple[int, int], QRat]:
+        """``terms`` under its old name, kept only for perfbench/workloads.py, which is fixed."""
+        return self.terms
 
     @classmethod
     def monomial(cls, l: int, i: int, j: int) -> "BosonTensorVec":
         return cls(l, {(i, j): _Q1})
 
-    # -- linear structure --------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BosonTensorVec):
-            return NotImplemented
-        return self.l == other.l and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.l, frozenset(self.coeffs.items())))
-
-    def __add__(self, other: "BosonTensorVec") -> "BosonTensorVec":
-        if self.l != other.l:
-            raise ValueError("mixed cutoffs")
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            add_into(out, mono, c)
-        return BosonTensorVec(self.l, out)
-
-    def __neg__(self) -> "BosonTensorVec":
-        return BosonTensorVec(self.l, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: "BosonTensorVec") -> "BosonTensorVec":
-        return self + (-other)
-
-    def scale(self, c: QRat | int) -> "BosonTensorVec":
-        if isinstance(c, int):
-            c = QRat.from_int(c)
-        if not c:
-            return BosonTensorVec.zero(self.l)
-        return BosonTensorVec(self.l, {m: x * c for m, x in self.coeffs.items()})
-
     def __repr__(self):
-        body = " + ".join(f"({c})*[{i},{j}]" for (i, j), c in sorted(self.coeffs.items()))
+        body = " + ".join(f"({c})*[{i},{j}]" for (i, j), c in sorted(self.terms.items()))
         return f"BosonTensorVec(l={self.l}, {body or '0'})"
 
 
@@ -138,10 +103,10 @@ def act_f_pow(s: int, v: BosonTensorVec) -> BosonTensorVec:
         raise ValueError("s must be nonnegative")
     l = v.l
     den = _PONE
-    for c in v.coeffs.values():
+    for c in v.terms.values():
         den = _pmul(den, _cancel(den, c.den)[2])
     acc: dict[tuple[int, int], dict[int, int]] = {}
-    for (a, b), c in v.coeffs.items():
+    for (a, b), c in v.terms.items():
         num = _pmul(c.num, _pdiv(den, c.den))
         for i in range(max(0, a + s - l), s + 1):
             # k^i scales f^(a) v1 by q^(i(l-2a)); divided powers combine
@@ -157,7 +122,7 @@ def act_eprime(v: BosonTensorVec) -> BosonTensorVec:
     l = v.l
     out: dict[tuple[int, int], QRat] = {}
     bridge = _qp(-1) - _qp(1)
-    for (a, b), c in v.coeffs.items():
+    for (a, b), c in v.terms.items():
         if a > 0:
             add_into(out, (a - 1, b), c * bridge * q_int(l - a + 1) * _qp(l - 2 * (a - 1)))
         if b > 0:
@@ -218,7 +183,7 @@ def congruence_grid(max_l: int, max_s: int) -> list[dict]:
                 else:
                     case, target = 2, (l - t, 2 * t + s - l)
                 grid.append(
-                    {"l": l, "t": t, "s": s, "case": case, "ok": _residue_is(v.coeffs, target)}
+                    {"l": l, "t": t, "s": s, "case": case, "ok": _residue_is(v.terms, target)}
                 )
     return grid
 
@@ -233,9 +198,9 @@ def _decompose(
     # moved[t], from one elimination of [family | moved] with one row per
     # member; reduced row k is then e_k next to the image of monos[k]
     n = len(family)
-    cols = sorted({m for v in moved for m in v.coeffs})
+    cols = sorted({m for v in moved for m in v.terms})
     rows = [
-        [member.coeffs.get(m, _Q0) for m in monos] + [v.coeffs.get(m, _Q0) for m in cols]
+        [member.terms.get(m, _Q0) for m in monos] + [v.terms.get(m, _Q0) for m in cols]
         for member, v in zip(family, moved)
     ]
     row_reduce(rows)
@@ -277,7 +242,7 @@ def boson_crystal_check(l: int, depth: int) -> dict:
         monos = [(i, d - i) for i in range(min(l, d) + 1)]
         below = [(i, d - 1 - i) for i in range(min(l, d - 1) + 1)] if d else []
         images = [act_eprime(BosonTensorVec.monomial(l, i, j)) for i, j in monos]
-        rows = [[img.coeffs.get(m, _Q0) for m in below] for img in images]
+        rows = [[img.terms.get(m, _Q0) for m in below] for img in images]
         kernel = len(monos) - (row_reduce(rows) if below else 0)
         if kernel != (1 if d <= l else 0):
             raise AssertionError((l, d, kernel))

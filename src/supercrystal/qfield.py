@@ -5,7 +5,8 @@ value is a reduced fraction of integer-coefficient polynomials in q.  This
 module provides the fraction type plus the balanced q-integers, factorials,
 binomials, the bar substitution q -> 1/q, the order-of-vanishing tests
 at q = 0 and q = infinity that the lattice computations depend on, and the
-one sparse accumulator and one exact row reduction the other modules share.
+one sparse accumulator (``add_into``), sparse vector base (``QVec``) and
+exact row reduction the other modules share.
 
 Every cancellation goes through ``_cancel``, which returns a gcd with both
 cofactors.  Long operands take a certified heuristic gcd at q = 2^k, and
@@ -678,6 +679,56 @@ def add_into(out: dict, key, c) -> None:
         out[key] = v
     elif key in out:
         del out[key]
+
+
+class QVec:
+    """A sparse vector over Q(q): ``terms`` maps basis keys to nonzero QRat
+    coefficients.  A subclass sets ``terms``, is built as ``cls(space,
+    terms)`` and returns that space from ``space()``; vectors of two
+    spaces neither compare equal nor add."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, space):
+        return cls(space)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.space() == other.space() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        if not isinstance(other, QVec):
+            return NotImplemented
+        if type(other) is not type(self) or other.space() != self.space():
+            raise ValueError("vectors of different spaces")
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            add_into(out, key, c)
+        return type(self)(self.space(), out)
+
+    def __neg__(self):
+        return type(self)(self.space(), {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other) if isinstance(other, QVec) else NotImplemented
+
+    def scale(self, c: QRat | int):
+        if isinstance(c, int):
+            c = QRat.from_int(c)
+        if not c:
+            return self.zero(self.space())
+        return type(self)(self.space(), {k: x * c for k, x in self.terms.items()})
 
 
 def row_reduce(rows: list[list[QRat]]) -> int:

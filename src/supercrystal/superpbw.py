@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 
-from .qfield import Poly, QRat, _order, _padd, _pmul, add_into, q_factorial, q_int
+from .qfield import Poly, QRat, QVec, _order, _padd, _pmul, add_into, q_factorial, q_int
 
 _Q1 = QRat.one()
 
@@ -365,7 +365,7 @@ class RootData:
         return terms
 
 
-class PBWVector:
+class PBWVector(QVec):
     """An element of the negative half in the PBW basis.
 
     ``terms`` maps exponent tuples (one slot per positive root, in the
@@ -378,11 +378,10 @@ class PBWVector:
         self.rd = rd
         self.terms = {mono: c for mono, c in (terms or {}).items() if c}
 
-    # -- constructors ----------------------------------------------------
+    def space(self) -> RootData:
+        return self.rd
 
-    @classmethod
-    def zero(cls, rd: RootData) -> "PBWVector":
-        return cls(rd)
+    # -- constructors ----------------------------------------------------
 
     @classmethod
     def unit(cls, rd: RootData) -> "PBWVector":
@@ -401,39 +400,6 @@ class PBWVector:
         return cls(rd, {tuple(mono): _Q1})
 
     # -- ring structure ---------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PBWVector):
-            return NotImplemented
-        return self.rd is other.rd and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "PBWVector") -> "PBWVector":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            add_into(out, mono, c)
-        return PBWVector(self.rd, out)
-
-    def __neg__(self) -> "PBWVector":
-        return PBWVector(self.rd, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "PBWVector") -> "PBWVector":
-        return self + (-other)
-
-    def scale(self, c: QRat | int) -> "PBWVector":
-        if isinstance(c, int):
-            c = QRat.from_int(c)
-        if not c:
-            return PBWVector.zero(self.rd)
-        return PBWVector(self.rd, {m: x * c for m, x in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (QRat, int)):

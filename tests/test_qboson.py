@@ -33,7 +33,7 @@ from supercrystal.qboson import (
     min_degree,
 )
 from supercrystal.qfield import QRat, add_into, q_binom, q_int, row_reduce
-from supercrystal.superpbw import RootData, f_divided, eprime
+from supercrystal.superpbw import PBWVector, RootData, f_divided, eprime
 
 QP = QRat.q_power
 Q1 = QRat.one()
@@ -46,22 +46,22 @@ def val(r: QRat, x: Fraction) -> Fraction:
 
 
 def unit_residue(v: BosonTensorVec, target: tuple[int, int]) -> bool:
-    if any(min_degree(c) < 0 for c in v.coeffs.values()):
+    if any(min_degree(c) < 0 for c in v.terms.values()):
         return False
-    lead = v.coeffs.get(target, QRat.zero()) - Q1
+    lead = v.terms.get(target, QRat.zero()) - Q1
     if lead and min_degree(lead) < 1:
         return False
-    return all(min_degree(c) >= 1 for m, c in v.coeffs.items() if m != target)
+    return all(min_degree(c) >= 1 for m, c in v.terms.items() if m != target)
 
 
 def test_e_t_values():
     for l in range(7):
         assert E_t(l, 0) == BosonTensorVec.monomial(l, 0, 0)
     e11 = E_t(1, 1)
-    assert e11.coeffs == {(0, 1): Q1, (1, 0): QP(1) / (QP(2) - Q1)}
+    assert e11.terms == {(0, 1): Q1, (1, 0): QP(1) / (QP(2) - Q1)}
     e22 = E_t(2, 2)
-    assert e22.coeffs[(1, 1)] == QP(1) / (QP(4) - Q1)
-    assert e22.coeffs[(2, 0)] == QP(1) / (QP(4) - Q1) * QP(1) / (QP(2) - Q1)
+    assert e22.terms[(1, 1)] == QP(1) / (QP(4) - Q1)
+    assert e22.terms[(2, 0)] == QP(1) / (QP(4) - Q1) * QP(1) / (QP(2) - Q1)
     for l in range(7):
         for t in range(l + 1):
             et = E_t(l, t)
@@ -70,10 +70,10 @@ def test_e_t_values():
             for i in range(t + 1):
                 if i:
                     a = a * QP(l - t + 1) / (QP(2 * (l - i + 1)) - Q1)
-                assert et.coeffs[(i, t - i)] == a, (l, t, i)
-            assert len(et.coeffs) == t + 1
-            assert et.coeffs[(0, t)] == Q1
-            assert all(min_degree(c) >= 1 for m, c in et.coeffs.items() if m != (0, t))
+                assert et.terms[(i, t - i)] == a, (l, t, i)
+            assert len(et.terms) == t + 1
+            assert et.terms[(0, t)] == Q1
+            assert all(min_degree(c) >= 1 for m, c in et.terms.items() if m != (0, t))
     with pytest.raises(ValueError):
         E_t(2, 3)
     with pytest.raises(ValueError):
@@ -97,7 +97,7 @@ def test_e_t_spans_kernel():
             rows = []
             for i, j in monos:
                 img = act_eprime(BosonTensorVec.monomial(l, i, j))
-                rows.append([val(img.coeffs[m], x) if m in img.coeffs else Fraction(0) for m in below])
+                rows.append([val(img.terms[m], x) if m in img.terms else Fraction(0) for m in below])
             rank = 0
             for col in range(len(below)):
                 piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
@@ -125,11 +125,11 @@ def test_eprime_matches_pbw_derivation():
 def test_act_f_pow_small_values():
     assert act_f_pow(0, E_t(3, 2)) == E_t(3, 2)
     v = act_f_pow(1, BosonTensorVec.monomial(1, 0, 0))
-    assert v.coeffs == {(1, 0): Q1, (0, 1): QP(1)}
+    assert v.terms == {(1, 0): Q1, (0, 1): QP(1)}
     # saturated left factor: only the right-moving term survives
     for l in range(4):
         w = act_f_pow(1, BosonTensorVec.monomial(l, l, 0))
-        assert w.coeffs == {(l, 1): QP(-l)}
+        assert w.terms == {(l, 1): QP(-l)}
     with pytest.raises(ValueError):
         act_f_pow(-1, E_t(1, 0))
 
@@ -137,7 +137,7 @@ def test_act_f_pow_small_values():
 def per_term_act_f_pow(s: int, v: BosonTensorVec) -> BosonTensorVec:
     """f^(s) v summed term by term, each term and partial sum reduced."""
     out: dict = {}
-    for (a, b), c in v.coeffs.items():
+    for (a, b), c in v.terms.items():
         for i in range(s + 1):
             na, nb = a + s - i, b + i
             if na <= v.l:
@@ -147,7 +147,7 @@ def per_term_act_f_pow(s: int, v: BosonTensorVec) -> BosonTensorVec:
 
 
 def pairs(v: BosonTensorVec) -> dict:
-    return {m: (c.num, c.den) for m, c in v.coeffs.items()}
+    return {m: (c.num, c.den) for m, c in v.terms.items()}
 
 
 def test_act_f_pow_over_one_denominator_matches_the_per_term_sum():
@@ -171,7 +171,7 @@ def test_act_f_pow_over_one_denominator_matches_the_per_term_sum():
     r = Q1 / q_int(3)
     v = BosonTensorVec(1, {(1, 0): QP(1) * r, (0, 1): -r})
     got = act_f_pow(1, v)
-    assert got == per_term_act_f_pow(1, v) and set(got.coeffs) == {(0, 2)}
+    assert got == per_term_act_f_pow(1, v) and set(got.terms) == {(0, 2)}
 
 
 def test_act_f_pow_composition_law():
@@ -313,7 +313,7 @@ def test_decompose_solves_each_degree_as_one_solve_per_monomial():
             got = _decompose(family, moved, monos)
             for mono, image in zip(monos, got):
                 rows = [
-                    [member.coeffs.get(m, QRat.zero()) for member in family]
+                    [member.terms.get(m, QRat.zero()) for member in family]
                     + [Q1 if m == mono else QRat.zero()]
                     for m in monos
                 ]
@@ -321,7 +321,7 @@ def test_decompose_solves_each_degree_as_one_solve_per_monomial():
                 want = BosonTensorVec.zero(l)
                 for row, v in zip(rows, moved):
                     want = want + v.scale(row[-1])
-                assert image == want.coeffs, (l, d, mono)
+                assert image == want.terms, (l, d, mono)
 
 
 def test_crystal_check_tests_the_e_side(monkeypatch):
@@ -334,6 +334,47 @@ def test_crystal_check_tests_the_e_side(monkeypatch):
     with pytest.raises(AssertionError) as exc:
         boson_crystal_check(2, 6)
     assert exc.value.args == ((2, 0, 0, 0, "e"),)
+
+
+def test_boson_vectors_refuse_mixed_cutoffs_and_outside_monomials():
+    with pytest.raises(ValueError):
+        E_t(2, 1) + E_t(3, 1)
+    for bad in ({(3, 0): Q1}, {(0, -1): Q1}, {(-1, 0): Q1}):
+        with pytest.raises(ValueError):
+            BosonTensorVec(2, bad)
+
+
+def _pbw_case():
+    rd = RootData(2, 2)
+    u = PBWVector.generator(rd, 1) * PBWVector.generator(rd, 3)
+    return PBWVector, rd, u + PBWVector.generator(rd, 2).scale(QP(-1))
+
+
+def _boson_case():
+    return BosonTensorVec, 2, E_t(2, 1) + BosonTensorVec.monomial(2, 2, 3)
+
+
+@pytest.mark.parametrize("case", [_pbw_case, _boson_case], ids=["pbw", "boson"])
+def test_vector_laws(case):
+    cls, space, v = case()
+    assert len(v.terms) > 1
+    assert not (v - v) and (v - v).is_zero() and v - v == cls.zero(space)
+    assert not v.scale(0) and v.scale(0) == cls.zero(space)
+    assert v.scale(3) == v.scale(QRat.from_int(3)) == v + v + v
+    assert -v == v.scale(-1) and v + (-v) == v - v
+    w = cls(space, dict(reversed(list(v.terms.items()))))
+    assert w is not v and w == v and hash(w) == hash(v)
+    other = (_boson_case if cls is PBWVector else _pbw_case)()[2]
+    assert v != other and other != v
+    with pytest.raises(ValueError):
+        v + other
+    for number in (0, Q1):
+        with pytest.raises(TypeError):
+            v + number
+        with pytest.raises(TypeError):
+            v - number
+        with pytest.raises(TypeError):
+            number + v
 
 
 def test_boson_crystal_check_reports():

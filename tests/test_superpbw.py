@@ -823,6 +823,18 @@ def test_weight_grading_of_products():
             assert (u * v).weight() == u.weight() + v.weight()
 
 
+def test_sums_need_one_root_data():
+    # two instances of one rank are two spaces: their vectors neither
+    # compare equal nor add
+    a, b = RootData(2, 2), RootData(2, 2)
+    u, v = PBWVector.generator(a, 1), PBWVector.generator(b, 1)
+    assert u != v
+    with pytest.raises(ValueError):
+        u + v
+    with pytest.raises(ValueError):
+        u - v
+
+
 def test_json_round_trip():
     rng = random.Random(606)
     rd = RDS[(2, 2)]
