@@ -8,10 +8,14 @@ lowering powers, the coefficient family ``C(s, k)`` with its
 order-of-vanishing pattern, and an exhaustive small-cutoff check that
 string decomposition against the kernel basis induces exactly the
 signature rule on residues.  Every value here is a Laurent polynomial
-over a product D_i of factors q^(2(l-j)) - 1, so ``E_t``, ``act_f_pow``
-and ``C_sk`` sum integer numerators over one denominator and reduce once
-(``QRat.from_laurent``); the crystal check reads each degree's images
-off one elimination, with no inverse formed.
+over a product D_i of factors q^(2(l-j)) - 1, so ``E_t`` builds each
+coefficient with ``QRat.from_laurent``, and ``act_f_pow`` and ``C_sk``
+hand their terms, each an integer numerator times a product of two
+balanced binomials, to ``qfield.laurent_sum``, which adds them as one
+packed integer over one denominator and reduces once.  The binomial
+products come from a small cache that pays within one grid.  The crystal
+check reads each degree's images off one elimination, with no inverse
+formed.
 
 Conventions: the left generator has weight ``l`` (so ``f^(i) v1`` has
 weight ``l - 2i`` and vanishes for ``i > l``), the right generator has
@@ -20,8 +24,10 @@ weight ``0``, and divided powers multiply by balanced q-binomials.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .qfield import _PONE, Poly, QRat, _cancel, _padd, _pdiv, _pmul, _pneg, _pshift
-from .qfield import QVec, add_into, min_degree, q_binom, q_int, row_reduce
+from .qfield import QVec, add_into, laurent_sum, min_degree, q_binom, q_int, row_reduce
 
 _Q0 = QRat.zero()
 _Q1 = QRat.one()
@@ -67,12 +73,18 @@ class BosonTensorVec(QVec):
         return f"BosonTensorVec(l={self.l}, {body or '0'})"
 
 
-def _add_term(sums: dict[int, int], poly: Poly, e: int, b1: QRat, b2: QRat) -> None:
-    # sums += poly q^e b1 b2 by power of q, for balanced q-binomials b1 and
-    # b2, which are Laurent polynomials num / q^k
-    e -= len(b1.den) + len(b2.den) - 2
-    for k, x in enumerate(_pmul(poly, _pmul(b1.num, b2.num)), e):
-        sums[k] = sums.get(k, 0) + x
+@lru_cache(maxsize=2048)
+def _binom_pair(c1: int, d1: int, c2: int, d2: int) -> tuple[int, Poly]:
+    # [c1, d1] [c2, d2] as (e, num) with num / q^e its value: balanced
+    # q-binomials are Laurent polynomials num / q^k
+    b1, b2 = q_binom(c1, d1), q_binom(c2, d2)
+    return len(b1.den) + len(b2.den) - 2, _pmul(b1.num, b2.num)
+
+
+def _add_term(terms: list, poly: Poly, e: int, c1: int, d1: int, c2: int, d2: int) -> None:
+    # terms gets the laurent_sum term poly q^e [c1, d1] [c2, d2]
+    k, num = _binom_pair(c1, d1, c2, d2)
+    terms.append((e - k, (poly, num)))
 
 
 def E_t(l: int, t: int) -> BosonTensorVec:
@@ -105,16 +117,16 @@ def act_f_pow(s: int, v: BosonTensorVec) -> BosonTensorVec:
     den = _PONE
     for c in v.terms.values():
         den = _pmul(den, _cancel(den, c.den)[2])
-    acc: dict[tuple[int, int], dict[int, int]] = {}
+    acc: dict[tuple[int, int], list] = {}
     for (a, b), c in v.terms.items():
         num = _pmul(c.num, _pdiv(den, c.den))
         for i in range(max(0, a + s - l), s + 1):
             # k^i scales f^(a) v1 by q^(i(l-2a)); divided powers combine
             # with the balanced binomials on both factors
             na, nb = a + s - i, b + i
-            sums = acc.setdefault((na, nb), {})
-            _add_term(sums, num, i * (l - 2 * a) - i * (s - i), q_binom(na, a), q_binom(nb, b))
-    return BosonTensorVec(l, {m: QRat.from_laurent(sums, den) for m, sums in acc.items()})
+            terms = acc.setdefault((na, nb), [])
+            _add_term(terms, num, i * (l - 2 * a) - i * (s - i), na, a, nb, b)
+    return BosonTensorVec(l, {m: laurent_sum(terms, den) for m, terms in acc.items()})
 
 
 def act_eprime(v: BosonTensorVec) -> BosonTensorVec:
@@ -143,15 +155,15 @@ def C_sk(l: int, t: int, s: int, k: int) -> QRat:
     if not 0 <= t <= l or not 0 <= k <= l or s < 0:
         raise ValueError("C_sk arguments out of range")
     lo, hi = max(0, l - s - k), min(t, l - k)
-    sums: dict[int, int] = {}
+    terms: list = []
     den = _PONE  # runs through D_hi / D_i as i falls to 0
     for i in range(hi, -1, -1):
         if i >= lo:
             e = i * (l - t + 1) + (k - i) * (i - l + s + k)
-            _add_term(sums, den, e, q_binom(l - k, i), q_binom(t - l + s + k, t - i))
+            _add_term(terms, den, e, l - k, i, t - l + s + k, t - i)
         if i:
             den = _padd(_pshift(den, 2 * (l - i + 1)), _pneg(den))
-    return QRat.from_laurent(sums, den)
+    return laurent_sum(terms, den)
 
 
 # -- residue tests -----------------------------------------------------

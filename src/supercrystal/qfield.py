@@ -5,15 +5,20 @@ value is a reduced fraction of integer-coefficient polynomials in q.  This
 module provides the fraction type plus the balanced q-integers, factorials,
 binomials, the bar substitution q -> 1/q, the order-of-vanishing tests
 at q = 0 and q = infinity that the lattice computations depend on, and the
-one sparse accumulator (``add_into``), sparse vector base (``QVec``) and
-exact row reduction the other modules share.
+one sparse accumulator (``add_into``), sparse vector base (``QVec``),
+sum of Laurent terms (``laurent_sum``) and exact row reduction the other
+modules share.
 
 Every cancellation goes through ``_cancel``, which returns a gcd with both
 cofactors.  Long operands take a certified heuristic gcd at q = 2^k, and
 long products one big-integer multiply (Kronecker substitution); the
 primitive PRS gcd and the schoolbook product keep the short operands and
 take over whenever the certificate or the 63-bit bound fails.  The two size
-crossovers are HEU_GCD_MIN_LEN and KRONECKER_MIN_PAIRS.
+crossovers are HEU_GCD_MIN_LEN and KRONECKER_MIN_PAIRS.  Sums of Laurent
+terms (``laurent_sum``, ``akito_sum``) add the terms' values at q = 2^k as
+one integer, with k certified by the terms' l1 norms, and the Gaussian
+binomials are integer polynomials in q^2 built by the product formula;
+neither forms a QRat before its result.
 
 No floating point is used anywhere.
 """
@@ -77,11 +82,18 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     if len(a) * len(b) >= KRONECKER_MIN_PAIRS:
         # Kronecker substitution: one big-integer product at q = 2^k, where
         # k leaves room for the largest possible product coefficient
-        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        if bound < 1 << 63:
-            k = 16 if bound < 1 << 15 else 32 if bound < 1 << 31 else 64
+        k = _width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+        if k:
             return _trim(_unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1))
     return _schoolbook(a, b)
+
+
+def _width(bound: int) -> int | None:
+    """The limb width k (16, 32 or 64 bits) whose balanced digits hold
+    every integer of absolute value at most bound, or None from 2^63 on."""
+    if bound < 1 << 31:
+        return 16 if bound < 1 << 15 else 32
+    return 64 if bound < 1 << 63 else None
 
 
 def _schoolbook(a: Poly, b: Poly) -> Poly:
@@ -417,11 +429,10 @@ class QRat:
         if not coeffs:
             return cls.zero()
         lo = min(coeffs)
-        shift = -lo if lo < 0 else 0
-        out = [0] * (max(coeffs) + shift + 1)
+        out = [0] * (max(coeffs) - lo + 1)
         for e, c in coeffs.items():
-            out[e + shift] = c
-        return cls(tuple(out), _pshift(den, shift))
+            out[e - lo] = c
+        return _laurent(lo, tuple(out), den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -615,6 +626,16 @@ def _finish(num: Poly, den: Poly) -> QRat:
     return _normal(num, den)
 
 
+def _laurent(lo: int, num: Poly, den: Poly) -> QRat:
+    """q^lo * num / den for a trimmed num, normalised once: the one
+    normaliser of ``QRat.from_laurent`` and ``laurent_sum``."""
+    if not num:
+        return _Q0
+    if lo < 0:
+        return QRat(num, _pshift(den, -lo))
+    return QRat((0,) * lo + num if lo else num, den)
+
+
 def _add_over_powers(a: Poly, b: Poly, c: Poly, d: Poly) -> QRat:
     """a/b + c/d for distinct single-term denominators b and d.
 
@@ -755,6 +776,68 @@ def row_reduce(rows: list[list[QRat]]) -> int:
     return rank
 
 
+# -- sums of Laurent terms ------------------------------------------------
+
+
+def laurent_sum(terms, den: Poly = _PONE) -> QRat:
+    """The sum of q^e times the product of the integer polynomials in
+    ``polys``, over every (e, polys) in ``terms``, divided by the
+    polynomial ``den`` and normalised once.
+
+    Kronecker substitution: each term is evaluated at q = 2^k, shifted by
+    k (e - lo) bits for the least exponent lo, and added into one integer,
+    whose balanced base-2^k digits are then the coefficients of the sum.
+    The sum over the terms of the product of their polynomials' l1 norms
+    bounds every coefficient of the sum, so k is the narrowest width that
+    holds it (``_width``); from 2^63 on, ``_sum_in_list`` takes over.
+    """
+    terms = [(e, polys) for e, polys in terms if all(polys)]
+    if not terms:
+        return _Q0
+    bound = 0
+    for _, polys in terms:
+        b = 1
+        for p in polys:
+            b *= sum(map(abs, p))
+        bound += b
+    k = _width(bound)
+    if k is None:
+        return _sum_in_list(terms, den)
+    lo = min(e for e, _ in terms)
+    total = 0
+    for e, polys in terms:
+        v = 1 << k * (e - lo)
+        for p in polys:
+            v *= _pack(p, k)
+        total += v
+    return _from_packed(total, k, lo, den)
+
+
+def _sum_in_list(terms, den: Poly) -> QRat:
+    """``laurent_sum`` of nonzero terms by ``_pmul`` and one list of
+    coefficients: the way past the widths of the packed sum."""
+    lo = min(e for e, _ in terms)
+    out: list[int] = []
+    for e, polys in terms:
+        p = _PONE
+        for x in polys:
+            p = _pmul(p, x)
+        off = e - lo
+        out.extend([0] * (off + len(p) - len(out)))
+        for j, c in enumerate(p, off):
+            out[j] += c
+    return _laurent(lo, _trim(out), den)
+
+
+def _from_packed(v: int, k: int, lo: int, den: Poly) -> QRat:
+    # q^lo * P / den for the P whose balanced base-2^k digits are v.  Every
+    # digit is below 2^(k-1) in absolute value, so a nonzero P of degree D
+    # has |v| > 2^(kD-1), and D < v.bit_length() // k + 1
+    if not v:
+        return _Q0
+    return _laurent(lo, _trim(_unpack(v, k, v.bit_length() // k + 1)), den)
+
+
 # -- q-combinatorics -----------------------------------------------------
 
 
@@ -781,33 +864,62 @@ def q_factorial(k: int) -> QRat:
 
 @cache
 def q_binom(c: int, d: int) -> QRat:
-    """Balanced Gaussian binomial; zero unless c >= d >= 0."""
+    """Balanced Gaussian binomial; zero unless c >= d >= 0.
+
+    q^(d(c-d)) [c, d] is the Gaussian polynomial G_d in x = q^2, built by
+    the product formula G_j = G_(j-1) (x^(c-d+j) - 1) / (x^j - 1) from
+    G_0 = 1 with integer coefficients only.  Its constant term is 1, so
+    G_d(q^2) over q^(d(c-d)) is already the normal form.  Pascal's rule is
+    left to the checks that test this function against it.
+    """
     if not (c >= d >= 0):
         return _Q0
-    out = _Q1
+    d = min(d, c - d)
+    g = [1]
     for j in range(1, d + 1):
-        out = out * q_int(c - d + j) / q_int(j)
-    return out
+        m = c - d + j
+        # h = g (1 - x^m) / (1 - x^j): one pass for the product, and the
+        # exact division solves h[i] = h[i - j] + r[i] one coefficient at a time
+        h = g + [0] * m
+        for i, x in enumerate(g, m):
+            h[i] -= x
+        for i in range(j, len(h)):
+            h[i] += h[i - j]
+        g = h[: len(h) - j]
+    num = [0] * (2 * len(g) - 1)
+    num[::2] = g
+    return _normal(tuple(num), (0,) * (d * (c - d)) + _PONE)
 
 
 def akito_sum(a: int, b: int) -> QRat:
     """Telescoping q-binomial sum; collapses to the single power q^(2ab).
 
     Computed literally as the sum, so the caller can compare against the
-    closed form.  Every term is a Laurent polynomial, so the terms' integer
-    coefficients are summed by power of q in one dict.
+    closed form.  The term of j = b - i is q^(j(j-1)) G_j F_j, where
+    G_j / q^(j(a-j)) is [a, j] and F_j the product of (q^(2m) - 1) for
+    i < m <= b.  Packed at q = 2^k, each F_j is one multiply by
+    2^(2k(i+1)) - 1 away from the last, and the terms add up as one
+    integer (see ``laurent_sum``).  Their l1 norms 2^j C(a, j) sum to at
+    most 3^a, which bounds every coefficient; from 2^63 on,
+    ``_sum_in_list`` takes over.
     """
     if a < 0 or b < 0:
         raise ValueError("akito_sum needs a, b >= 0")
-    coeffs: dict[int, int] = {}
-    factor = _PONE  # the product of (q^{2k} - 1) for i < k <= b
-    for i in range(b, max(0, b - a) - 1, -1):
-        binom = q_binom(a, b - i)  # num / q^e, the balanced binomials' shape
-        shift = (a - 1) * (b - i) - (len(binom.den) - 1)
-        for e, c in enumerate(_pmul(factor, binom.num), shift):
-            coeffs[e] = coeffs.get(e, 0) + c
-        factor = _padd(_pshift(factor, 2 * i), _pneg(factor))
-    return QRat.from_laurent(coeffs)
+    js = range(min(a, b) + 1)
+    k = _width(3**a)
+    if k is None:
+        terms, factor = [], _PONE
+        for j in js:
+            if j:
+                factor = _padd(_pshift(factor, 2 * (b - j + 1)), _pneg(factor))
+            terms.append((j * (j - 1), (factor, q_binom(a, j).num)))
+        return _sum_in_list(terms, _PONE)
+    total, factor = 0, 1
+    for j in js:
+        if j:
+            factor *= (1 << 2 * k * (b - j + 1)) - 1
+        total += factor * _pack(q_binom(a, j).num, k) << k * j * (j - 1)
+    return _from_packed(total, k, 0, _PONE)
 
 
 # -- functional names for the QRat methods -------------------------------

@@ -407,6 +407,8 @@ class PBWVector(QVec):
         if not isinstance(other, PBWVector):
             return NotImplemented
         rd = self.rd
+        if other.rd is not rd:
+            raise ValueError("vectors of different spaces")
         out: dict[tuple[int, ...], QRat] = {}
         right = [(rd.monomial_word(m2), c2) for m2, c2 in other.terms.items()]
         for m1, c1 in self.terms.items():

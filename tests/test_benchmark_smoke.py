@@ -4,8 +4,10 @@
 each workload's plan from package classes.  Loading it here, building the
 three plans and running the first check of each kind makes a rename or
 removal of anything the benchmark calls fail the test suite, not only a
-benchmark run.  The benchmark files are loaded read-only, without writing
-bytecode next to them.
+benchmark run.  One whole boson-grid pass is also run and its digest
+compared with the one the benchmark records, so a change to any result
+on that route fails here too.  The benchmark files are loaded read-only,
+without writing bytecode next to them.
 """
 
 from __future__ import annotations
@@ -29,20 +31,27 @@ def _load(monkeypatch, name: str):
     return module
 
 
-def test_benchmark_plans_build_and_first_checks_pass(monkeypatch, tmp_path):
+MODS = SimpleNamespace(
+    qfield=qfield, superpbw=superpbw, qboson=qboson,
+    combicrystal=combicrystal, limitcrystal=limitcrystal, cli=cli,
+)
+
+
+def _benchmark(monkeypatch):
+    """The benchmark's tracing and workloads modules and its bound functions."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     tracing = _load(monkeypatch, "tracing")
     workloads = _load(monkeypatch, "workloads")
-    mods = SimpleNamespace(
-        qfield=qfield, superpbw=superpbw, qboson=qboson,
-        combicrystal=combicrystal, limitcrystal=limitcrystal, cli=cli,
-    )
     tracer = tracing.NullTracer()
-    F = workloads.bind(mods, tracer)
+    return workloads, tracer, workloads.bind(MODS, tracer)
+
+
+def test_benchmark_plans_build_and_first_checks_pass(monkeypatch, tmp_path):
+    workloads, tracer, F = _benchmark(monkeypatch)
     plans = {
-        "pbw-crosscheck": workloads.plan_pbw(mods, random.Random(1)),
-        "boson-grid": workloads.plan_boson(mods, random.Random(1)),
-        "crystal-sweep": workloads.plan_sweep(mods, random.Random(1), tmp_path),
+        "pbw-crosscheck": workloads.plan_pbw(MODS, random.Random(1)),
+        "boson-grid": workloads.plan_boson(MODS, random.Random(1)),
+        "crystal-sweep": workloads.plan_sweep(MODS, random.Random(1), tmp_path),
     }
     for name, plan in plans.items():
         ctx = plan.start_pass(F, tracer)
@@ -52,3 +61,16 @@ def test_benchmark_plans_build_and_first_checks_pass(monkeypatch, tmp_path):
         for kind, (key, fn, args) in first.items():
             ok, out = fn(ctx, *args)
             assert ok, (name, kind, key, out)
+
+
+def test_boson_grid_pass_matches_its_digest(monkeypatch):
+    workloads, tracer, F = _benchmark(monkeypatch)
+    plan = workloads.plan_boson(MODS, random.Random(1))
+    ctx = plan.start_pass(F, tracer)
+    items = []
+    for kind, key, fn, args in plan.checks:
+        ok, out = fn(ctx, *args)
+        assert ok, (kind, key, out)
+        if key is not None:
+            items.append((key, out))
+    assert workloads.digest(items) == workloads.DIGESTS["boson-grid"]

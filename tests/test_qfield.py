@@ -18,6 +18,7 @@ from supercrystal.qfield import (
     full_product_reference,
     is_regular_at_infinity,
     is_regular_at_zero,
+    laurent_sum,
     min_degree,
     q_binom,
     q_factorial,
@@ -109,6 +110,127 @@ def test_akito_grid():
     for a in range(16):
         for b in range(16):
             assert akito_sum(a, b) == qp(2 * a * b), (a, b)
+
+
+def _binom_by_q_ints(c: int, d: int) -> QRat:
+    # the product of q-integer ratios over QRat, independent of q_binom
+    if not c >= d >= 0:
+        return QRat.zero()
+    out = QRat.one()
+    for j in range(1, d + 1):
+        out = out * q_int(c - d + j) / q_int(j)
+    return out
+
+
+def test_q_binom_matches_q_integer_ratios():
+    for c in range(-2, 31):
+        for d in range(-2, 31):
+            got, want = q_binom(c, d), _binom_by_q_ints(c, d)
+            assert (got.num, got.den) == (want.num, want.den), (c, d)
+
+
+def test_q_binom_of_a_long_row():
+    # built without recursion, so a long row stays in reach
+    b = q_binom(1500, 3)
+    assert b == b.bar()
+    assert b.den == (0,) * (3 * 1497) + (1,)
+    assert sum(b.num) == 1500 * 1499 * 1498 // 6
+
+
+def _sum_by_qrat(terms, den) -> QRat:
+    # the laurent_sum oracle: schoolbook products summed as QRat values
+    total = QRat.zero()
+    for e, polys in terms:
+        p = (1,)
+        for x in polys:
+            p = _ipoly_mul(p, x)
+        total = total + qp(e) * QRat(p)
+    return total / QRat(den)
+
+
+def _l1_bound(terms) -> int:
+    bound = 0
+    for _, polys in terms:
+        b = 1
+        for p in polys:
+            b *= sum(map(abs, p))
+        bound += b
+    return bound
+
+
+def test_laurent_sum_packs_every_width(monkeypatch):
+    rng = random.Random(2718)
+    lists = counting(monkeypatch, "_sum_in_list")
+    widths = set()
+    for bits in (2, 10, 14, 20):
+        for _ in range(25):
+            terms = [
+                (
+                    rng.randint(-6, 6),
+                    tuple(
+                        tuple(rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 5)))
+                        for _ in range(rng.randint(1, 2))
+                    ),
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            den = random_poly(rng, nonzero=True)
+            widths.add(qfield._width(_l1_bound(terms)))
+            assert laurent_sum(terms, den) == _sum_by_qrat(terms, den), (terms, den)
+    assert widths == {16, 32, 64}
+    assert lists[0] == 0
+
+
+def test_laurent_sum_past_the_packed_widths(monkeypatch):
+    rng = random.Random(3141)
+    lists = counting(monkeypatch, "_sum_in_list")
+    for _ in range(20):
+        terms = [
+            (rng.randint(-4, 4), tuple(random_poly(rng) for _ in range(2)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        terms.append((rng.randint(-4, 4), ((2**40, 0, -(2**40)), (2**30 + 1, 2**30))))
+        assert _l1_bound(terms) >= 2**63
+        den = random_poly(rng, nonzero=True)
+        assert laurent_sum(terms, den) == _sum_by_qrat(terms, den), (terms, den)
+    assert lists[0] == 20
+
+
+def test_laurent_sum_cancelling_to_zero(monkeypatch):
+    lists = counting(monkeypatch, "_sum_in_list")
+    # q^-1 (1 + q) - 1 - q^-1, packed
+    terms = [(-1, ((1, 1),)), (0, ((-1,),)), (-1, ((-1,),))]
+    assert laurent_sum(terms, (1, 1)) == QRat.zero()
+    assert lists[0] == 0
+    big = 2**70
+    assert laurent_sum([(2, ((big, 1),)), (2, ((-big, -1),))]) == QRat.zero()
+    assert lists[0] == 1
+    # zero polynomials and no terms at all
+    assert laurent_sum([(3, ((1, 2), ()))]) == QRat.zero()
+    assert laurent_sum([]) == QRat.zero()
+
+
+def test_laurent_sum_with_negative_exponents_over_a_denominator():
+    q2m1 = (-1, 0, 1)  # q^2 - 1
+    terms = [(-3, ((1, 2, 1),)), (-1, (q2m1, (1, 1))), (2, ((0, 0, 5),))]
+    for den in (q2m1, (0, 1, 1), (1, 1), (0, 0, 3), (2,)):
+        got = laurent_sum(terms, den)
+        assert got == _sum_by_qrat(terms, den), den
+        assert got == QRat.from_laurent({-3: 1, -2: 2, 0: -1, 1: 1, 2: 1, 4: 5}, den)
+    # (q^2 - 1) q^-2 / (q^2 - 1) leaves q^-2
+    assert laurent_sum([(-2, (q2m1,))], q2m1) == qp(-2)
+
+
+def test_akito_sum_past_the_packed_widths(monkeypatch):
+    # the coefficients of akito_sum(a, b) are bounded by 3^a, which passes
+    # 2^63 at a = 40
+    lists = counting(monkeypatch, "_sum_in_list")
+    assert 3**39 < 2**63 <= 3**40
+    assert akito_sum(39, 2) == qp(156)
+    assert lists[0] == 0
+    assert akito_sum(41, 2) == qp(164)
+    assert akito_sum(40, 0) == QRat.one()
+    assert lists[0] == 2
 
 
 def test_regularity_at_zero():

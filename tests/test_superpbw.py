@@ -835,6 +835,18 @@ def test_sums_need_one_root_data():
         u - v
 
 
+def test_products_need_one_root_data():
+    # two instances of one rank used to multiply silently, and two ranks
+    # ended in an IndexError
+    a, b = RootData(2, 2), RootData(2, 2)
+    with pytest.raises(ValueError):
+        PBWVector.generator(a, 1) * PBWVector.generator(b, 3)
+    with pytest.raises(ValueError):
+        PBWVector.generator(RootData(2, 3), 1) * PBWVector.generator(a, 1)
+    u = PBWVector.generator(a, 1)
+    assert (u * PBWVector.generator(a, 3)).rd is a
+
+
 def test_json_round_trip():
     rng = random.Random(606)
     rd = RDS[(2, 2)]
