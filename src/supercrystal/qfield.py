@@ -73,19 +73,20 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     multiply, and otherwise the schoolbook loop."""
     if not a or not b:
         return _PZERO
-    # len and the constant term first: most sides fail these without a slice
+    # len and the constant term first: most sides fail these without a slice;
+    # each side is tested at most once
     if len(b) == 1 or not b[0] and _is_monomial(b):
         a, b = b, a
-    if len(a) == 1 or not a[0] and _is_monomial(a):
-        c = a[-1]
-        return (0,) * (len(a) - 1) + (b if c == 1 else tuple(c * x for x in b))
-    if len(a) * len(b) >= KRONECKER_MIN_PAIRS:
-        # Kronecker substitution: one big-integer product at q = 2^k, where
-        # k leaves room for the largest possible product coefficient
-        k = _width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
-        if k:
-            return _trim(_unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1))
-    return _schoolbook(a, b)
+    elif not (len(a) == 1 or not a[0] and _is_monomial(a)):
+        if len(a) * len(b) >= KRONECKER_MIN_PAIRS:
+            # Kronecker substitution: one big-integer product at q = 2^k, where
+            # k leaves room for the largest possible product coefficient
+            k = _width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+            if k:
+                return _trim(_unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1))
+        return _schoolbook(a, b)
+    c = a[-1]
+    return (0,) * (len(a) - 1) + (b if c == 1 else tuple(c * x for x in b))
 
 
 def _width(bound: int) -> int | None:
@@ -337,8 +338,8 @@ def _poly_parse(s: str) -> Poly:
         elif term.startswith("q"):
             c, qpart = 1, term
         else:
-            c, qpart = int(term), ""
-        if qpart == "":
+            c, qpart = int(term), None
+        if qpart is None:
             e = 0
         elif qpart == "q":
             e = 1
@@ -370,12 +371,10 @@ class QRat:
 
     - for a/b * c/d, gcd(a, d) and gcd(c, b) are cancelled before the
       cofactors are multiplied;
-    - for a/b + c/d with g = gcd(b, d): if g = 1 the sum (ad + cb) / bd is
-      already coprime; otherwise t = a(d/g) + c(b/g) can share a factor only
-      with g, and h = gcd(t, g) is cancelled from t and d;
-    - equal denominators are the case g = b of the same rule, and two
-      single-term denominators add by shifting the numerators to the larger
-      power of q, and adding zero returns the other operand.
+    - for a/b + c/d with g = gcd(b, d), t = a(d/g) + c(b/g) can share a
+      factor only with g, and h = gcd(t, g) is cancelled from t and d, so
+      the sum is (t/h) / ((b/g)(d/h)); equal denominators are the case
+      g = b, which runs no gcd, and adding zero returns the other operand.
 
     Each cancellation is one ``_cancel(x, y)``, which returns the gcd and
     both cofactors.  It splits off the power of q by a slice and answers at
@@ -452,25 +451,14 @@ class QRat:
         if not self.num:
             return o
         a, b, c, d = self.num, self.den, o.num, o.den
-        if b == d:
-            g, bq, dq, t = b, _PONE, _PONE, _padd(a, c)
-        elif _is_monomial(b) and _is_monomial(d):
-            # kept for sums of Laurent values (q-integers, Pascal identities):
-            # through _cancel instead, boson-grid's check_p50_ms read 0.049 ->
-            # 0.051 ms in 3 of 3 paired runs on a 2-vCPU x86-64 VM
-            return _add_over_powers(a, b, c, d)
-        else:
-            g, bq, dq = _cancel(b, d)
-            if g == _PONE:
-                # coprime, and nonzero: a*d = -c*b would force b = d, a case taken above
-                return _finish(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
-            t = _padd(_pmul(a, dq), _pmul(c, bq))
+        g, bq, dq = (b, _PONE, _PONE) if b == d else _cancel(b, d)
+        t = _padd(_pmul(a, dq), _pmul(c, bq))
         if not t:
             return _Q0
         h, t, gh = _cancel(t, g)
         if h != _PONE:
-            d = gh if dq == _PONE else _pmul(dq, gh)
-        return _finish(t, d if bq == _PONE else _pmul(bq, d))
+            d = _pmul(dq, gh)
+        return _finish(t, _pmul(bq, d))
 
     __radd__ = __add__
 
@@ -634,32 +622,6 @@ def _laurent(lo: int, num: Poly, den: Poly) -> QRat:
     if lo < 0:
         return QRat(num, _pshift(den, -lo))
     return QRat((0,) * lo + num if lo else num, den)
-
-
-def _add_over_powers(a: Poly, b: Poly, c: Poly, d: Poly) -> QRat:
-    """a/b + c/d for distinct single-term denominators b and d.
-
-    Both numerators are scaled to the least common multiple of the two
-    coefficients and shifted to the larger power of q, so no product is
-    formed; a single-term denominator is coprime to whatever is left once
-    the common power of q is sliced off.
-    """
-    j, k, lb, ld = len(b) - 1, len(d) - 1, b[-1], d[-1]
-    if lb != ld:
-        lcm = lb * ld // _int_gcd(lb, ld)
-        a = tuple(x * (lcm // lb) for x in a)
-        c = tuple(x * (lcm // ld) for x in c)
-        lb = lcm
-    if j < k:
-        a = (0,) * (k - j) + a
-    elif k < j:
-        c = (0,) * (j - k) + c
-    num = _padd(a, c)
-    if not num:
-        return _Q0
-    e = max(j, k)
-    s = min(_order(num), e)
-    return _finish(num[s:], (0,) * (e - s) + (lb,))
 
 
 _Q0 = QRat.zero()

@@ -149,7 +149,6 @@ class RootData:
         self.roots: tuple[Root, ...] = tuple(odd + plus + minus)
         self.root_index = {r: k for k, r in enumerate(self.roots)}
         self.nroots = len(self.roots)
-        self._odd_idx = frozenset(range(self.odd_count))
         self._simple_idx = {i: self.root_index[Root(i, i + 1)] for i in self.index_set}
 
         self._pair_table = self._build_pair_table()
@@ -168,7 +167,7 @@ class RootData:
     # -- root/weight helpers ------------------------------------------
 
     def is_odd_index(self, idx: int) -> bool:
-        return idx in self._odd_idx
+        return idx < self.odd_count
 
     def simple_index(self, i: int) -> int:
         return self._simple_idx[i]
@@ -238,7 +237,7 @@ class RootData:
         best = None
         for p in range(len(w) - 1):
             a, b = w[p], w[p + 1]
-            if a > b or (a == b and a in self._odd_idx):
+            if a > b or (a == b and a < self.odd_count):
                 if strategy == "leftmost":
                     return p
                 if strategy == "rightmost":

@@ -312,6 +312,13 @@ def test_parse_round_trip():
         assert QRat.parse(str(r)) == r
 
 
+@pytest.mark.parametrize("text", ["2*", "-2*", "q+3*", "(2*)/(q)", "2*3", "*q", "2*q^"])
+def test_parse_refuses_a_factor_that_is_not_a_power_of_q(text):
+    # what follows a "*" is q or q^e; an empty factor is not q^0
+    with pytest.raises(ValueError):
+        QRat.parse(text)
+
+
 # -- normal form against an independent slow reduction -----------------------
 
 
@@ -578,6 +585,26 @@ def test_sum_of_single_term_denominators():
     assert QRat((1,), (0, 2)) + QRat((1,), (0, 0, 3)) == QRat((2, 3), (0, 0, 6))
     # at one power of q the sum can lose its q: (2 + q)/(2q) + (q - 3)/(3q) = 5/6
     assert QRat((2, 1), (0, 2)) + QRat((-3, 1), (0, 3)) == QRat((5,), (6,))
+    # raw denominators c*q^k, with short random numerators
+    rng = random.Random(20261021)
+    seen = set()
+    for k in range(300):
+        (c1, ja), (c2, jb) = ((rng.choice([1, -1, 2, 3, -6]), rng.randint(0, 6)) for _ in "ab")
+        da, db = (0,) * ja + (c1,), (0,) * jb + (c2,)
+        r, s = random_poly(rng, nonzero=True), random_poly(rng, nonzero=True)
+        for a, b in ((r, da), (s, db)), ((r, da), (s, da)):
+            x, y = QRat(*a), QRat(*b)
+            seen.add("equal" if x.den == y.den else "distinct")
+            assert_ops_match_slow_reduction(a, b, (k, a, b))
+        # a + b is the constant c, or zero: a = c1 q^e r / (c1 q^ja) and
+        # b = (c c2 q^jb - c2 q^(e+jb-ja) r) / (c2 q^jb), with e + jb - ja >= 0
+        c, e = rng.choice([0, 0, 1, -2, 5]), max(0, ja - jb)
+        a = _ipoly_mul((0,) * e + (c1,), r), da
+        b = _ipoly_add((0,) * jb + (c * c2,), _ipoly_mul((0,) * (e + jb - ja) + (-c2,), r)), db
+        assert QRat(*a) + QRat(*b) == QRat.from_int(c)
+        seen.add("cancels to zero" if c == 0 else "cancels to a constant")
+        assert_ops_match_slow_reduction(a, b, (k, a, b, c))
+    assert seen == {"equal", "distinct", "cancels to zero", "cancels to a constant"}
 
 
 def test_cyclotomic_products_match_slow_reduction():

@@ -34,3 +34,34 @@ def test_scale_is_defined_once_in_qvec():
         if isinstance(node, ast.FunctionDef) and node.name == "scale"
     ]
     assert found == [("qfield.py", "QVec")]
+
+
+def test_every_top_level_definition_is_named_outside_its_own_body():
+    # a helper whose last caller went away is still defined; it is named
+    # nowhere else in the package, its tests or the benchmark
+    # (perfbench/reference is a frozen older copy, so it does not count)
+    root = Path(__file__).resolve().parent.parent
+    readers = SOURCES + [p for d in ("tests", "perfbench") for p in sorted((root / d).glob("*.py"))]
+    named: dict[str, list[tuple[Path, int]]] = {}
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            named.setdefault(name, []).append((path, node.lineno))
+    unused = [
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and all(
+            where == path and node.lineno <= line <= node.end_lineno
+            for where, line in named.get(node.name, [])
+        )
+    ]
+    assert unused == []
