@@ -60,7 +60,7 @@ from .combicrystal import (
     string_length,
     triple_op,
 )
-from .superpbw import Root, RootData, Weight
+from .superpbw import RootData, Weight
 
 
 def is_dominant(lam: Weight, m: int) -> bool:
@@ -318,11 +318,11 @@ def pbw_label(rd: RootData, b: BInfElt) -> tuple[int, ...]:
     of its odd subset and the Lusztig data of its two blocks elsewhere.
     lattice_vector(rd, pbw_label(rd, b)) is b on the algebraic route."""
     lab = [0] * rd.nroots
-    for a, c in b.S.bits:
-        lab[rd.root_index[Root(a, c)]] = 1
+    for root in b.S.bits:
+        lab[rd.root_index[root]] = 1
     for block in (b.bplus, b.bminus):
-        for (a, c), e in zip(block.roots(), block.mult):
-            lab[rd.root_index[Root(a, c)]] = e
+        for root, e in zip(block.roots(), block.mult):
+            lab[rd.root_index[root]] = e
     return tuple(lab)
 
 

@@ -19,9 +19,9 @@ twist formulas below assume that sign convention.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from typing import NamedTuple
 
 from .qfield import Poly, QRat, QVec, _order, _padd, _pmul, add_into, q_factorial, q_int
 
@@ -79,9 +79,8 @@ class Weight:
         return cls((0,) * ell)
 
 
-@dataclass(frozen=True)
-class Root:
-    """The positive root delta_a - delta_b, 1 <= a < b <= m+n."""
+class Root(NamedTuple):
+    """The positive root delta_a - delta_b, 1 <= a < b <= m+n, as (a, b)."""
 
     a: int
     b: int
@@ -112,23 +111,33 @@ def alpha(i: int, ell: int) -> Weight:
     return Weight(tuple(c))
 
 
+class _Table(dict):
+    """A memo table of one RootData: reading a key it lacks fills it once
+    with fill(rd, key) and keeps the result, so a hit is a dict lookup."""
+
+    __slots__ = ("rd", "fill")
+
+    def __init__(self, rd: "RootData", fill) -> None:
+        self.rd, self.fill = rd, fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(self.rd, key)
+        return value
+
+
 class RootData:
     """Root system bookkeeping for gl(m|n) plus the pair-rewrite table.
 
     Positive roots are listed in the convex order used by the PBW basis:
     all odd roots first (by column, then bottom row first), then the m|0
     block (by reversed column), then the 0|n block (lexicographic).  The
-    instance fills its tables as they are first needed (each root word
-    straightened, keyed by (word, strategy); the root word of each
-    monomial; e'_i, e''_i and the
-    0|n reversal of each root vector, lattice vectors, weight spaces checked
-    triangular, and the rung scalars of the left string operators, one table
-    per direction), so reuse one instance per (m, n).  The
-    string operators and the lattice expansion are Q(q)-linear, so three
-    more tables hold them per monomial: the e'_i ladder keyed by (i,
-    monomial), the operator image keyed by (i, lower, monomial), and the
-    lattice expansion keyed by the monomial.  For i > m the monomial is the
-    0|n factor with the odd and m|0 exponents zeroed.
+    instance keeps what it computes in ``_Table``s, each filled key by key
+    on first read and listed in ``__init__`` with its key and fill, so
+    reuse one instance per (m, n).  The string operators and the lattice
+    expansion are Q(q)-linear, so their tables are keyed per monomial; for
+    i > m the monomial is the 0|n factor with the odd and m|0 exponents
+    zeroed.  ``_ladder`` holds the rung scalars of the string operators,
+    free of rank, as one growing list per direction.
     """
 
     def __init__(self, m: int, n: int):
@@ -152,17 +161,18 @@ class RootData:
         self._simple_idx = {i: self.root_index[Root(i, i + 1)] for i in self.index_set}
 
         self._pair_table = self._build_pair_table()
-        self._straightened: dict[tuple[tuple[int, ...], str], tuple] = {}
-        self._free_root: dict[int, dict[tuple[int, ...], QRat]] = {}
-        self._derivative: dict[tuple[int, int], list] = {}
-        self._sigma: dict[int, PBWVector] | None = None
-        self._lattice_vec: dict[tuple[int, ...], "PBWVector"] = {}
         self._ladder: dict[bool, list[QRat]] = {}
-        self._eladder: dict[tuple[int, tuple[int, ...]], tuple[PBWVector, ...]] = {}
-        self._image: dict[tuple[int, bool, tuple[int, ...]], tuple] = {}
-        self._expansion: dict[tuple[int, ...], tuple] = {}
-        self._triangular: set[Weight] = set()
-        self._words: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # each memo table with the function that fills it (see _Table)
+        self._straightened = _Table(self, RootData._straighten)
+        self._words = _Table(self, RootData._sorted_word)
+        self._free_root = _Table(self, RootData._ad_expansion)
+        self._derivative = _Table(self, _derivative_entry)
+        self._sigma = _Table(self, _sigma_entry)
+        self._lattice_vec = _Table(self, _lattice_vector)
+        self._eladder = _Table(self, _eprime_ladder)
+        self._image = _Table(self, _monomial_image)
+        self._expansion = _Table(self, _expansion)
+        self._triangular = _Table(self, _check_triangular)
 
     # -- root/weight helpers ------------------------------------------
 
@@ -249,47 +259,44 @@ class RootData:
     def reduce_root_word(
         self, word: tuple[int, ...], coeff: QRat, strategy: str = "latest"
     ) -> dict[tuple[int, ...], QRat]:
-        """Straighten a word of root-vector letters into PBW monomials.
-
-        Every structure constant of the rewrite table is an integer Laurent
-        polynomial, so each word is straightened once per RootData and
-        strategy with {exponent: int} coefficients, and its monomials are
-        kept with their QRat coefficients; a call scales them by coeff.
-        """
-        key = (word, strategy)
-        reduced = self._straightened.get(key)
-        if reduced is None:
-            out: dict[tuple[int, ...], dict[int, int]] = {}
-            stack = [(word, {0: 1})]
-            while stack:
-                w, c = stack.pop()
-                p = self._find_inversion(w, strategy)
-                if p is None:
-                    mono = self.word_monomial(w)
-                    acc = out.setdefault(mono, {})
-                    for e, x in c.items():
-                        add_into(acc, e, x)
-                    if not acc:
-                        del out[mono]
-                    continue
-                a, b = w[p], w[p + 1]
-                if a == b:
-                    continue  # square of an odd root vector
-                (sign, shift), extras = self._pair_table[(a, b)]
-                twisted = {e + shift: sign * x for e, x in c.items()}
-                stack.append((w[:p] + (b, a) + w[p + 2 :], twisted))
-                for mid, k in extras:
-                    ck: dict[int, int] = {}
-                    for e, x in c.items():
-                        for f, y in k.items():
-                            add_into(ck, e + f, x * y)
-                    stack.append((w[:p] + mid + w[p + 2 :], ck))
-            reduced = self._straightened[key] = tuple(
-                (mono, QRat.from_laurent(d)) for mono, d in out.items()
-            )
+        """Straighten a word of root-vector letters into PBW monomials: the
+        word's monomials, kept per (word, strategy), scaled by coeff."""
+        reduced = self._straightened[word, strategy]
         if coeff == _Q1:
             return dict(reduced)
         return {mono: coeff * x for mono, x in reduced} if coeff else {}
+
+    def _straighten(self, key: tuple[tuple[int, ...], str]) -> tuple:
+        # Every structure constant of the rewrite table is an integer Laurent
+        # polynomial, so a word is straightened with {exponent: int}
+        # coefficients, and its monomials are kept with QRat ones.
+        word, strategy = key
+        out: dict[tuple[int, ...], dict[int, int]] = {}
+        stack = [(word, {0: 1})]
+        while stack:
+            w, c = stack.pop()
+            p = self._find_inversion(w, strategy)
+            if p is None:
+                mono = self.word_monomial(w)
+                acc = out.setdefault(mono, {})
+                for e, x in c.items():
+                    add_into(acc, e, x)
+                if not acc:
+                    del out[mono]
+                continue
+            a, b = w[p], w[p + 1]
+            if a == b:
+                continue  # square of an odd root vector
+            (sign, shift), extras = self._pair_table[(a, b)]
+            twisted = {e + shift: sign * x for e, x in c.items()}
+            stack.append((w[:p] + (b, a) + w[p + 2 :], twisted))
+            for mid, k in extras:
+                ck: dict[int, int] = {}
+                for e, x in c.items():
+                    for f, y in k.items():
+                        add_into(ck, e + f, x * y)
+                stack.append((w[:p] + mid + w[p + 2 :], ck))
+        return tuple((mono, QRat.from_laurent(d)) for mono, d in out.items())
 
     def word_monomial(self, sorted_word: tuple[int, ...]) -> tuple[int, ...]:
         mono = [0] * self.nroots
@@ -300,12 +307,10 @@ class RootData:
     def monomial_word(self, mono: tuple[int, ...]) -> tuple[int, ...]:
         """The sorted root word of a monomial, kept per monomial: products
         read the words of both factors' monomials again and again."""
-        word = self._words.get(mono)
-        if word is None:
-            word = self._words[mono] = tuple(
-                idx for idx, c in enumerate(mono) for _ in range(c)
-            )
-        return word
+        return self._words[mono]
+
+    def _sorted_word(self, mono: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(idx for idx, c in enumerate(mono) for _ in range(c))
 
     def monomial_weight(self, mono: tuple[int, ...]) -> Weight:
         c = [0] * self.ell
@@ -335,9 +340,9 @@ class RootData:
 
     def free_root_vector(self, idx: int) -> dict[tuple[int, ...], QRat]:
         """Expansion of the root vector as a combination of free f-words."""
-        cached = self._free_root.get(idx)
-        if cached is not None:
-            return cached
+        return self._free_root[idx]
+
+    def _ad_expansion(self, idx: int) -> dict[tuple[int, ...], QRat]:
         r = self.roots[idx]
         if idx < self.odd_count:
             seq = list(range(self.m - 1, r.a - 1, -1)) + list(range(self.m + 1, r.b))
@@ -350,7 +355,6 @@ class RootData:
             terms = {(r.a,): _Q1}
         for k in seq:
             terms = self._ad_step(k, terms)
-        self._free_root[idx] = terms
         return terms
 
     def free_monomial(self, mono: tuple[int, ...]) -> dict[tuple[int, ...], QRat]:
@@ -409,9 +413,10 @@ class PBWVector(QVec):
         if other.rd is not rd:
             raise ValueError("vectors of different spaces")
         out: dict[tuple[int, ...], QRat] = {}
-        right = [(rd.monomial_word(m2), c2) for m2, c2 in other.terms.items()]
+        words = rd._words
+        right = [(words[m2], c2) for m2, c2 in other.terms.items()]
         for m1, c1 in self.terms.items():
-            w1 = rd.monomial_word(m1)
+            w1 = words[m1]
             for w2, c2 in right:
                 c = c1 * c2
                 if w1 and w2 and (
@@ -495,7 +500,7 @@ def normal_form(
 
 
 def _words(rd: RootData, u: PBWVector):
-    return ((rd.monomial_word(mono), c) for mono, c in u.terms.items())
+    return ((rd._words[mono], c) for mono, c in u.terms.items())
 
 
 def _free_root_words(rd: RootData, idx: int):
@@ -504,35 +509,30 @@ def _free_root_words(rd: RootData, idx: int):
         yield tuple(rd.simple_index(j) for j in w), c
 
 
-def _derivative_table(rd: RootData, i: int, sign: int) -> list:
-    """Per root: e'_i (sign -1) or e''_i (sign 1) of the root vector as
-    (sorted root word, coefficient) pairs, and (e, s) with q(alpha_i, root)
-    = (-1)^s q^e.  The generators' entries are known; every other entry is
-    derived from the free-word expansion, which reads only those.
+def _derivative_entry(rd: RootData, key: tuple[int, int, int]) -> tuple:
+    """e'_i (sign -1) or e''_i (sign 1) of one root vector as (sorted root
+    word, coefficient) pairs, and (e, s) with q(alpha_i, root) = (-1)^s q^e.
+    A generator's image is known; any other root's is derived from its
+    free-word expansion, which reads only the generators' entries.
     """
-    table = rd._derivative.get((i, sign))
-    if table is None:
-        ai, gen = rd.alpha(i), rd.simple_index(i)
-        table = [
-            [(((), _Q1),) if idx == gen else (), *rd._qform_exponent(ai, rd.root_weight(r))]
-            for idx, r in enumerate(rd.roots)
-        ]
-        for idx, r in enumerate(rd.roots):
-            if r.height > 1:
-                image = _derive(rd, sign, table, _free_root_words(rd, idx))
-                table[idx][0] = tuple(_words(rd, image))
-        rd._derivative[(i, sign)] = table
-    return table
+    i, sign, idx = key
+    r = rd.roots[idx]
+    if r.height == 1:
+        image = (((), _Q1),) if idx == rd.simple_index(i) else ()
+    else:
+        image = tuple(_words(rd, _derive(rd, i, sign, _free_root_words(rd, idx))))
+    return (image, *rd._qform_exponent(rd.alpha(i), rd.root_weight(r)))
 
 
-def _derive(rd: RootData, sign: int, table: list, words) -> PBWVector:
+def _derive(rd: RootData, i: int, sign: int, words) -> PBWVector:
     # e'_i(x f_b y) sums q(alpha_i, |x|)^(-sign) x e'_i(f_b) y over the letters
     # f_b; |x| is negative, so each letter b of x adds q(alpha_i, b)^(sign)
+    table = rd._derivative
     out: dict[tuple[int, ...], QRat] = {}
     for word, c in words:
         expo = parity = 0
         for p, idx in enumerate(word):
-            image, e, s = table[idx]
+            image, e, s = table[i, sign, idx]
             if image:
                 twisted = c * _signed_q_power(sign * expo, parity)
                 head, tail = word[:p], word[p + 1 :]
@@ -546,25 +546,33 @@ def _derive(rd: RootData, sign: int, table: list, words) -> PBWVector:
 
 def eprime(rd: RootData, i: int, u: PBWVector) -> PBWVector:
     """The left twisted derivation dual to multiplication by f_i."""
-    return _derive(rd, -1, _derivative_table(rd, i, -1), _words(rd, u))
+    return _derive(rd, i, -1, _words(rd, u))
 
 
 def edoubleprime(rd: RootData, i: int, u: PBWVector) -> PBWVector:
     """The companion derivation with inverted twist."""
-    return _derive(rd, 1, _derivative_table(rd, i, 1), _words(rd, u))
+    return _derive(rd, i, 1, _words(rd, u))
 
 
-def _reverse(rd: RootData, table: dict[int, PBWVector], words) -> PBWVector:
+def _reverse(rd: RootData, words) -> PBWVector:
     # sigma(c f_b1 .. f_bk) = bar(c) (-1/q)^e sigma(f_bk) .. sigma(f_b1), where
     # e sums the gl_n pairing (b_p, b_r) over p < r; each (b, b) is 2, so
     # e = |weight|^2 / 2 - k
-    out = PBWVector.zero(rd)
+    table, out = rd._sigma, PBWVector.zero(rd)
     for word, c in words:
         wt = rd.monomial_weight(rd.word_monomial(word))
         e = sum(x * x for x in wt.coords) // 2 - len(word)
         acc = reduce(PBWVector.__mul__, [table[idx] for idx in reversed(word)], PBWVector.unit(rd))
         out = out + acc.scale(c.bar() * _signed_q_power(-e, e))
     return out
+
+
+def _sigma_entry(rd: RootData, idx: int) -> PBWVector:
+    """sigma_0n of one 0|n root vector: a generator is fixed, and any other
+    reverses its free-word expansion, which reads only the generators."""
+    if rd.roots[idx].height == 1:
+        return PBWVector.root_monomial(rd, idx)
+    return _reverse(rd, _free_root_words(rd, idx))
 
 
 def sigma_0n(rd: RootData, u: PBWVector) -> PBWVector:
@@ -579,15 +587,7 @@ def sigma_0n(rd: RootData, u: PBWVector) -> PBWVector:
     for mono in u.terms:
         if any(e and idx < lo for idx, e in enumerate(mono)):
             raise ValueError("sigma_0n needs a vector in the 0|n subalgebra")
-    if rd._sigma is None:
-        # the generators' entries are known; every other root vector's entry
-        # reverses its free-word expansion, which reads only those
-        table = {idx: PBWVector.root_monomial(rd, idx) for idx in range(lo, rd.nroots)}
-        for idx in range(lo, rd.nroots):
-            if rd.roots[idx].height > 1:
-                table[idx] = _reverse(rd, table, _free_root_words(rd, idx))
-        rd._sigma = table
-    return _reverse(rd, rd._sigma, _words(rd, u))
+    return _reverse(rd, _words(rd, u))
 
 
 def f_divided(rd: RootData, i: int, k: int) -> PBWVector:
@@ -681,30 +681,33 @@ def _ladder_coefficients(rd: RootData, i: int, lower: bool, p: int, length: int)
     return table[:length] if i < rd.m else [s * x for s, x in zip(table, scale)]
 
 
-def _monomial_image(rd: RootData, i: int, lower: bool, mono: tuple[int, ...]) -> tuple:
+def _eprime_ladder(rd: RootData, key: tuple[int, tuple[int, ...]]) -> tuple:
+    """The rungs e'_i^N(mono), N = 0, 1, .., up to the last nonzero one:
+    climbed once for both directions."""
+    i, mono = key
+    w, rungs = PBWVector(rd, {mono: _Q1}), []
+    while w:
+        rungs.append(w)
+        w = eprime(rd, i, w)
+    return tuple(rungs)
+
+
+def _monomial_image(rd: RootData, key: tuple[int, bool, tuple[int, ...]]) -> tuple:
     """crystal_f (lower) or crystal_e along i != m of one monomial, as
     (monomial, coefficient) pairs: s_N f_i^(N+-1) w_N summed over the rungs
     w_N = e'_i^N(mono) for left strings (i < m), w_N f_i^(N+-1) s_N for
     right strings (i > m), with the s_N of the monomial's weight."""
-    image = rd._image.get((i, lower, mono))
-    if image is None:
-        ladder = rd._eladder.get((i, mono))
-        if ladder is None:  # climbed once for both directions
-            w, rungs = PBWVector(rd, {mono: _Q1}), []
-            while w:
-                rungs.append(w)
-                w = eprime(rd, i, w)
-            ladder = rd._eladder[(i, mono)] = tuple(rungs)
-        p = rd.form(rd.monomial_weight(mono), rd.alpha(i))
-        coeffs = _ladder_coefficients(rd, i, lower, p, len(ladder))
-        gen, d, out = rd.simple_index(i), 1 if lower else -1, {}
-        for N, (wN, s) in enumerate(zip(ladder, coeffs)):
-            if s:
-                f = PBWVector.root_monomial(rd, gen, N + d)
-                for m2, c in (f * wN if i < rd.m else wN * f).terms.items():
-                    add_into(out, m2, s * c)
-        image = rd._image[(i, lower, mono)] = tuple(out.items())
-    return image
+    i, lower, mono = key
+    ladder = rd._eladder[i, mono]
+    p = rd.form(rd.monomial_weight(mono), rd.alpha(i))
+    coeffs = _ladder_coefficients(rd, i, lower, p, len(ladder))
+    gen, d, out = rd.simple_index(i), 1 if lower else -1, {}
+    for N, (wN, s) in enumerate(zip(ladder, coeffs)):
+        if s:
+            f = PBWVector.root_monomial(rd, gen, N + d)
+            for m2, c in (f * wN if i < rd.m else wN * f).terms.items():
+                add_into(out, m2, s * c)
+    return tuple(out.items())
 
 
 def _crystal(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
@@ -718,7 +721,7 @@ def _crystal(rd: RootData, i: int, u: PBWVector, lower: bool) -> PBWVector:
     out: dict[tuple[int, ...], QRat] = {}
     for mono, c in u.terms.items():
         prefix = mono[:lo]
-        for m2, x in _monomial_image(rd, i, lower, (0,) * lo + mono[lo:]):
+        for m2, x in rd._image[i, lower, (0,) * lo + mono[lo:]]:
             add_into(out, prefix + m2[lo:], c * x)
     return PBWVector(rd, out)
 
@@ -751,16 +754,14 @@ def lattice_vector(rd: RootData, label: tuple[int, ...]) -> PBWVector:
     Odd and m|0 exponents contribute the ordered monomial in divided powers;
     the 0|n exponents contribute the sigma image of theirs.
     """
-    cached = rd._lattice_vec.get(label)
-    if cached is not None:
-        return cached
+    return rd._lattice_vec[label]
+
+
+def _lattice_vector(rd: RootData, label: tuple[int, ...]) -> PBWVector:
     lo = rd.minus_start
     prefix, minus = label[:lo] + (0,) * (rd.nroots - lo), (0,) * lo + label[lo:]
     head = PBWVector(rd, {prefix: _divided_scale(prefix)})
-    tail = sigma_0n(rd, PBWVector(rd, {minus: _divided_scale(minus)}))
-    vec = head * tail
-    rd._lattice_vec[label] = vec
-    return vec
+    return head * sigma_0n(rd, PBWVector(rd, {minus: _divided_scale(minus)}))
 
 
 def labels_of_weight(rd: RootData, wt: Weight) -> list[tuple[int, ...]]:
@@ -809,19 +810,17 @@ def labels_of_weight(rd: RootData, wt: Weight) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _check_triangular(rd: RootData, wt: Weight) -> None:
+def _check_triangular(rd: RootData, wt: Weight) -> bool:
     # Every monomial of weight wt is one of its labels, so lattice vectors
     # that each lead (lex-largest monomial) with their own label form a
     # triangular basis of the weight space.
-    if wt in rd._triangular:
-        return
     for lab in labels_of_weight(rd, wt):
         if max(lattice_vector(rd, lab).terms, default=None) != lab:
             raise AssertionError(
                 f"weight {wt.coords}: the lattice vector of label {lab} does not "
                 "lead with its label, so the vectors may be linearly dependent"
             )
-    rd._triangular.add(wt)
+    return True
 
 
 def _expansion(rd: RootData, mono: tuple[int, ...]) -> tuple:
@@ -830,19 +829,16 @@ def _expansion(rd: RootData, mono: tuple[int, ...]) -> tuple:
     Each lattice vector's lex-largest monomial is its own label, so peeling
     the lex-largest monomial of the remainder solves the triangular system.
     """
-    exp = rd._expansion.get(mono)
-    if exp is None:
-        _check_triangular(rd, rd.monomial_weight(mono))
-        rest, peeled = {mono: _Q1}, []
-        while rest:
-            lab = max(rest)
-            vec = lattice_vector(rd, lab)
-            c = rest[lab] / vec.terms[lab]
-            peeled.append((lab, c))
-            for m2, x in vec.terms.items():
-                add_into(rest, m2, -c * x)
-        exp = rd._expansion[mono] = tuple(peeled)
-    return exp
+    rd._triangular[rd.monomial_weight(mono)]
+    rest, peeled = {mono: _Q1}, []
+    while rest:
+        lab = max(rest)
+        vec = lattice_vector(rd, lab)
+        c = rest[lab] / vec.terms[lab]
+        peeled.append((lab, c))
+        for m2, x in vec.terms.items():
+            add_into(rest, m2, -c * x)
+    return tuple(peeled)
 
 
 def lattice_coefficients(rd: RootData, u: PBWVector) -> dict[tuple[int, ...], QRat]:
@@ -850,7 +846,7 @@ def lattice_coefficients(rd: RootData, u: PBWVector) -> dict[tuple[int, ...], QR
     term from the expansions of its monomials."""
     out: dict[tuple[int, ...], QRat] = {}
     for mono, c in u.terms.items():
-        for lab, x in _expansion(rd, mono):
+        for lab, x in rd._expansion[mono]:
             add_into(out, lab, c * x)
     return out
 
@@ -873,7 +869,7 @@ def lattice_residue(
     """
     sums: dict[tuple[int, ...], tuple[Poly, Poly]] = {}
     for mono, c in u.terms.items():
-        for lab, x in _expansion(rd, mono):
+        for lab, x in rd._expansion[mono]:
             num, den = _pmul(c.num, x.num), _pmul(c.den, x.den)
             if lab in sums:
                 n0, d0 = sums[lab]
@@ -913,7 +909,8 @@ def from_json(rd: RootData, data: list[dict]) -> PBWVector:
         mono = [0] * rd.nroots
         seen = set()
         for idx, e in item["exponents"]:
-            idx, e = int(idx), int(e)
+            if type(idx) is not int or type(e) is not int:
+                raise ValueError(f"root index and exponent must be ints: {[idx, e]!r}")
             if not 0 <= idx < rd.nroots:
                 raise ValueError(f"root index {idx} outside 0..{rd.nroots - 1}")
             if idx in seen:

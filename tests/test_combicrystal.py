@@ -879,6 +879,66 @@ def test_json_round_trip():
         from_json({"kind": "mystery"})
 
 
+def test_from_json_refuses_invalid_elements():
+    lam = Weight((2, 1, 1, 0))
+    good = [
+        HWElt(LusztigPlus(2, (1,)), lam_plus(lam, 2)),
+        HWElt(LusztigMinus.zero(2, 2), lam_minus(lam, 2)),
+        kac_highest(2, 2, lam),
+        BInfElt(OddSet.empty(2, 2), LusztigPlus.zero(2), LusztigMinus.zero(2, 2)),
+        XElt(OddSet.empty(2, 2), LusztigPlus.zero(2), HWElt(LusztigMinus.zero(2, 2), lam), lam),
+        ProductElt(OddSet.empty(2, 1), LusztigPlus.zero(2), LusztigMinus.zero(2, 2)),
+    ]
+    for elt in good:
+        assert from_json(to_json(elt)) == elt
+    hw_plus, hw_minus, kac, binf, xelt, prod = map(to_json, good)
+    # multiplicities: non-negative ints, and a bool is not one
+    for c in (-1, 1.5, "x", True, None):
+        with pytest.raises(ValueError, match="multiplicities must be ints >= 0"):
+            from_json({"kind": "lplus", "m": 2, "mult": {"1,2": c}})
+        with pytest.raises(ValueError, match="multiplicities must be ints >= 0"):
+            from_json(dict(binf, bminus={"kind": "lminus", "m": 2, "n": 2, "mult": {"3,4": c}}))
+    # ranks: positive ints; odd entries and weights: ints
+    for r in (0, "2", 2.0, True):
+        for data in (
+            {"kind": "oddset", "m": r, "n": 2, "bits": []},
+            {"kind": "oddset", "m": 2, "n": r, "bits": []},
+            {"kind": "lplus", "m": r, "mult": {}},
+            {"kind": "lminus", "m": 2, "n": r, "mult": {}},
+        ):
+            with pytest.raises(ValueError, match="ranks must be ints >= 1"):
+                from_json(data)
+    for p in ([1.0, 3], [1, "3"], [True, 3]):
+        with pytest.raises(ValueError, match="odd entries must be ints"):
+            from_json({"kind": "oddset", "m": 2, "n": 2, "bits": [p]})
+    for w in ([2, 1, 1, 0.0], [2, 1, 1, "0"], [2, 1, 1, False]):
+        for data in (dict(hw_minus, shift=w), dict(xelt, shift=w)):
+            with pytest.raises(ValueError, match="weight entries must be ints"):
+                from_json(data)
+    # one rank throughout: m in every field, the subset's n in the minus
+    # block (a product's subset is m x 1), m + n entries in every weight
+    S22, S21, S23 = (to_json(OddSet.empty(2, k)) for k in (2, 1, 3))
+    S32 = to_json(OddSet.empty(3, 2))
+    plus3 = to_json(LusztigPlus.zero(3))
+    minus13, minus23 = to_json(LusztigMinus.zero(1, 3)), to_json(LusztigMinus.zero(2, 3))
+    bad = [
+        dict(binf, bplus=plus3, bminus=minus13),  # OddSet(2,2), m = 3, m = 1
+        dict(binf, bplus=plus3), dict(binf, S=S32), dict(binf, S=S23),
+        dict(binf, bminus=minus23), dict(binf, S=S21),
+        dict(prod, S=S22), dict(prod, bminus=minus13),
+        dict(xelt, shift=[2, 1, 1]), dict(xelt, bplus=plus3),
+        dict(kac, bplus=dict(hw_plus, shift=[2, 1, 1])),
+        dict(kac, bminus=dict(hw_minus, shift=[0, 0, 1, 0, 0])),
+        dict(hw_plus, shift=[2]), dict(hw_minus, shift=[0, 0, 1]),
+        dict(hw_minus, shift=[1]),
+    ]
+    for data in bad:
+        with pytest.raises(ValueError, match="disagree on the rank"):
+            from_json(data)
+    # a bare truncation needs only the entries its block reads
+    assert from_json(dict(hw_plus, shift=[2, 1])).is_member()
+
+
 def test_elements_compare_by_kind_and_fields():
     # elements are not frozen dataclasses; equality, hashing and repr are
     # still the generated ones, over the fields and within one kind

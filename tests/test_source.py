@@ -65,3 +65,37 @@ def test_every_top_level_definition_is_named_outside_its_own_body():
         )
     ]
     assert unused == []
+
+
+def test_superpbw_memo_tables_fill_only_through_their_table():
+    # every memo table of a RootData is a _Table, whose __missing__ stores
+    # each key once; a hand-written "get, compute, store" block stores into
+    # a subscript of an attribute (rd._x[k] = ...) or rebinds one outside
+    # __init__ (rd._x = ...)
+    path = next(p for p in SOURCES if p.name == "superpbw.py")
+    tree = ast.parse(path.read_text(), str(path))
+    owner: dict[ast.AST, str] = {}
+    for scope in ast.walk(tree):  # breadth first, so an inner scope wins
+        if isinstance(scope, (ast.ClassDef, ast.FunctionDef)):
+            name = f"{owner[scope]}.{scope.name}" if scope in owner else scope.name
+            for node in ast.walk(scope):
+                if node is not scope:
+                    owner[node] = name
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        where = owner.get(node, "<module>")
+        for leaf in (leaf for t in targets for leaf in ast.walk(t)):
+            if not isinstance(getattr(leaf, "ctx", None), ast.Store):
+                continue
+            if isinstance(leaf, ast.Subscript) and isinstance(leaf.value, ast.Attribute):
+                if where != "_Table.__missing__":
+                    found.append(f"{where}:{node.lineno}")
+            elif isinstance(leaf, ast.Attribute) and not where.endswith(".__init__"):
+                found.append(f"{where}:{node.lineno}")
+    assert found == []

@@ -738,6 +738,12 @@ def test_operators_and_expansion_are_linear(mn, deg, seed):
         assert lattice_coefficients(twin, v) == lattice_coefficients(rd, u)
 
 
+TABLES = (
+    "_straightened", "_words", "_free_root", "_derivative", "_sigma",
+    "_lattice_vec", "_eladder", "_image", "_expansion", "_triangular",
+)
+
+
 def test_monomial_tables_hold_each_distinct_key_once():
     # one sweep of the (2,3) cap 5 ball, every index and direction, with the
     # residue of each image; the tables must hold exactly the distinct keys
@@ -750,10 +756,22 @@ def test_monomial_tables_hold_each_distinct_key_once():
         return straighten(word, coeff, strategy)
 
     rd.reduce_root_word = recording
+    # every table fills through its own fill, and each fill is logged
+    fills = {name: [] for name in TABLES}
+    for name in TABLES:
+        table = getattr(rd, name)
+        assert isinstance(table, superpbw._Table) and not table
+
+        def logged(rd, key, log=fills[name], fill=table.fill):
+            log.append(key)
+            return fill(rd, key)
+
+        table.fill = logged
 
     def sweep():
-        ladders, images, monomials = set(), set(), set()
+        ladders, images, monomials, labels = set(), set(), set(), set()
         for lab in labels_up_to(rd, 5):
+            labels.add(lab)
             v = lattice_vector(rd, lab)
             for i, lower in product(rd.index_set, (True, False)):
                 lo = rd.minus_start if i > rd.m else 0
@@ -765,22 +783,76 @@ def test_monomial_tables_hold_each_distinct_key_once():
                 image = crystal_f(rd, i, v) if lower else crystal_e(rd, i, v)
                 monomials.update(image.terms)
                 lattice_coefficients(rd, image)
-        return ladders, images, monomials
+        return ladders, images, monomials, labels
 
-    ladders, images, monomials = sweep()
+    ladders, images, monomials, labels = sweep()
     assert set(rd._eladder) == ladders
     assert set(rd._image) == images
     assert set(rd._expansion) == monomials
     assert set(rd._straightened) == words
+    # each expansion checks its weight space, whose labels it may peel
+    weights = {rd.monomial_weight(mono) for mono in monomials}
+    assert set(rd._triangular) == weights
+    peeled = {lab for wt in weights for lab in labels_of_weight(rd, wt)}
+    assert set(rd._lattice_vec) == labels | peeled
+    # root by root: e'_i along every index, sigma on the whole 0|n block,
+    # and the free-word expansion of every root read above a generator
+    assert {(i, sign) for i, sign, _ in rd._derivative} == {(i, -1) for i in rd.index_set}
+    assert set(rd._sigma) == set(range(rd.minus_start, rd.nroots))
+    read = {idx for _, _, idx in rd._derivative} | set(rd._sigma)
+    assert set(rd._free_root) == {idx for idx in read if rd.roots[idx].height > 1}
     # the rung scalars: one table per direction, free of index and weight
     assert set(rd._ladder) == {True, False}
-    tables = (rd._eladder, rd._image, rd._expansion, rd._straightened)
+    for name in TABLES:
+        log = fills[name]
+        assert log and len(log) == len(set(log)) and set(log) == set(getattr(rd, name)), name
+    tables = [getattr(rd, name) for name in TABLES]
     sizes = tuple(map(len, tables))
     sweep()
     assert tuple(map(len, tables)) == sizes
 
 
+def touch_every_table(rd: RootData, cap: int) -> list:
+    """Crystal images, their lattice coefficients, both derivations and
+    the reversal, for every label up to cap."""
+    out = []
+    for lab in labels_up_to(rd, cap):
+        v = lattice_vector(rd, lab)
+        for i in rd.index_set:
+            out += [crystal_f(rd, i, v), crystal_e(rd, i, v), edoubleprime(rd, i, v)]
+            out.append(lattice_coefficients(rd, out[-3]))
+        minus = PBWVector(rd, {(0,) * rd.minus_start + lab[rd.minus_start :]: _Q1})
+        out.append(sigma_0n(rd, minus))
+    return out
+
+
+def test_a_filled_key_is_not_filled_again(monkeypatch):
+    # after one sweep, a second over the same inputs reads every table
+    # without calling a fill, and gives the same results
+    rd = RootData(2, 2)
+    first = touch_every_table(rd, 4)
+    sizes = {name: len(getattr(rd, name)) for name in TABLES}
+    assert all(sizes.values()), sizes
+
+    def refill(rd, key):
+        raise AssertionError(f"filled again: {key!r}")
+
+    for name in TABLES:
+        monkeypatch.setattr(getattr(rd, name), "fill", refill)
+    assert touch_every_table(rd, 4) == first
+    assert {name: len(getattr(rd, name)) for name in TABLES} == sizes
+
+
 # -- grading and serialization --------------------------------------------------
+
+
+def test_a_root_is_its_pair():
+    # both routes hold roots as (a, b) pairs, and index root_index with them
+    r = Root(2, 4)
+    assert r == (2, 4) and hash(r) == hash((2, 4)) and r.height == 2
+    assert repr(r) == "Root(a=2, b=4)"
+    rd = RDS[(2, 2)]
+    assert all(rd.root_index[(x.a, x.b)] == k for k, x in enumerate(rd.roots))
 
 
 def test_weight_equality_hash_and_repr_are_pinned():
@@ -876,3 +948,10 @@ def test_json_round_trip():
 def test_from_json_rejects_bad_monomials(exponents):
     with pytest.raises(ValueError):
         from_json(RDS[(2, 2)], [{"exponents": exponents, "coeff": "1"}])
+
+
+@pytest.mark.parametrize("pair", [[0, 1.7], [4, 1.0], ["1", 1], [4, "1"], [True, 1], [4, True]])
+def test_from_json_reads_only_int_indices_and_exponents(pair):
+    # int() would read 1.7 as 1 and "1" as 1
+    with pytest.raises(ValueError, match="must be ints"):
+        from_json(RDS[(2, 2)], [{"exponents": [pair], "coeff": "1"}])
