@@ -14,8 +14,8 @@ hand their terms, each an integer numerator times a product of two
 balanced binomials, to ``qfield.laurent_sum``, which adds them as one
 packed integer over one denominator and reduces once.  The binomial
 products come from a small cache that pays within one grid.  The crystal
-check reads each degree's images off one elimination, with no inverse
-formed.
+check reads each degree's images off one elimination, which
+``qfield.row_reduce`` runs on packed integers with no inverse formed.
 
 Conventions: the left generator has weight ``l`` (so ``f^(i) v1`` has
 weight ``l - 2i`` and vanishes for ``i > l``), the right generator has
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .qfield import _PONE, Poly, QRat, _cancel, _padd, _pdiv, _pmul, _pneg, _pshift
+from .qfield import _PONE, Poly, QRat, _common_denominator, _padd, _pmul, _pneg, _pshift
 from .qfield import QVec, add_into, laurent_sum, min_degree, q_binom, q_int, row_reduce
 
 _Q0 = QRat.zero()
@@ -108,18 +108,16 @@ def act_f_pow(s: int, v: BosonTensorVec) -> BosonTensorVec:
 
     The expansion is sum over i of q^(-i(s-i)) f^(s-i) k^i (x) f^(i);
     left monomials past the cutoff vanish.  The coefficients of ``v`` are
-    lifted to the running lcm of their denominators (D_t for E_t), and each
-    output coefficient is summed over it as integers and reduced once.
+    lifted to a common denominator (D_t for E_t, found with no gcd), and
+    each output coefficient is summed over it as integers and reduced once.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
     l = v.l
-    den = _PONE
-    for c in v.terms.values():
-        den = _pmul(den, _cancel(den, c.den)[2])
+    den, cofactor = _common_denominator(c.den for c in v.terms.values())
     acc: dict[tuple[int, int], list] = {}
     for (a, b), c in v.terms.items():
-        num = _pmul(c.num, _pdiv(den, c.den))
+        num = _pmul(c.num, cofactor[c.den])
         for i in range(max(0, a + s - l), s + 1):
             # k^i scales f^(a) v1 by q^(i(l-2a)); divided powers combine
             # with the balanced binomials on both factors

@@ -18,7 +18,10 @@ crossovers are HEU_GCD_MIN_LEN and KRONECKER_MIN_PAIRS.  Sums of Laurent
 terms (``laurent_sum``, ``akito_sum``) add the terms' values at q = 2^k as
 one integer, with k certified by the terms' l1 norms, and the Gaussian
 binomials are integer polynomials in q^2 built by the product formula;
-neither forms a QRat before its result.
+neither forms a QRat before its result.  Nor does ``row_reduce``: it
+clears each row's denominators once and runs fraction-free Gauss-Jordan
+elimination on the entries' values at q = 2^k, with k certified by a
+bound on every minor, then normalises each output entry once.
 
 No floating point is used anywhere.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from functools import cache, lru_cache
+from math import factorial
 from math import gcd as _int_gcd
 from sys import byteorder as _BYTEORDER
 
@@ -186,15 +190,25 @@ def _pack(a: Poly, k: int) -> int:
 
     Read as one unsigned integer, the k-bit two's complement limbs of a are
     the biased digits c + 2^(k-1) with their top bits flipped, so one xor
-    and one subtraction of the bias give the value.
+    and one subtraction of the bias give the value.  A k wider than a
+    machine limb sums shifted coefficients.
     """
+    code = _LIMB_CODES.get(k)
+    if code is None:
+        return sum(c << k * e for e, c in enumerate(a))
     bias = _bias(k, len(a))
-    return (int.from_bytes(array(_LIMB_CODES[k], a).tobytes(), _BYTEORDER) ^ bias) - bias
+    return (int.from_bytes(array(code, a).tobytes(), _BYTEORDER) ^ bias) - bias
 
 
 def _unpack(v: int, k: int, n: int) -> list[int] | None:
     """The n balanced base-2^k digits of v, each in [-2^(k-1), 2^(k-1)),
     or None when v has no such expansion; the inverse of _pack."""
+    if k not in _LIMB_CODES:
+        half, out = 1 << (k - 1), []
+        for _ in range(n):
+            out.append(((v + half) & ((half << 1) - 1)) - half)
+            v = (v - out[-1]) >> k
+        return None if v else out
     bias = _bias(k, n)
     v += bias
     if v < 0 or v.bit_length() > n * k:
@@ -202,6 +216,13 @@ def _unpack(v: int, k: int, n: int) -> list[int] | None:
     limbs = array(_LIMB_CODES[k])
     limbs.frombytes((v ^ bias).to_bytes(n * k // 8, _BYTEORDER))
     return limbs.tolist()
+
+
+def _digits(v: int, k: int) -> Poly:
+    # the P whose balanced base-2^k digits are v.  Every digit is below
+    # 2^(k-1) in absolute value, so a nonzero P of degree D has
+    # |v| > 2^(kD-1), and D < v.bit_length() // k + 1
+    return _trim(_unpack(v, k, v.bit_length() // k + 1))
 
 
 @lru_cache(maxsize=1024)
@@ -714,27 +735,70 @@ class QVec:
         return type(self)(self.space(), {k: x * c for k, x in self.terms.items()})
 
 
-def row_reduce(rows: list[list[QRat]]) -> int:
-    """Gauss-Jordan elimination in place; returns the rank.
+def _common_denominator(dens) -> tuple[Poly, dict[Poly, Poly]]:
+    """A common multiple of the nonzero polynomials dens, with each den's
+    cofactor.  The longest den is it when the others all divide it (the
+    chain D_0 | D_1 | ... of ``qboson.E_t``), with no gcd run; otherwise
+    the dens fold in by ``_cancel``."""
+    dens = dict.fromkeys(dens)
+    top = max(dens, key=len, default=_PONE)
+    try:
+        return top, {d: _pdiv(top, d) for d in dens}
+    except ArithmeticError:
+        top = _PONE
+        for d in dens:
+            top = _pmul(top, _cancel(top, d)[2])
+        return top, {d: _pdiv(top, d) for d in dens}
 
-    Each pivot is the first nonzero entry at or below the current row,
-    scaled to one and cleared from every other row, so the nonzero rows
-    end in reduced row echelon form.
-    """
-    rank = 0
+
+def _fraction_free(rows: list[list[QRat]]) -> tuple[list[list[int]], int, int, int, int]:
+    """(matrix, rank, det, k, bound): fraction-free Gauss-Jordan (Bareiss
+    1968; Nakos, Turner and Williams 1997) of the rows, each cleared of its
+    denominators, on the values at q = 2^k.  Every entry is a minor, whose
+    coefficients are at most bound = r! prod over rows of max(1, the row's
+    largest l1 norm), r = min(rows, columns), and k leaves room for them:
+    a packed zero is zero, each division is exact and the digits are the
+    coefficients.  The first rank rows end as det, the last pivot, times
+    their reduced row echelon form; the rows past them are zero."""
     ncols = len(rows[0]) if rows else 0
+    cleared, bound = [], factorial(min(len(rows), ncols))
+    for row in rows:
+        _, cof = _common_denominator([x.den for x in row if x])
+        polys = [_pmul(x.num, cof[x.den]) if x else _PZERO for x in row]
+        bound *= max([1] + [sum(map(abs, p)) for p in polys])
+        cleared.append(polys)
+    k = _width(bound) or bound.bit_length() + 1
+    mat = [[_pack(p, k) for p in polys] for polys in cleared]
+    rank, prev = 0, 1
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        p = top[col]
+        for r, row in enumerate(mat):
+            if r != rank:
+                g, new = row[col], []
+                for x, y in zip(row, top):
+                    v, rem = divmod(p * x - g * y, prev)
+                    if rem:
+                        raise ArithmeticError("inexact fraction-free step")
+                    new.append(v)
+                mat[r] = new
+        rank, prev = rank + 1, p
+    return mat, rank, prev, k, bound
+
+
+def row_reduce(rows: list[list[QRat]]) -> int:
+    """Gauss-Jordan elimination in place; returns the rank.  Each pivot is
+    the first nonzero entry at or below the current row; the rows end in
+    reduced row echelon form, each entry normalised once from the integers
+    of ``_fraction_free``."""
+    mat, rank, det, k, _ = _fraction_free(rows)
+    den = _digits(det, k)
+    for r, row in enumerate(mat):
+        rows[r] = [(_Q1 if x == det else QRat(_digits(x, k), den)) if x else _Q0 for x in row]
     return rank
 
 
@@ -772,7 +836,7 @@ def laurent_sum(terms, den: Poly = _PONE) -> QRat:
         for p in polys:
             v *= _pack(p, k)
         total += v
-    return _from_packed(total, k, lo, den)
+    return _laurent(lo, _digits(total, k), den)
 
 
 def _sum_in_list(terms, den: Poly) -> QRat:
@@ -789,15 +853,6 @@ def _sum_in_list(terms, den: Poly) -> QRat:
         for j, c in enumerate(p, off):
             out[j] += c
     return _laurent(lo, _trim(out), den)
-
-
-def _from_packed(v: int, k: int, lo: int, den: Poly) -> QRat:
-    # q^lo * P / den for the P whose balanced base-2^k digits are v.  Every
-    # digit is below 2^(k-1) in absolute value, so a nonzero P of degree D
-    # has |v| > 2^(kD-1), and D < v.bit_length() // k + 1
-    if not v:
-        return _Q0
-    return _laurent(lo, _trim(_unpack(v, k, v.bit_length() // k + 1)), den)
 
 
 # -- q-combinatorics -----------------------------------------------------
@@ -881,7 +936,7 @@ def akito_sum(a: int, b: int) -> QRat:
         if j:
             factor *= (1 << 2 * k * (b - j + 1)) - 1
         total += factor * _pack(q_binom(a, j).num, k) << k * j * (j - 1)
-    return _from_packed(total, k, 0, _PONE)
+    return _laurent(0, _digits(total, k), _PONE)
 
 
 # -- functional names for the QRat methods -------------------------------

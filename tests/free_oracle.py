@@ -19,6 +19,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations
 
+from rref_oracle import qrat_row_reduce
 from supercrystal.qfield import QRat, q_int
 from supercrystal.superpbw import PBWVector
 
@@ -167,20 +168,7 @@ def equal_in_quotient(m: int, u: FreeVec, v: FreeVec) -> bool:
 def gram_rank(m: int, words: list[tuple[int, ...]]) -> int:
     """Rank of the matrix pairing each probe word against each plain word."""
     rows = [[pair(m, w, {wc: _Q1}) for wc in words] for w in words]
-    pr = 0
-    for col in range(len(words)):
-        piv = next((r for r in range(pr, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        d = rows[pr][col].inverse()
-        rows[pr] = [x * d for x in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pr])]
-        pr += 1
-    return pr
+    return qrat_row_reduce(rows)
 
 
 def defining_relations(m: int, n: int) -> list[FreeVec]:

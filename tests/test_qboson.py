@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from rref_oracle import qrat_row_reduce
 from supercrystal import qboson
 from supercrystal.qboson import (
     BosonTensorVec,
@@ -32,7 +33,7 @@ from supercrystal.qboson import (
     congruence_grid,
     min_degree,
 )
-from supercrystal.qfield import QRat, add_into, q_binom, q_int, row_reduce
+from supercrystal.qfield import QRat, add_into, q_binom, q_int
 from supercrystal.superpbw import PBWVector, RootData, f_divided, eprime
 
 QP = QRat.q_power
@@ -317,7 +318,7 @@ def test_decompose_solves_each_degree_as_one_solve_per_monomial():
                     + [Q1 if m == mono else QRat.zero()]
                     for m in monos
                 ]
-                assert row_reduce(rows) == len(family)
+                assert qrat_row_reduce(rows) == len(family)
                 want = BosonTensorVec.zero(l)
                 for row, v in zip(rows, moved):
                     want = want + v.scale(row[-1])

@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from rref_oracle import qrat_row_reduce
 from supercrystal import qfield
 from supercrystal.qfield import (
     QRat,
@@ -820,3 +821,130 @@ def test_row_reduce_solves_full_rank_systems(shape):
         x = [[row[-1]] for row in rows[:ncols]]
         assert not any(v for row in rows[ncols:] for v in row)
         assert [row[0] for row in _matmul(mat, x)] == b
+
+
+def _matches_the_oracle(mat: list[list[QRat]]) -> int:
+    """Check row_reduce of mat against the QRat elimination: the same rank
+    and the same reduced rows.  Every entry of the fraction-free matrix is
+    then det times the oracle's entry, with no coefficient above the
+    certified bound and digits that pack back to it.  Returns the width k."""
+    want = [row[:] for row in mat]
+    rank = qrat_row_reduce(want)
+    got = [row[:] for row in mat]
+    assert row_reduce(got) == rank, mat
+    assert got == want, mat
+    ints, ff_rank, det, k, bound = qfield._fraction_free(mat)
+    assert ff_rank == rank
+    den = qfield._digits(det, k)
+    assert max(map(abs, den)) <= bound
+    for ff_row, want_row in zip(ints, want):
+        for x, w in zip(ff_row, want_row):
+            poly = qfield._digits(x, k) if x else ()
+            assert max(map(abs, poly), default=0) <= bound, (mat, poly, bound)
+            assert qfield._pack(poly, k) == x
+            assert QRat(poly, den) == w
+    return k
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (3, 3), (4, 4), (5, 5), (2, 5), (5, 2), (3, 4), (4, 3), (5, 3)]
+)
+def test_row_reduce_matches_the_qrat_oracle(shape):
+    nrows, ncols = shape
+    rng = random.Random(1000 + 10 * nrows + ncols)
+    for rank in range(min(shape) + 1):
+        for _ in range(3):
+            _matches_the_oracle(_known_rank_matrix(rng, nrows, ncols, rank))
+
+
+def test_row_reduce_skips_pivot_columns_and_zero_lines():
+    # columns: zero, a, a/q, b, zero, a + 2b, c; a zero row goes in anywhere,
+    # so the third and sixth columns never get a pivot
+    rng = random.Random(27)
+    zero = QRat.zero()
+    for rank in (0, 1, 2, 2, 3, 3):
+        base = _known_rank_matrix(rng, 4, 3, rank)
+        mat = [[zero, a, a * qp(-1), b, zero, a + 2 * b, c] for a, b, c in base]
+        mat.insert(rng.randrange(5), [zero] * 7)
+        _matches_the_oracle(mat)
+        assert row_reduce(mat) == rank
+        assert not any(mat[r][c] for r in range(5) for c in (0, 4))
+    assert row_reduce([[zero] * 3] * 2) == 0
+    assert row_reduce([]) == 0 and row_reduce([[], []]) == 0
+
+
+def test_row_reduce_clears_every_kind_of_denominator():
+    # over 2, over powers of q and over non-monic polynomials, with some rows
+    # a combination of the others
+    rng = random.Random(31)
+    dens = [(1,), (2,), (0, 0, 1), (0, 0, 0, 1), (3, 1), (2, 0, 3), (1, -1, 2), (-1, 0, 0, 5)]
+    for nrows, ncols in ((3, 4), (4, 4), (4, 3), (5, 5)):
+        for _ in range(6):
+            mat = [
+                [QRat(random_poly(rng), rng.choice(dens)) for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+            if rng.random() < 0.5:
+                x, y = QRat((1, 1), rng.choice(dens)), QRat(random_poly(rng), rng.choice(dens))
+                mat[-1] = [x * u + y * v for u, v in zip(mat[0], mat[1])]
+            _matches_the_oracle(mat)
+
+
+def test_row_reduce_at_the_minor_bound():
+    # det [[c, c], [-c, c]] = 2! c^2 reaches the bound; at c = 181 it needs
+    # 32-bit digits, where c^2 alone would fit 16
+    for c in (1, 181, 2**20):
+        mat = [[QRat.from_int(x) for x in row] for row in ((c, c, 1), (-c, c, 0))]
+        _matches_the_oracle(mat)
+        _, _, det, _, bound = qfield._fraction_free(mat)
+        assert abs(det) == bound == 2 * c * c
+
+
+def test_row_reduce_past_the_machine_limbs():
+    # a minor bound beyond 2^63 packs by shifts at a width past 64 bits
+    rng = random.Random(2**20)
+    big = 2**20
+    for _ in range(3):
+        mat = [
+            [QRat((rng.randint(-big, big), rng.randint(-big, big)), (3, 1)) for _ in range(4)]
+            for _ in range(4)
+        ]
+        assert _matches_the_oracle(mat) > 64
+
+
+def test_wide_packing_round_trips():
+    for bits in (65, 90, 128):
+        h = 2 ** (bits - 1)
+        digits = [-h, h - 1, 0, -1, 1, h - 1]
+        v = qfield._pack(tuple(digits), bits)
+        assert v == sum(c << bits * e for e, c in enumerate(digits))
+        assert qfield._unpack(v, bits, 6) == digits
+        assert qfield._unpack(v, bits, 5) is None
+
+
+def test_common_denominator_of_a_chain_runs_no_gcd(monkeypatch):
+    # D_i = prod over j < i of (q^(2(6-j)) - 1), the chain of E_t(6, t), repeated
+    cancels = counting(monkeypatch, "_cancel")
+    chain = [(1,)]
+    for j in range(4):
+        chain.append(qfield._pmul(chain[-1], (-1,) + (0,) * (2 * (6 - j) - 1) + (1,)))
+    dens = chain + chain[1:3]
+    rng = random.Random(5)
+    rng.shuffle(dens)
+    lcm, cofactor = qfield._common_denominator(dens)
+    assert lcm == chain[-1]
+    assert set(cofactor) == set(chain)
+    assert all(qfield._pmul(d, c) == lcm for d, c in cofactor.items())
+    assert cancels[0] == 0
+
+
+def test_common_denominator_folds_unrelated_denominators():
+    rng = random.Random(8)
+    for _ in range(30):
+        dens = [random_poly(rng, nonzero=True) for _ in range(rng.randint(1, 5))]
+        dens = [qfield._trim(d) for d in dens]
+        lcm, cofactor = qfield._common_denominator(dens)
+        assert set(cofactor) == set(dens)
+        assert all(qfield._pmul(d, c) == lcm for d, c in cofactor.items())
+    assert qfield._common_denominator([(2,), (3,), (2,)]) == ((6,), {(2,): (3,), (3,): (2,)})
+    assert qfield._common_denominator([]) == ((1,), {})

@@ -99,3 +99,29 @@ def test_superpbw_memo_tables_fill_only_through_their_table():
             elif isinstance(leaf, ast.Attribute) and not where.endswith(".__init__"):
                 found.append(f"{where}:{node.lineno}")
     assert found == []
+
+
+def test_no_inverse_outside_qrat_in_the_elimination_modules():
+    # qfield.row_reduce eliminates fraction-free on integers; an ``.inverse()``
+    # in qboson, or in qfield outside QRat itself, is a second elimination
+    # over Q(q) coming back beside it
+    found = []
+    for path in SOURCES:
+        if path.name not in ("qboson.py", "qfield.py"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {
+            node
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "QRat" and path.name == "qfield.py"
+            for node in ast.walk(cls)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "inverse"
+            and node not in inside
+        ]
+    assert found == []
