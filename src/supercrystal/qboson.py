@@ -12,10 +12,15 @@ over a product D_i of factors q^(2(l-j)) - 1, so ``E_t`` builds each
 coefficient with ``QRat.from_laurent``, and ``act_f_pow`` and ``C_sk``
 hand their terms, each an integer numerator times a product of two
 balanced binomials, to ``qfield.laurent_sum``, which adds them as one
-packed integer over one denominator and reduces once.  The binomial
-products come from a small cache that pays within one grid.  The crystal
-check reads each degree's images off one elimination, which
-``qfield.row_reduce`` runs on packed integers with no inverse formed.
+packed integer over one denominator and reduces once.  The cells of one
+grid share their inputs, so three bounded ``lru_cache`` memos hold what
+they share: ``_binom_pair`` the binomial products (2,048 entries),
+``E_t`` the kernel vectors per (l, t) and ``_lift`` the common
+denominator and cofactors of ``act_f_pow``'s input per tuple of distinct
+denominators (256 entries each).  The memoised vectors, like every
+``QVec``, are read and never written.  The crystal check reads each
+degree's images off one elimination, which ``qfield.row_reduce`` runs on
+packed integers with no inverse formed.
 
 Conventions: the left generator has weight ``l`` (so ``f^(i) v1`` has
 weight ``l - 2i`` and vanishes for ``i > l``), the right generator has
@@ -87,12 +92,14 @@ def _add_term(terms: list, poly: Poly, e: int, c1: int, d1: int, c2: int, d2: in
     terms.append((e - k, (poly, num)))
 
 
+@lru_cache(maxsize=1 << 8)
 def E_t(l: int, t: int) -> BosonTensorVec:
     """The degree-``t`` kernel vector of the coupled raising action.
 
     Returns sum over i of q^(i(l-t+1)) / D_i f^(i) v1 (x) f^(t-i) v2, with D_i
     = prod over j < i of (q^(2(l-j)) - 1) built one factor per i; annihilated
     by act_eprime and congruent to v1 (x) f^(t) v2 modulo q times the lattice.
+    Memoised per (l, t): the vector is shared, so read it and never write it.
     """
     if not 0 <= t <= l:
         raise ValueError("t out of range")
@@ -103,18 +110,27 @@ def E_t(l: int, t: int) -> BosonTensorVec:
     return BosonTensorVec(l, coeffs)
 
 
+@lru_cache(maxsize=1 << 8)
+def _lift(dens: tuple[Poly, ...]) -> tuple[Poly, dict[Poly, Poly]]:
+    # the common denominator of distinct dens, with each den's cofactor; a
+    # grid lowers each E_t for every s, so each chain D_0 | ... | D_t is
+    # lifted once.  The cofactor dict is shared: read it, never write it
+    return _common_denominator(dens)
+
+
 def act_f_pow(s: int, v: BosonTensorVec) -> BosonTensorVec:
     """Apply the coproduct expansion of the divided power f^(s).
 
     The expansion is sum over i of q^(-i(s-i)) f^(s-i) k^i (x) f^(i);
     left monomials past the cutoff vanish.  The coefficients of ``v`` are
-    lifted to a common denominator (D_t for E_t, found with no gcd), and
-    each output coefficient is summed over it as integers and reduced once.
+    lifted to a common denominator (D_t for E_t, found with no gcd, once
+    per distinct tuple of denominators through ``_lift``), and each output
+    coefficient is summed over it as integers and reduced once.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
     l = v.l
-    den, cofactor = _common_denominator(c.den for c in v.terms.values())
+    den, cofactor = _lift(tuple(dict.fromkeys(c.den for c in v.terms.values())))
     acc: dict[tuple[int, int], list] = {}
     for (a, b), c in v.terms.items():
         num = _pmul(c.num, cofactor[c.den])

@@ -816,6 +816,10 @@ def laurent_sum(terms, den: Poly = _PONE) -> QRat:
     The sum over the terms of the product of their polynomials' l1 norms
     bounds every coefficient of the sum, so k is the narrowest width that
     holds it (``_width``); from 2^63 on, ``_sum_in_list`` takes over.
+    The l1 norms and packed values come from the memos ``_l1`` (keyed by
+    the polynomial) and ``_packed`` (keyed by the polynomial and k), each
+    bounded at 4,096 entries: the terms of one boson grid repeat their
+    polynomials.
     """
     terms = [(e, polys) for e, polys in terms if all(polys)]
     if not terms:
@@ -824,7 +828,7 @@ def laurent_sum(terms, den: Poly = _PONE) -> QRat:
     for _, polys in terms:
         b = 1
         for p in polys:
-            b *= sum(map(abs, p))
+            b *= _l1(p)
         bound += b
     k = _width(bound)
     if k is None:
@@ -834,9 +838,21 @@ def laurent_sum(terms, den: Poly = _PONE) -> QRat:
     for e, polys in terms:
         v = 1 << k * (e - lo)
         for p in polys:
-            v *= _pack(p, k)
+            v *= _packed(p, k)
         total += v
     return _laurent(lo, _digits(total, k), den)
+
+
+@lru_cache(maxsize=1 << 12)
+def _l1(p: Poly) -> int:
+    # the l1 norm of p, for laurent_sum's width
+    return sum(map(abs, p))
+
+
+@lru_cache(maxsize=1 << 12)
+def _packed(p: Poly, k: int) -> int:
+    # _pack(p, k), for laurent_sum's terms
+    return _pack(p, k)
 
 
 def _sum_in_list(terms, den: Poly) -> QRat:

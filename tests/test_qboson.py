@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from rref_oracle import qrat_row_reduce
-from supercrystal import qboson
+from supercrystal import qboson, qfield
 from supercrystal.qboson import (
     BosonTensorVec,
     C_sk,
@@ -173,6 +173,54 @@ def test_act_f_pow_over_one_denominator_matches_the_per_term_sum():
     v = BosonTensorVec(1, {(1, 0): QP(1) * r, (0, 1): -r})
     got = act_f_pow(1, v)
     assert got == per_term_act_f_pow(1, v) and set(got.terms) == {(0, 2)}
+
+
+def test_lowering_a_memoised_e_t_matches_c_sk_and_the_qrat_expansion():
+    # E_t and its lift come from memos, so every s after the first reuses
+    # both; each s is met going down and again going up
+    E_t.cache_clear()
+    qboson._lift.cache_clear()
+    for l in range(5):
+        for t in range(l + 1):
+            e = E_t(l, t)
+            for s in [*range(6, -1, -1), *range(7)]:
+                v = act_f_pow(s, e)
+                assert pairs(v) == pairs(per_term_act_f_pow(s, e)), (l, t, s)
+                if s > l - t:
+                    cs = {(l - k, t + s - l + k): C_sk(l, t, s, k) for k in range(l + 1)}
+                    assert v.terms == {m: c for m, c in cs.items() if c}, (l, t, s)
+            assert E_t(l, t) is e
+    # the shared vectors were only read: each still equals a fresh build
+    kept = {(l, t): pairs(E_t(l, t)) for l in range(5) for t in range(l + 1)}
+    E_t.cache_clear()
+    assert all(pairs(E_t(l, t)) == want for (l, t), want in kept.items())
+
+
+def test_repeated_lowering_of_one_e_t_lifts_its_chain_once(monkeypatch):
+    qboson._lift.cache_clear()
+    calls, real = [], qfield._pdiv
+    monkeypatch.setattr(qfield, "_pdiv", lambda a, b: calls.append((a, b)) or real(a, b))
+    e = E_t(5, 4)
+    chain = {c.den for c in e.terms.values()}
+    assert len(chain) == 5
+    top = max(chain, key=len)
+    for s in range(9):
+        act_f_pow(s, e)
+    # one exact division per denominator of D_0 | ... | D_4, all in the first call
+    assert sorted(b for a, b in calls if a == top) == sorted(chain)
+
+
+def test_lowering_denominators_that_are_no_chain_folds_them(monkeypatch):
+    # 1 / (q^2 + 1) and 1 / (q^2 + q + 1): neither divides the other
+    r1, r2 = Q1 / (QP(2) + Q1), Q1 / (QP(2) + QP(1) + Q1)
+    v = BosonTensorVec(2, {(0, 1): r1, (1, 0): QP(1) * r2})
+    wants = [pairs(per_term_act_f_pow(s, v)) for s in range(4)]
+    qboson._lift.cache_clear()
+    calls, real = [], qfield._cancel
+    monkeypatch.setattr(qfield, "_cancel", lambda a, b: calls.append((a, b)) or real(a, b))
+    assert [pairs(act_f_pow(s, v)) for s in range(4)] == wants
+    # the fold of one den into the other ran once, in the first call
+    assert sum(call in [(r1.den, r2.den), (r2.den, r1.den)] for call in calls) == 1
 
 
 def test_act_f_pow_composition_law():

@@ -197,6 +197,28 @@ def test_laurent_sum_past_the_packed_widths(monkeypatch):
     assert lists[0] == 20
 
 
+def test_laurent_sum_memo_keys_each_polynomial_by_its_width():
+    # the same polynomial objects, scaled into each width in turn, narrow
+    # first and then wide, then the reverse: a pack memoised by the
+    # polynomial alone would hand a narrow value to a wide sum
+    qfield._packed.cache_clear()
+    qfield._l1.cache_clear()
+    polys = [(1, -2, 3), (-4, 0, 5, 1), (7,), (0, 0, -1, 2)]
+    scales = {16: 1, 32: 2**20, 64: 2**45, None: 2**62}
+    den = (3, 0, -1, 2)
+    order = [16, 32, 64, None]
+    for width in order + order[::-1]:
+        c = (scales[width],)
+        terms = [(e - 2, (p, c)) for e, p in enumerate(polys)]
+        terms += [(3, (polys[0], polys[1], c)), (-1, (polys[1], polys[0]))]
+        assert qfield._width(_l1_bound(terms)) == width
+        assert laurent_sum(terms, den) == _sum_by_qrat(terms, den), width
+    packed, norms = qfield._packed.cache_info(), qfield._l1.cache_info()
+    # each polynomial once per packed width, each scale once at its own
+    assert packed.currsize == len(polys) * 3 + 3 and packed.hits > 0
+    assert norms.currsize == len(polys) + len(scales) and norms.hits > 0
+
+
 def test_laurent_sum_cancelling_to_zero(monkeypatch):
     lists = counting(monkeypatch, "_sum_in_list")
     # q^-1 (1 + q) - 1 - q^-1, packed

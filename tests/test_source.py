@@ -125,3 +125,30 @@ def test_no_inverse_outside_qrat_in_the_elimination_modules():
             and node not in inside
         ]
     assert found == []
+
+
+def _is_named(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def test_every_lru_cache_passes_an_explicit_maxsize():
+    # memos keyed by polynomials see new keys for as long as a process runs,
+    # so each lru_cache names a maxsize that is not None, and the unbounded
+    # functools.cache keys by ints and tuples of ints, never by a Poly
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and _is_named(node.func, "lru_cache"):
+                size = [k.value for k in node.keywords if k.arg == "maxsize"]
+                if not size or (isinstance(size[0], ast.Constant) and size[0].value is None):
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                annotations = [ast.unparse(a.annotation) for a in args if a.annotation]
+                keyed_by_poly = any("Poly" in a for a in annotations)
+                for deco in node.decorator_list:
+                    if _is_named(deco, "lru_cache") or (_is_named(deco, "cache") and keyed_by_poly):
+                        found.append(f"{path.name}:{node.lineno}")
+    assert found == []
