@@ -13,11 +13,12 @@ coefficient with ``QRat.from_laurent``, and ``act_f_pow`` and ``C_sk``
 hand their terms, each an integer numerator times a product of two
 balanced binomials, to ``qfield.laurent_sum``, which adds them as one
 packed integer over one denominator and reduces once.  The cells of one
-grid share their inputs, so three bounded ``lru_cache`` memos hold what
+grid share their inputs, so four bounded ``lru_cache`` memos hold what
 they share: ``_binom_pair`` the binomial products (2,048 entries),
-``E_t`` the kernel vectors per (l, t) and ``_lift`` the common
-denominator and cofactors of ``act_f_pow``'s input per tuple of distinct
-denominators (256 entries each).  The memoised vectors, like every
+``E_t`` the kernel vectors per (l, t), ``_lift`` the common denominator
+and cofactors of ``act_f_pow``'s input per tuple of distinct
+denominators, and ``_chain_cofactors`` the cofactors D_hi / D_i of
+``C_sk`` per (l, hi) (256 entries each).  The memoised vectors, like every
 ``QVec``, are read and never written.  The crystal check reads each
 degree's images off one elimination, which ``qfield.row_reduce`` runs on
 packed integers with no inverse formed.
@@ -164,20 +165,29 @@ def C_sk(l: int, t: int, s: int, k: int) -> QRat:
     a(t, i) q^((k-i)(i-l+s+k)) [l-k, i] [t-l+s+k, t-i], and a(t, i) is
     q^(i(l-t+1)) over D_i = prod over j < i of (q^(2(l-j)) - 1).  The
     integer Laurent numerators, times D_hi / D_i, are summed over the one
-    denominator D_hi of the last term and reduced once.
+    denominator D_hi of the last term and reduced once; the cofactors come
+    from ``_chain_cofactors``, built once per (l, hi).
     """
     if not 0 <= t <= l or not 0 <= k <= l or s < 0:
         raise ValueError("C_sk arguments out of range")
     lo, hi = max(0, l - s - k), min(t, l - k)
+    cofactors = _chain_cofactors(l, hi)
     terms: list = []
-    den = _PONE  # runs through D_hi / D_i as i falls to 0
-    for i in range(hi, -1, -1):
-        if i >= lo:
-            e = i * (l - t + 1) + (k - i) * (i - l + s + k)
-            _add_term(terms, den, e, l - k, i, t - l + s + k, t - i)
-        if i:
-            den = _padd(_pshift(den, 2 * (l - i + 1)), _pneg(den))
-    return laurent_sum(terms, den)
+    for i in range(hi, lo - 1, -1):
+        e = i * (l - t + 1) + (k - i) * (i - l + s + k)
+        _add_term(terms, cofactors[i], e, l - k, i, t - l + s + k, t - i)
+    return laurent_sum(terms, cofactors[0])
+
+
+@lru_cache(maxsize=1 << 8)
+def _chain_cofactors(l: int, hi: int) -> tuple[Poly, ...]:
+    # D_hi / D_i for i = 0 .. hi, one factor q^(2(l-i+1)) - 1 per step down
+    # from D_hi / D_hi = 1; entry 0 is D_hi itself.  Every C_sk with these
+    # (l, hi) shares it
+    out = [_PONE]
+    for i in range(hi, 0, -1):
+        out.append(_padd(_pshift(out[-1], 2 * (l - i + 1)), _pneg(out[-1])))
+    return tuple(reversed(out))
 
 
 # -- residue tests -----------------------------------------------------

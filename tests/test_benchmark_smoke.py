@@ -4,10 +4,12 @@
 each workload's plan from package classes.  Loading it here, building the
 three plans and running the first check of each kind makes a rename or
 removal of anything the benchmark calls fail the test suite, not only a
-benchmark run.  One whole boson-grid pass is also run and its digest
-compared with the one the benchmark records, so a change to any result
-on that route fails here too.  The benchmark files are loaded read-only,
-without writing bytecode next to them.
+benchmark run.  One whole pbw-crosscheck pass and one whole boson-grid
+pass are also run and their digests compared with the ones the benchmark
+records, so a change to any result on those routes fails here too, a
+wrong result served from one of the package's memos included.  The
+benchmark files are loaded read-only, without writing bytecode next to
+them.
 """
 
 from __future__ import annotations
@@ -63,14 +65,23 @@ def test_benchmark_plans_build_and_first_checks_pass(monkeypatch, tmp_path):
             assert ok, (name, kind, key, out)
 
 
-def test_boson_grid_pass_matches_its_digest(monkeypatch):
+def _whole_pass_matches_its_digest(monkeypatch, name: str, planner: str) -> None:
+    # one seed-1 pass: every check passes and the digest is the recorded one
     workloads, tracer, F = _benchmark(monkeypatch)
-    plan = workloads.plan_boson(MODS, random.Random(1))
+    plan = getattr(workloads, planner)(MODS, random.Random(1))
     ctx = plan.start_pass(F, tracer)
     items = []
     for kind, key, fn, args in plan.checks:
         ok, out = fn(ctx, *args)
-        assert ok, (kind, key, out)
+        assert ok, (name, kind, key, out)
         if key is not None:
             items.append((key, out))
-    assert workloads.digest(items) == workloads.DIGESTS["boson-grid"]
+    assert workloads.digest(items) == workloads.DIGESTS[name]
+
+
+def test_pbw_crosscheck_pass_matches_its_digest(monkeypatch):
+    _whole_pass_matches_its_digest(monkeypatch, "pbw-crosscheck", "plan_pbw")
+
+
+def test_boson_grid_pass_matches_its_digest(monkeypatch):
+    _whole_pass_matches_its_digest(monkeypatch, "boson-grid", "plan_boson")

@@ -295,6 +295,27 @@ def test_c_sk_over_one_denominator_matches_the_per_term_sum():
                     assert (got.num, got.den) == (want.num, want.den), (l, t, s, k)
 
 
+def test_c_sk_builds_each_cofactor_chain_once(monkeypatch):
+    qboson._chain_cofactors.cache_clear()
+    steps, real = [], qboson._padd
+    monkeypatch.setattr(qboson, "_padd", lambda a, b: steps.append(a) or real(a, b))
+    chains = set()
+    for l in range(5):
+        for t in range(l + 1):
+            for s in range(l - t + 1, l - t + 4):
+                for k in range(l + 1):
+                    got, want = C_sk(l, t, s, k), per_term_c_sk(l, t, s, k)
+                    assert (got.num, got.den) == (want.num, want.den), (l, t, s, k)
+                    chains.add((l, min(t, l - k)))
+    # one factor per step down each distinct chain, from D_hi / D_hi to D_hi
+    assert len(steps) == sum(hi for _, hi in chains)
+    # entry i times D_i, the denominator E_t(l, hi) puts on f^(i) v1, is D_hi
+    for l, hi in chains:
+        cofactors, e = qboson._chain_cofactors(l, hi), E_t(l, hi)
+        for i, c in enumerate(cofactors):
+            assert qfield._pmul(c, e.terms[(i, hi - i)].den) == cofactors[0], (l, hi, i)
+
+
 def test_c_sk_recursion():
     rng = random.Random(20240821)
     for _ in range(25):

@@ -28,6 +28,16 @@ from supercrystal.qfield import (
 )
 
 
+@pytest.fixture(autouse=True)
+def fresh_gcd_memo():
+    # _cancel memoises its multi-term gcds for the life of a process; each
+    # test starts and ends with the memo empty, so a test that patches or
+    # counts the gcd kernels sees them run and leaves no result behind
+    qfield._cancel_terms.cache_clear()
+    yield
+    qfield._cancel_terms.cache_clear()
+
+
 def qp(e: int) -> QRat:
     return QRat.q_power(e)
 
@@ -736,11 +746,38 @@ def test_prs_fallback_gives_the_same_normal_forms(monkeypatch):
     pairs = list(long_pairs(4711, 40))
     fast = [(QRat(*a), QRat(*b)) for a, b in pairs]
     monkeypatch.setattr(qfield, "_HEU_WIDTHS", ())
+    # the pairs above left their heuristic results in the memo
+    qfield._cancel_terms.cache_clear()
+    prs = counting(monkeypatch, "_pgcd")
     assert qfield._heu_cancel(_q_int_poly(12), _q2j_minus_one(6)) is None
     for k, ((a, b), (x, y)) in enumerate(zip(pairs, fast)):
         u, v = QRat(*a), QRat(*b)
         assert (u.num, u.den, v.num, v.den) == (x.num, x.den, y.num, y.den), k
         assert_ops_match_slow_reduction(a, b, k)
+    assert prs[0] > 0
+
+
+def test_cancel_runs_the_gcd_kernel_once_per_pair_up_to_a_shift(monkeypatch):
+    c = _q_int_poly(3)
+    long_pair = _ipoly_mul(_q_int_poly(5), c), _ipoly_mul((-2,), _ipoly_mul(_q2j_minus_one(6), c))
+    short_pair = _ipoly_mul(QP1, P2), _ipoly_mul(QP1, QM1)
+    assert sum(map(len, long_pair)) >= qfield.HEU_GCD_MIN_LEN > sum(map(len, short_pair))
+    for a, b in long_pair, short_pair:
+        qfield._cancel_terms.cache_clear()
+        heuristic, prs = counting(monkeypatch, "_heu_cancel"), counting(monkeypatch, "_pgcd")
+        g, a1, b1 = qfield._cancel(a, b)
+        assert qfield._cancel(a, b) == (g, a1, b1)
+        # q^2 a and q b: the common q joins the gcd and the other q stays on a
+        shifted = qfield._cancel((0, 0) + a, (0,) + b)
+        assert shifted == ((0,) + g, (0,) + a1, b1)
+        assert qfield._cancel((0,) + a, (0,) + b) == ((0,) + g, a1, b1)
+        # one kernel run, the heuristic or the PRS, served all four calls
+        assert heuristic[0] + prs[0] == 1, (a, b, heuristic, prs)
+        assert g != (1,) and _ipoly_mul(g, a1) == a and _ipoly_mul(g, b1) == b
+        ref = full_product_reference("/", QRat(a), QRat(b))
+        got = qfield._finish(a1, b1)
+        assert (got.num, got.den) == (ref.num, ref.den)
+        monkeypatch.undo()
 
 
 def test_kronecker_product_matches_schoolbook(monkeypatch):

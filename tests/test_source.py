@@ -152,3 +152,24 @@ def test_every_lru_cache_passes_an_explicit_maxsize():
                     if _is_named(deco, "lru_cache") or (_is_named(deco, "cache") and keyed_by_poly):
                         found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_gcd_kernels_run_only_behind_the_cancel_memo():
+    # every gcd of the package goes through qfield._cancel_terms, whose memo
+    # serves the pairs a pass repeats; the oracle full_product_reference runs
+    # the PRS itself, so that it shares no result with the memo
+    allowed = {
+        "_heu_cancel": {"_cancel_terms"},
+        "_pgcd": {"_cancel_terms", "full_product_reference"},
+    }
+    found = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            owner = getattr(top, "name", "<module>")
+            found += [
+                f"{path.name}:{node.lineno}:{owner}"
+                for node in ast.walk(top)
+                for kernel, owners in allowed.items()
+                if _is_named(node, kernel) and owner not in owners
+            ]
+    assert found == []
