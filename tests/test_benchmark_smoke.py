@@ -4,9 +4,9 @@
 each workload's plan from package classes.  Loading it here, building the
 three plans and running the first check of each kind makes a rename or
 removal of anything the benchmark calls fail the test suite, not only a
-benchmark run.  One whole pbw-crosscheck pass and one whole boson-grid
-pass are also run and their digests compared with the ones the benchmark
-records, so a change to any result on those routes fails here too, a
+benchmark run.  One whole seed-1 pass of each workload is also run and
+its digest compared with the one the benchmark records, so a change to
+any result on the algebraic or the combinatorial route fails here too, a
 wrong result served from one of the package's memos included.  The
 benchmark files are loaded read-only, without writing bytecode next to
 them.
@@ -65,10 +65,11 @@ def test_benchmark_plans_build_and_first_checks_pass(monkeypatch, tmp_path):
             assert ok, (name, kind, key, out)
 
 
-def _whole_pass_matches_its_digest(monkeypatch, name: str, planner: str) -> None:
-    # one seed-1 pass: every check passes and the digest is the recorded one
+def _whole_pass_matches_its_digest(monkeypatch, name: str, planner: str, *extra) -> None:
+    # one seed-1 pass: every check passes and the digest is the recorded one;
+    # extra are the planner's arguments past the seed (plan_sweep's directory)
     workloads, tracer, F = _benchmark(monkeypatch)
-    plan = getattr(workloads, planner)(MODS, random.Random(1))
+    plan = getattr(workloads, planner)(MODS, random.Random(1), *extra)
     ctx = plan.start_pass(F, tracer)
     items = []
     for kind, key, fn, args in plan.checks:
@@ -85,3 +86,7 @@ def test_pbw_crosscheck_pass_matches_its_digest(monkeypatch):
 
 def test_boson_grid_pass_matches_its_digest(monkeypatch):
     _whole_pass_matches_its_digest(monkeypatch, "boson-grid", "plan_boson")
+
+
+def test_crystal_sweep_pass_matches_its_digest(monkeypatch, tmp_path):
+    _whole_pass_matches_its_digest(monkeypatch, "crystal-sweep", "plan_sweep", tmp_path)

@@ -171,7 +171,7 @@ def _l1_bound(terms) -> int:
 
 def test_laurent_sum_packs_every_width(monkeypatch):
     rng = random.Random(2718)
-    lists = counting(monkeypatch, "_sum_in_list")
+    packs = counting(monkeypatch, "_packed")
     widths = set()
     for bits in (2, 10, 14, 20):
         for _ in range(25):
@@ -189,12 +189,13 @@ def test_laurent_sum_packs_every_width(monkeypatch):
             widths.add(qfield._width(_l1_bound(terms)))
             assert laurent_sum(terms, den) == _sum_by_qrat(terms, den), (terms, den)
     assert widths == {16, 32, 64}
-    assert lists[0] == 0
+    assert packs[0] > 0
 
 
-def test_laurent_sum_past_the_packed_widths(monkeypatch):
+def test_laurent_sum_past_the_packed_widths():
+    # from 2^63 on the width is the bound's length plus one, and the sum is
+    # packed at it like any other
     rng = random.Random(3141)
-    lists = counting(monkeypatch, "_sum_in_list")
     for _ in range(20):
         terms = [
             (rng.randint(-4, 4), tuple(random_poly(rng) for _ in range(2)))
@@ -202,9 +203,9 @@ def test_laurent_sum_past_the_packed_widths(monkeypatch):
         ]
         terms.append((rng.randint(-4, 4), ((2**40, 0, -(2**40)), (2**30 + 1, 2**30))))
         assert _l1_bound(terms) >= 2**63
+        assert qfield._width(_l1_bound(terms)) > 64
         den = random_poly(rng, nonzero=True)
         assert laurent_sum(terms, den) == _sum_by_qrat(terms, den), (terms, den)
-    assert lists[0] == 20
 
 
 def test_laurent_sum_memo_keys_each_polynomial_by_its_width():
@@ -214,30 +215,29 @@ def test_laurent_sum_memo_keys_each_polynomial_by_its_width():
     qfield._packed.cache_clear()
     qfield._l1.cache_clear()
     polys = [(1, -2, 3), (-4, 0, 5, 1), (7,), (0, 0, -1, 2)]
-    scales = {16: 1, 32: 2**20, 64: 2**45, None: 2**62}
+    scales = {16: 1, 32: 2**20, 64: 2**45, "wide": 2**62}
     den = (3, 0, -1, 2)
-    order = [16, 32, 64, None]
+    order = [16, 32, 64, "wide"]
     for width in order + order[::-1]:
         c = (scales[width],)
         terms = [(e - 2, (p, c)) for e, p in enumerate(polys)]
         terms += [(3, (polys[0], polys[1], c)), (-1, (polys[1], polys[0]))]
-        assert qfield._width(_l1_bound(terms)) == width
+        k = qfield._width(_l1_bound(terms))
+        assert k == width if width != "wide" else k > 64
         assert laurent_sum(terms, den) == _sum_by_qrat(terms, den), width
     packed, norms = qfield._packed.cache_info(), qfield._l1.cache_info()
-    # each polynomial once per packed width, each scale once at its own
-    assert packed.currsize == len(polys) * 3 + 3 and packed.hits > 0
+    # each polynomial once per width, each scale once at its own
+    assert packed.currsize == (len(polys) + 1) * len(scales) and packed.hits > 0
     assert norms.currsize == len(polys) + len(scales) and norms.hits > 0
 
 
-def test_laurent_sum_cancelling_to_zero(monkeypatch):
-    lists = counting(monkeypatch, "_sum_in_list")
+def test_laurent_sum_cancelling_to_zero():
     # q^-1 (1 + q) - 1 - q^-1, packed
     terms = [(-1, ((1, 1),)), (0, ((-1,),)), (-1, ((-1,),))]
     assert laurent_sum(terms, (1, 1)) == QRat.zero()
-    assert lists[0] == 0
     big = 2**70
+    assert qfield._width(2 * (big + 1)) > 64
     assert laurent_sum([(2, ((big, 1),)), (2, ((-big, -1),))]) == QRat.zero()
-    assert lists[0] == 1
     # zero polynomials and no terms at all
     assert laurent_sum([(3, ((1, 2), ()))]) == QRat.zero()
     assert laurent_sum([]) == QRat.zero()
@@ -254,16 +254,15 @@ def test_laurent_sum_with_negative_exponents_over_a_denominator():
     assert laurent_sum([(-2, (q2m1,))], q2m1) == qp(-2)
 
 
-def test_akito_sum_past_the_packed_widths(monkeypatch):
+def test_akito_sum_past_the_packed_widths():
     # the coefficients of akito_sum(a, b) are bounded by 3^a, which passes
-    # 2^63 at a = 40
-    lists = counting(monkeypatch, "_sum_in_list")
+    # 2^63 at a = 40, where the width passes 64 bits
     assert 3**39 < 2**63 <= 3**40
+    assert qfield._width(3**39) == 64
     assert akito_sum(39, 2) == qp(156)
-    assert lists[0] == 0
+    assert qfield._width(3**40) > 64
     assert akito_sum(41, 2) == qp(164)
     assert akito_sum(40, 0) == QRat.one()
-    assert lists[0] == 2
 
 
 def test_regularity_at_zero():
@@ -780,10 +779,23 @@ def test_cancel_runs_the_gcd_kernel_once_per_pair_up_to_a_shift(monkeypatch):
         monkeypatch.undo()
 
 
+def packed_widths(monkeypatch) -> list:
+    """Record the width of every qfield._pack call; returns the list."""
+    widths, real = [], qfield._pack
+
+    def recorded(a, k):
+        widths.append(k)
+        return real(a, k)
+
+    monkeypatch.setattr(qfield, "_pack", recorded)
+    return widths
+
+
 def test_kronecker_product_matches_schoolbook(monkeypatch):
     rng = random.Random(8128)
-    packs = counting(monkeypatch, "_pack")
+    packs = packed_widths(monkeypatch)
     for bits in (4, 16, 40, 70):
+        packs.clear()
         for _ in range(40):
             a = tuple(rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 120)))
             b = tuple(rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 120)))
@@ -794,12 +806,15 @@ def test_kronecker_product_matches_schoolbook(monkeypatch):
                 t = (0,) * rng.randint(0, 9) + (c,)
                 assert qfield._pmul(t, a) == _ipoly_mul(t, a), (bits, t, a)
                 assert qfield._pmul(b, t) == _ipoly_mul(b, t), (bits, b, t)
-    assert packs[0] > 0
+        # 70-bit coefficients are multiplied packed too, past the machine limbs
+        assert packs and (bits < 70 or min(packs) > 64), bits
     # coefficients at the edges of a limb, and sparse operands
     for h in (2**15 - 1, 2**31 - 1, 2**63 - 1, 2**63, 2**64 + 3):
         a, b = (h, 0, -h) * 10, (-1,) + (0,) * 28 + (1,)
+        packs.clear()
         assert qfield._pmul(a, b) == _ipoly_mul(a, b)
         assert qfield._pmul(b, a) == _ipoly_mul(a, b)
+        assert len(packs) == 4 and (h < 2**63 or min(packs) > 64), h
     for bits in qfield._HEU_WIDTHS:
         digits = [-(2 ** (bits - 1)), 2 ** (bits - 1) - 1, 0, -1, 1]
         assert qfield._unpack(qfield._pack(tuple(digits), bits), bits, 5) == digits
@@ -969,6 +984,15 @@ def test_row_reduce_past_the_machine_limbs():
             for _ in range(4)
         ]
         assert _matches_the_oracle(mat) > 64
+
+
+def test_width_answers_every_bound():
+    # every bound has a width, and the balanced digits of that width hold it
+    for b in (0, 1, 2**15 - 1, 2**15, 2**31, 2**63 - 1, 2**63, 3**40, 2**200):
+        k = qfield._width(b)
+        assert isinstance(k, int), b
+        assert qfield._unpack(qfield._pack((b, -b, 0, 1), k), k, 4) == [b, -b, 0, 1], b
+    assert qfield._width(2**63) == 65 and qfield._width(2**200) == 202
 
 
 def test_wide_packing_round_trips():

@@ -173,3 +173,52 @@ def test_gcd_kernels_run_only_behind_the_cancel_memo():
                 if _is_named(node, kernel) and owner not in owners
             ]
     assert found == []
+
+
+def test_a_packing_width_is_used_as_given():
+    # qfield._width answers every bound, so each caller packs at the width
+    # it returns: a _width call inside an ``or``, a comparison or a
+    # conditional expression, or a test of a name bound to one, is a
+    # fallback for a width that cannot be missing
+    def is_width_call(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and _is_named(node.func, "_width")
+
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        found |= {
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BoolOp, ast.Compare, ast.IfExp))
+            and any(is_width_call(inner) for inner in ast.walk(node))
+        }
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            widths = {
+                target.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Assign) and is_width_call(node.value)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(func):
+                if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+                    tested = [node.test]
+                elif isinstance(node, ast.BoolOp):
+                    tested = node.values
+                elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+                    tested = [node.operand]
+                elif isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Constant) and side.value is None
+                    for side in (node.left, *node.comparators)
+                ):
+                    tested = [node.left, *node.comparators]
+                else:
+                    continue
+                found |= {
+                    f"{path.name}:{node.lineno}:{func.name}"
+                    for t in tested
+                    if (isinstance(t, ast.Name) and t.id in widths) or is_width_call(t)
+                }
+    assert found == set(), sorted(found)

@@ -950,6 +950,15 @@ def test_from_json_rejects_bad_monomials(exponents):
         from_json(RDS[(2, 2)], [{"exponents": exponents, "coeff": "1"}])
 
 
+@pytest.mark.parametrize("coeff", [1, None, 1.5, ["q"], "(1)/(0)", "(q)/(0*q)", "(1)/()", "1/0"])
+def test_from_json_refuses_a_malformed_coefficient(coeff):
+    # a coefficient is the text form of a Q(q) value with a nonzero denominator
+    with pytest.raises(ValueError):
+        QRat.parse(coeff)
+    with pytest.raises(ValueError):
+        from_json(RDS[(2, 2)], [{"exponents": [[4, 1]], "coeff": coeff}])
+
+
 @pytest.mark.parametrize("pair", [[0, 1.7], [4, 1.0], ["1", 1], [4, "1"], [True, 1], [4, True]])
 def test_from_json_reads_only_int_indices_and_exponents(pair):
     # int() would read 1.7 as 1 and "1" as 1
