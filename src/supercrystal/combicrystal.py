@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 from functools import cache, lru_cache
 from itertools import zip_longest
 
-from .superpbw import Weight, minus_roots, plus_roots
+from .superpbw import Weight, _ints, minus_roots, plus_roots
 
 
 class _ZeroType:
@@ -795,51 +795,44 @@ def to_json(elt) -> dict:
     raise TypeError(f"not a crystal element: {elt!r}")
 
 
-def _ints(values, what: str, low: int | None = None) -> None:
-    """Refuse decoded values that are not ints (a bool is not one), or
-    that are below low."""
-    values = list(values)
-    bound = "" if low is None else f" >= {low}"
-    if not all(type(v) is int and (low is None or v >= low) for v in values):
-        raise ValueError(f"{what} must be ints{bound}: {values!r}")
-
-
 def from_json(data: dict):
-    kind = data["kind"]
-    if kind == "oddset":
-        _ints((data["m"], data["n"]), "ranks", 1)
-        bits = [tuple(p) for p in data["bits"]]
-        _ints((x for p in bits for x in p), "odd entries")
-        return OddSet.of(data["m"], data["n"], bits)
-    if kind in _BLOCKS:
-        cls, keys = _BLOCKS[kind]
-        _ints((data[k] for k in keys), "ranks", 1)
-        entries = {
-            tuple(int(x) for x in k.split(",")): v for k, v in data["mult"].items()
-        }
-        _ints(entries.values(), "multiplicities", 0)
-        return cls.of(*(data[k] for k in keys), entries)
-    if kind in _KINDS:
-        cls = _KINDS[kind]
-        values = [data[f.name] for f in fields(cls)]
-        _ints((x for v in values if isinstance(v, list) for x in v), "weight entries")
-        values = [Weight(tuple(v)) if isinstance(v, list) else from_json(v) for v in values]
-        # each field holds its kind's type, and a truncation wraps its own slot's block
-        blocks = [v.base if isinstance(v, HWElt) else v for v in values[1:3]]
-        if not all(map(isinstance, values, cls.holds)) or (
-            cls is not HWElt and not all(map(isinstance, blocks, (LusztigPlus, LusztigMinus)))
-        ):
-            raise ValueError(f"the fields of a {kind!r} element hold blocks of another kind")
-        if cls is HWElt:
-            # the block's coroots read the shift up to entry m (plus) or m + n (minus)
-            fits = len(values[1].coords) >= sum(values[0]._rank())
-        else:
-            # one rank (m, n) throughout; a product's subset is m x 1
-            S, (plus, minus) = values[0], blocks
-            shifts = [v.shift for v in values[1:3] if isinstance(v, HWElt)] + values[3:]
-            fits = S.m == plus.m == minus.m and S.n == (1 if cls is ProductElt else minus.n)
-            fits = fits and all(len(w.coords) == minus.m + minus.n for w in shifts)
-        if not fits:
-            raise ValueError(f"the fields of a {kind!r} element disagree on the rank")
-        return cls(*values)
-    raise ValueError(f"unknown kind {kind!r}")
+    """The element that ``to_json`` wrote as data; ValueError for anything else."""
+    try:
+        kind = data["kind"]
+        if kind == "oddset":
+            _ints((data["m"], data["n"]), "ranks", 1)
+            bits = [tuple(p) for p in data["bits"]]
+            _ints((x for p in bits for x in p), "odd entries")
+            return OddSet.of(data["m"], data["n"], bits)
+        if kind in _BLOCKS:
+            cls, keys = _BLOCKS[kind]
+            _ints((data[k] for k in keys), "ranks", 1)
+            entries = {tuple(int(x) for x in k.split(",")): v for k, v in data["mult"].items()}
+            _ints(entries.values(), "multiplicities", 0)
+            return cls.of(*(data[k] for k in keys), entries)
+        if kind in _KINDS:
+            cls = _KINDS[kind]
+            values = [data[f.name] for f in fields(cls)]
+            _ints((x for v in values if isinstance(v, list) for x in v), "weight entries")
+            values = [Weight(tuple(v)) if isinstance(v, list) else from_json(v) for v in values]
+            # each field holds its kind's type, and a truncation wraps its own slot's block
+            blocks = [v.base if isinstance(v, HWElt) else v for v in values[1:3]]
+            if not all(map(isinstance, values, cls.holds)) or (
+                cls is not HWElt and not all(map(isinstance, blocks, (LusztigPlus, LusztigMinus)))
+            ):
+                raise ValueError(f"the fields of a {kind!r} element hold blocks of another kind")
+            if cls is HWElt:
+                # the block's coroots read the shift up to entry m (plus) or m + n (minus)
+                fits = len(values[1].coords) >= sum(values[0]._rank())
+            else:
+                # one rank (m, n) throughout; a product's subset is m x 1
+                S, (plus, minus) = values[0], blocks
+                shifts = [v.shift for v in values[1:3] if isinstance(v, HWElt)] + values[3:]
+                fits = S.m == plus.m == minus.m and S.n == (1 if cls is ProductElt else minus.n)
+                fits = fits and all(len(w.coords) == minus.m + minus.n for w in shifts)
+            if not fits:
+                raise ValueError(f"the fields of a {kind!r} element disagree on the rank")
+            return cls(*values)
+        raise ValueError(f"unknown kind {kind!r}")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"not the JSON form of a crystal element: {exc!r}") from exc

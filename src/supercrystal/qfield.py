@@ -11,7 +11,8 @@ modules share.
 
 Every cancellation goes through ``_cancel``, which returns a gcd with both
 cofactors.  Long operands take a certified heuristic gcd at q = 2^k, and
-long products one big-integer multiply (Kronecker substitution); the
+long products one big-integer multiply (Kronecker substitution), with k
+from ``_width``, the one rule for every q = 2^k here, at any size; the
 primitive PRS gcd and the schoolbook product keep the short operands, and
 the PRS takes over whenever the certificate fails.  The two size
 crossovers are HEU_GCD_MIN_LEN and KRONECKER_MIN_PAIRS.  Both gcd kernels
@@ -49,8 +50,6 @@ _UNITS = (_PONE, (-1,))
 # "Exact arithmetic"): below them the pure-Python loops are faster.
 HEU_GCD_MIN_LEN = 12  # len(a) + len(b) at which a gcd tries the heuristic first
 KRONECKER_MIN_PAIRS = 300  # len(a) * len(b) at which a product packs into one integer
-# the evaluation points q = 2^k the heuristic gcd tries, in order, before the PRS
-_HEU_WIDTHS = (16, 32, 64)
 # signed array codes for limbs of k bits
 _LIMB_CODES = {8 * array(c).itemsize: c for c in "hilq"}
 
@@ -235,13 +234,11 @@ def _bias(k: int, n: int) -> int:
 
 
 def _heu_cancel(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly] | None:
-    """(g, a/g, b/g) with g the primitive gcd, certified at xi = 2^k, or
-    None when no tried xi gives a certificate.  See _cancel."""
-    top = max(max(map(abs, a)), max(map(abs, b)))
-    for k in _HEU_WIDTHS:
-        h = 1 << (k - 1)  # xi / 2
-        if top >= h:
-            continue
+    """(g, a/g, b/g) with g the primitive gcd, certified at xi = 2^k for k
+    the ``_width`` of max(|a|, |b|), 2k or 4k, or None.  See _cancel."""
+    k0 = _width(max(max(map(abs, a)), max(map(abs, b))))
+    for k in (k0, 2 * k0, 4 * k0):
+        h = 1 << (k - 1)  # xi / 2, above every coefficient of a and b
         va, vb = _pack(a, k), _pack(b, k)
         gamma = _int_gcd(va, vb)
         g = _unpack(gamma, k, min(len(a), len(b)))
@@ -255,8 +252,7 @@ def _heu_cancel(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly] | None:
         c = _int_gcd(*g)
         if g[-1] < 0:
             c = -c
-        if c != 1:
-            g = [x // c for x in g]
+        g = [x // c for x in g]
         gv = gamma // c
         ca = _unpack(va // gv, k, len(a) - len(g) + 1)
         cb = _unpack(vb // gv, k, len(b) - len(g) + 1)
@@ -297,10 +293,10 @@ def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
       xi > d + 1 + min(|ca|, |cb|), then each |xi - z| > d >= 1 and
       |h(xi)| >= prod |xi - z| > d, which cannot be.  So g is the gcd.
 
-    Here |p| is the largest absolute value of a coefficient.  When either
-    test fails, the next larger k in _HEU_WIDTHS is tried, and after the
-    last one the primitive PRS decides; it also takes the shorter sides,
-    where it is the faster of the two.
+    Here |p| is the largest absolute value of a coefficient.  k starts at
+    the ``_width`` of max(|a|, |b|) and doubles at most twice when either
+    test fails; then the primitive PRS decides.  It also takes the shorter
+    sides, where it is the faster of the two.
 
     Both kernels run in ``_cancel_terms``, a bounded memo keyed by the two
     sides with their powers of q sliced off, so pairs that differ by a

@@ -903,23 +903,33 @@ def to_json(u: PBWVector) -> list[dict]:
     return out
 
 
+def _ints(values, what: str, low: int | None = None) -> None:
+    """Refuse decoded values that are not ints (a bool is not one) or are below low."""
+    values = list(values)
+    bound = "" if low is None else f" >= {low}"
+    if not all(type(v) is int and (low is None or v >= low) for v in values):
+        raise ValueError(f"{what} must be ints{bound}: {values!r}")
+
+
 def from_json(rd: RootData, data: list[dict]) -> PBWVector:
+    """The vector that ``to_json`` wrote as data; ValueError for anything else."""
+    if not isinstance(data, list):
+        raise ValueError(f"a PBW vector is a list of terms, not {data!r}")
     terms: dict[tuple[int, ...], QRat] = {}
-    for item in data:
-        mono = [0] * rd.nroots
-        seen = set()
-        for idx, e in item["exponents"]:
-            if type(idx) is not int or type(e) is not int:
-                raise ValueError(f"root index and exponent must be ints: {[idx, e]!r}")
-            if not 0 <= idx < rd.nroots:
-                raise ValueError(f"root index {idx} outside 0..{rd.nroots - 1}")
-            if idx in seen:
-                raise ValueError(f"root index {idx} repeated in one monomial")
-            if e < 0:
-                raise ValueError("negative exponent")
-            if rd.is_odd_index(idx) and e > 1:
-                raise ValueError("odd exponent above 1")
-            seen.add(idx)
-            mono[idx] = e
-        add_into(terms, tuple(mono), QRat.parse(item["coeff"]))
+    try:
+        for item in data:
+            mono: dict[int, int] = {}
+            for idx, e in item["exponents"]:
+                _ints((idx, e), "root index and exponent", 0)
+                if idx >= rd.nroots:
+                    raise ValueError(f"root index {idx} outside 0..{rd.nroots - 1}")
+                if idx in mono:
+                    raise ValueError(f"root index {idx} repeated in one monomial")
+                if rd.is_odd_index(idx) and e > 1:
+                    raise ValueError("odd exponent above 1")
+                mono[idx] = e
+            exponents = tuple(mono.get(idx, 0) for idx in range(rd.nroots))
+            add_into(terms, exponents, QRat.parse(item["coeff"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not the JSON form of a PBW term: {exc!r}") from exc
     return PBWVector(rd, terms)

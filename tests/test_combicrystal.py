@@ -939,6 +939,34 @@ def test_from_json_refuses_invalid_elements():
     assert from_json(dict(hw_plus, shift=[2, 1])).is_member()
 
 
+_BINF22 = to_json(BInfElt(OddSet.empty(2, 2), LusztigPlus.zero(2), LusztigMinus.zero(2, 2)))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},  # no kind
+        {"kind": "oddset"},  # no ranks or bits
+        {"kind": "oddset", "m": 2, "n": 2, "bits": 5},
+        {"kind": "oddset", "m": 2, "n": 2, "bits": [5]},
+        {"kind": "lplus", "m": 2},  # no multiplicities
+        {"kind": "lplus", "m": 2, "mult": []},
+        {"kind": "lplus", "m": 2, "mult": {5: 1}},
+        {"kind": []},  # an unhashable kind
+        dict(_BINF22, S=1, bplus=2, bminus=3),  # fields that are ints
+        dict(_BINF22, S={}),
+        {"kind": "binf"},
+        "x",
+        5,
+        None,
+        [],
+    ],
+)
+def test_from_json_refuses_malformed_data_with_value_error(data):
+    with pytest.raises(ValueError):
+        from_json(data)
+
+
 def test_elements_compare_by_kind_and_fields():
     # elements are not frozen dataclasses; equality, hashing and repr are
     # still the generated ones, over the fields and within one kind

@@ -727,7 +727,11 @@ def test_long_cyclotomic_pairs_match_slow_reduction(monkeypatch):
 def test_heuristic_gcd_is_not_fooled_by_an_accidental_common_factor():
     a, b = _q_int_poly(5), _q2j_minus_one(6)  # 1 + q^2 + ... + q^8 and q^12 - 1
     assert _slow_gcd_degree(a, b) == 0
-    for k in qfield._HEU_WIDTHS:  # every limb width is a multiple of 4
+    # the widths the heuristic tries for this pair: _width of its largest
+    # coefficient, then twice and four times it; each is a multiple of 4
+    k0 = qfield._width(max(map(abs, a + b)))
+    assert (k0, 2 * k0, 4 * k0) == (16, 32, 64)
+    for k in (k0, 2 * k0, 4 * k0):
         assert qfield._pack(a, k) % 5 == 0 and qfield._pack(b, k) % 5 == 0
     assert len(a) + len(b) >= qfield.HEU_GCD_MIN_LEN
     assert qfield._heu_cancel(a, b) == ((1,), a, b)
@@ -744,16 +748,39 @@ def test_heuristic_gcd_is_not_fooled_by_an_accidental_common_factor():
 def test_prs_fallback_gives_the_same_normal_forms(monkeypatch):
     pairs = list(long_pairs(4711, 40))
     fast = [(QRat(*a), QRat(*b)) for a, b in pairs]
-    monkeypatch.setattr(qfield, "_HEU_WIDTHS", ())
+    # every gcd below takes the PRS: no side is longer than the product of
+    # two of these polynomials, so no pair reaches the raised crossover
+    longest = max(len(p) for pair in pairs for side in pair for p in side)
+    monkeypatch.setattr(qfield, "HEU_GCD_MIN_LEN", 4 * longest)
     # the pairs above left their heuristic results in the memo
     qfield._cancel_terms.cache_clear()
-    prs = counting(monkeypatch, "_pgcd")
-    assert qfield._heu_cancel(_q_int_poly(12), _q2j_minus_one(6)) is None
+    heuristic, prs = counting(monkeypatch, "_heu_cancel"), counting(monkeypatch, "_pgcd")
     for k, ((a, b), (x, y)) in enumerate(zip(pairs, fast)):
         u, v = QRat(*a), QRat(*b)
         assert (u.num, u.den, v.num, v.den) == (x.num, x.den, y.num, y.den), k
         assert_ops_match_slow_reduction(a, b, k)
-    assert prs[0] > 0
+    assert heuristic[0] == 0 and prs[0] > 0
+
+
+def test_heuristic_gcd_certifies_coefficients_past_2_63(monkeypatch):
+    # a known common factor c of two sides whose coefficients pass 2^63:
+    # the heuristic evaluates past the 64-bit limb and certifies the gcd,
+    # with no PRS call
+    rng = random.Random(2063)
+    c = _ipoly_mul(_q_int_poly(4), (1, -3, 0, 1))
+    a0 = tuple(rng.randint(-(2**90), 2**90) for _ in range(9)) + (2**70 + 1,)
+    b0 = tuple(rng.randint(-(2**80), 2**80) for _ in range(7)) + (3,)
+    assert _slow_gcd_degree(a0, b0) == 0
+    a, b = _ipoly_mul(a0, c), _ipoly_mul(b0, c)
+    assert max(map(abs, a + b)) >= 2**63 and len(a) + len(b) >= qfield.HEU_GCD_MIN_LEN
+    qfield._cancel_terms.cache_clear()
+    prs, packs = counting(monkeypatch, "_pgcd"), packed_widths(monkeypatch)
+    assert qfield._cancel(a, b) == (c, a0, b0)
+    assert prs[0] == 0 and packs and min(packs) > 64
+    ref = full_product_reference("/", QRat(a), QRat(b))
+    got = QRat(a) / QRat(b)
+    assert (got.num, got.den) == (ref.num, ref.den) == slow_normal_form(a, b)
+    assert prs[0] == 1  # the reference's own PRS
 
 
 def test_cancel_runs_the_gcd_kernel_once_per_pair_up_to_a_shift(monkeypatch):
@@ -815,7 +842,8 @@ def test_kronecker_product_matches_schoolbook(monkeypatch):
         assert qfield._pmul(a, b) == _ipoly_mul(a, b)
         assert qfield._pmul(b, a) == _ipoly_mul(a, b)
         assert len(packs) == 4 and (h < 2**63 or min(packs) > 64), h
-    for bits in qfield._HEU_WIDTHS:
+    # the limb widths, and two widths past them that are not limbs
+    for bits in (16, 32, 64, 65, 130):
         digits = [-(2 ** (bits - 1)), 2 ** (bits - 1) - 1, 0, -1, 1]
         assert qfield._unpack(qfield._pack(tuple(digits), bits), bits, 5) == digits
 

@@ -222,3 +222,25 @@ def test_a_packing_width_is_used_as_given():
                     if (isinstance(t, ast.Name) and t.id in widths) or is_width_call(t)
                 }
     assert found == set(), sorted(found)
+
+
+def test_every_packing_width_comes_from_width():
+    # qfield._width is the one rule for q = 2^k: a qfield function that packs
+    # (``_pack``, or its memo ``_packed``) either calls _width or receives the
+    # width as a parameter, so no second list of widths can come back
+    path = next(p for p in SOURCES if p.name == "qfield.py")
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+        packs = [c for c in calls if _is_named(c.func, "_pack") or _is_named(c.func, "_packed")]
+        params = {a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs}
+        if packs and not any(_is_named(c.func, "_width") for c in calls):
+            widths = [c.args[1] if len(c.args) == 2 else None for c in packs]
+            found += [
+                f"{func.name}:{c.lineno}"
+                for c, k in zip(packs, widths)
+                if not (isinstance(k, ast.Name) and k.id in params)
+            ]
+    assert found == [], found

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 from functools import cache
+from hashlib import sha256
 from itertools import combinations, product
 
 import pytest
@@ -18,7 +20,7 @@ from free_oracle import (
     gram_rank,
     words_of_weight,
 )
-from supercrystal import superpbw
+from supercrystal import qfield, superpbw
 from supercrystal.qfield import QRat, add_into, q_factorial, q_int
 from supercrystal.superpbw import (
     PBWVector,
@@ -442,6 +444,26 @@ def test_crystal_rank_one_ladders():
             assert crystal_e(rd12, 2, f_divided(rd12, 2, c)) == f_divided(
                 rd12, 2, c - 1
             ).scale(qp(2 * c - 2))
+
+
+def test_long_lowering_string_takes_no_prs_on_long_pairs(monkeypatch):
+    # f_2 on f_2^(23) at (1,2): the ladder's coefficients pass 2^63, and
+    # every gcd at or above the heuristic's crossover is still certified
+    # by it, with no primitive PRS
+    rd = RootData(1, 2)
+    qfield._cancel_terms.cache_clear()
+    lengths, real = [], qfield._pgcd
+
+    def counted(a, b):
+        lengths.append(len(a) + len(b))
+        return real(a, b)
+
+    monkeypatch.setattr(qfield, "_pgcd", counted)
+    v = crystal_f(rd, 2, f_divided(rd, 2, 23))
+    assert [n for n in lengths if n >= qfield.HEU_GCD_MIN_LEN] == []
+    digest = sha256(json.dumps(to_json(v)).encode()).hexdigest()
+    assert digest == "b1cfda760fe63170e4c960ed31a30eda27ade846a66a64ce93ba839fd6639961"
+    assert v == f_divided(rd, 2, 24).scale(qp(-46))
 
 
 def test_crystal_lattice_ladders_are_exact():
@@ -957,6 +979,26 @@ def test_from_json_refuses_a_malformed_coefficient(coeff):
         QRat.parse(coeff)
     with pytest.raises(ValueError):
         from_json(RDS[(2, 2)], [{"exponents": [[4, 1]], "coeff": coeff}])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [{"coeff": "1"}],  # no exponents
+        [{"exponents": [[4, 1]]}],  # no coefficient
+        [{"exponents": 5, "coeff": "1"}],  # exponents not a list
+        [{"exponents": [5], "coeff": "1"}],  # an exponent entry not a pair
+        ["x"],  # an item not an object
+        [[]],
+        5,  # top-level data not a list
+        {},
+        "",
+        None,
+    ],
+)
+def test_from_json_refuses_malformed_data_with_value_error(data):
+    with pytest.raises(ValueError):
+        from_json(RDS[(2, 2)], data)
 
 
 @pytest.mark.parametrize("pair", [[0, 1.7], [4, 1.0], ["1", 1], [4, "1"], [True, 1], [4, True]])
